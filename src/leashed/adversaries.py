@@ -54,16 +54,16 @@ class AdversaryConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}, expected one of {KINDS}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.period < 1:
             raise ValueError(f"spike period must be >= 1, got {self.period}")
-        if self.magnitude <= 0.0:
-            raise ValueError(f"spike magnitude must be positive, got {self.magnitude}")
-        if self.envelope <= 0.0:
-            raise ValueError(f"envelope must be positive, got {self.envelope}")
+        if not 0.0 < self.magnitude < math.inf:
+            raise ValueError(f"spike magnitude must be positive and finite, got {self.magnitude}")
+        if not 0.0 < self.envelope < math.inf:
+            raise ValueError(f"envelope must be positive and finite, got {self.envelope}")
         if not math.isfinite(self.rate):
             raise ValueError(f"growth rate must be finite, got {self.rate}")
 

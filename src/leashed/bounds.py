@@ -32,16 +32,16 @@ class BoundParams:
     q_grid: Sequence[float] = DEFAULT_Q_GRID
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.k <= 0.0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if self.g0 <= 0.0:
-            raise ValueError(f"g0 must be positive, got {self.g0}")
+        if not 0.0 < self.g0 < math.inf:
+            raise ValueError(f"g0 must be positive and finite, got {self.g0}")
         if not self.q_grid:
             raise ValueError("q_grid must be nonempty")
         for q in self.q_grid:
@@ -126,18 +126,29 @@ def bettor_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> float
     return eps + w * max(arm1, arm2)
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y for x >= 0, or inf where float ** raises OverflowError."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def _leash_terms(params: BoundParams, stats: StreamStats, w_abs: float) -> float:
     """Barrier cost plus comparator terms added by the Leashed wrapper."""
     G = stats.G
     if G == 0.0:
         return 0.0
     barrier = G * params.k * stats.max_ratio ** params.p
-    penalty = min(
-        G * w_abs ** (1.0 + (1.0 - q) / params.p)
-        / params.k ** ((1.0 - q) / params.p)
+    terms = (
+        G * _pow(w_abs, 1.0 + (1.0 - q) / params.p)
+        / _pow(params.k, (1.0 - q) / params.p)
         * (stats.sum_abs / G) ** q
         for q in params.q_grid
     )
+    # where both powers overflow a term is inf / inf; the guarantee holds at
+    # every q, so that q is left out
+    penalty = min((t for t in terms if not math.isnan(t)), default=math.inf)
     return barrier + 2.0 * G * w_abs + penalty
 
 

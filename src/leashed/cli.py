@@ -1,21 +1,24 @@
 """Command-line harness: single runs with traces, acceptance checks, sweeps.
 
-Settings resolve in precedence order: command-line flags, then environment
-variables prefixed LEASHED_ (e.g. LEASHED_T), then a JSON config file given
-via --config, then built-in defaults. Trace and summary files land in the
-directory named by --out, which must already exist.
+A game's settings form one frozen RunSpec. Each field resolves in precedence
+order: command-line flag, then the environment variable LEASHED_<FIELD>
+(e.g. LEASHED_T), then the JSON config file given via --config, where null
+counts as unset, then the field's default. The spec is checked by building
+it, so bad settings fail before any game runs. Trace and summary files land
+in the directory named by --out, which must already exist.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -27,49 +30,8 @@ from .acceptance import SUITES, format_result, run_suite
 
 ENV_PREFIX = "LEASHED_"
 
-_DEFAULTS = {
-    "algo": "leashed",
-    "adversary": "constant",
-    "T": 1000,
-    "dim": 1,
-    "k": 1.0,
-    "p": 0.5,
-    "eps": 1.0,
-    "alpha": 1.0,
-    "g0": 1.0,
-    "D": None,
-    "seed": 0,
-    "comparators": "auto",
-    "out": ".",
-    "scale": 1.0,
-    "rate": 0.5,
-    "period": 10,
-    "magnitude": 10.0,
-    "envelope": 1.0,
-    "jobs": 1,
-}
-
-_CASTS = {
-    "algo": str,
-    "adversary": str,
-    "T": int,
-    "dim": int,
-    "k": float,
-    "p": float,
-    "eps": float,
-    "alpha": float,
-    "g0": float,
-    "D": float,
-    "seed": int,
-    "comparators": str,
-    "out": str,
-    "scale": float,
-    "rate": float,
-    "period": int,
-    "magnitude": float,
-    "envelope": float,
-    "jobs": int,
-}
+# the settings `sweep` takes as comma-separated grids
+GRID_KEYS = ("k", "p", "adversary", "T")
 
 TRACE_COLUMNS = ("t", "w_norm", "g_norm", "hint", "barrier", "wealth", "cum_loss")
 
@@ -106,6 +68,92 @@ class TraceRecorder(Learner):
         self.wealths.append(self.inner.wealth)
 
 
+def _parse_listish(raw, cast) -> list:
+    if isinstance(raw, (list, tuple)):
+        return [cast(v) for v in raw]
+    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+    return [cast(p) for p in parts]
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """Every setting of `run` and of one `sweep` cell: the game, the
+    comparators reported on, the output directory and sweep's worker count."""
+
+    algo: str = "leashed"
+    adversary: str = "constant"
+    T: int = 1000
+    dim: int = 1
+    k: float = 1.0
+    p: float = 0.5
+    eps: float = 1.0
+    alpha: float = 1.0
+    g0: float = 1.0
+    D: Optional[float] = None
+    seed: int = 0
+    comparators: str = "auto"  # "auto" or comma-separated scalars
+    out: str = "."
+    scale: float = 1.0
+    rate: float = 0.5
+    period: int = 10
+    magnitude: float = 10.0
+    envelope: float = 1.0
+    jobs: int = 1
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValueError(f"number of rounds must be >= 1, got {self.T}")
+        self.build()  # the library checks what it is built from
+        if self.comparators != "auto":
+            given = _parse_listish(self.comparators, float)
+            if not given:
+                raise ValueError("empty comparator list")
+            if not all(math.isfinite(w) for w in given):
+                raise ValueError(f"comparators must be finite, got {self.comparators!r}")
+            if self.dim != 1:
+                raise ValueError("explicit comparators are scalars; use auto for dim > 1")
+
+    @property
+    def params(self) -> BoundParams:
+        return BoundParams(epsilon=self.eps, alpha=self.alpha, k=self.k, p=self.p, g0=self.g0)
+
+    def build(self) -> tuple:
+        """(adversary config, adversary, learner) for a fresh game."""
+        adv_cfg = AdversaryConfig(
+            self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
+            period=self.period, magnitude=self.magnitude, envelope=self.envelope,
+        )
+        adversary = StreamAdversary(adv_cfg)
+        # ons_hints is promised the stream's a-priori cap; without one (growing,
+        # zero) it falls back to g0, and an unbounded stream aborts on contract
+        hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
+        learner = build_learner(self.algo, self.params, dim=self.dim, diameter=self.D, hint=hint)
+        return adv_cfg, adversary, learner
+
+    def comparators_for(self, ledger: RegretLedger) -> list:
+        """The explicit scalars; else, for adagrad_ball, whose bound holds only
+        inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
+        if self.comparators != "auto":
+            return _parse_listish(self.comparators, float)
+        if self.algo != "adagrad_ball":
+            return comparator_sweep(ledger, seed=self.seed)
+        if self.dim == 1:
+            return [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
+        return [w for w in comparator_sweep(ledger, seed=self.seed)
+                if dual_norm(w) <= 1.0 + 1e-12]
+
+    def rows(self, ledger: RegretLedger, stats: StreamStats) -> Iterator[tuple]:
+        """(comparator, its norm, regret, stack bound, regret / bound) per
+        comparator; the ratio is None where the bound is not positive."""
+        params = self.params
+        for wc in self.comparators_for(ledger):
+            w_abs = dual_norm(wc)
+            regret = ledger.regret(wc)
+            bound = stack_bound(self.algo, params, stats, w_abs,
+                                diameter=self.D, max_played=ledger.max_played_norm)
+            yield wc, w_abs, regret, bound, (regret / bound) if bound > 0.0 else None
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -116,55 +164,38 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    env = os.environ.get(ENV_PREFIX + key.upper())
-    if env is not None:
-        return _CASTS[key](env)
-    if key in file_cfg:
-        raw = file_cfg[key]
-        return raw if raw is None else _CASTS[key](raw)
-    return _DEFAULTS[key]
-
-
-def _settings(args: argparse.Namespace, keys) -> dict:
-    file_cfg = _load_config(getattr(args, "config", None))
-    return {key: _resolve(args, file_cfg, key) for key in keys}
+def _settings(args: argparse.Namespace, grid=()) -> dict:
+    """Every RunSpec field from its flag, else LEASHED_<FIELD>, else the
+    config file, else its default, cast to the type of that default (D is a
+    float). The fields named in `grid` resolve to lists."""
+    file_cfg = _load_config(args.config)
+    out = {}
+    for f in dataclasses.fields(RunSpec):
+        raw = next((v for v in (getattr(args, f.name, None),
+                                os.environ.get(ENV_PREFIX + f.name.upper()),
+                                file_cfg.get(f.name)) if v is not None), None)
+        cast = float if f.default is None else type(f.default)
+        if f.name in grid:
+            out[f.name] = [f.default] if raw is None else _parse_listish(raw, cast)
+        else:
+            out[f.name] = f.default if raw is None else cast(raw)
+    return out
 
 
 def _fmt(x: Union[float, None]) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _parse_listish(raw, cast) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    return [cast(p) for p in parts]
-
-
-def _hint_for(algo: str, adv: StreamAdversary) -> Optional[float]:
-    if algo != "ons_hints":
-        return None
-    cap = adv.bound()
-    if cap is None or cap <= 0.0:
-        return None  # fall back to g0; an unbounded stream will abort on contract
-    return cap
-
-
-def _ball_comparators(ledger: RegretLedger, seed: int) -> list:
-    """Comparator set kept inside the unit ball for the ball-only learner."""
-    magnitudes = (0.1, 0.5, 1.0)
-    d = ledger.dim
-    if d is None or d == 1:
-        out = [0.0]
-        for m in magnitudes:
-            out.extend((m, -m))
-        return out
-    full = comparator_sweep(ledger, seed=seed)
-    return [w for w in full if dual_norm(w) <= 1.0 + 1e-12]
+def _strict_json(x):
+    """x with every non-finite float replaced by its %.17g spelling ("inf",
+    "-inf", "nan"), which float() reads back."""
+    if isinstance(x, dict):
+        return {key: _strict_json(v) for key, v in x.items()}
+    if isinstance(x, list):
+        return [_strict_json(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return _fmt(x)
+    return x
 
 
 def _comparator_label(wc) -> str:
@@ -173,65 +204,20 @@ def _comparator_label(wc) -> str:
     return format(float(wc), ".12g")
 
 
-def _summary_rows(algo: str, params: BoundParams, ledger: RegretLedger,
-                  stats: StreamStats, comparators, diameter) -> list:
-    rows = []
-    for wc in comparators:
-        w_abs = dual_norm(wc) if isinstance(wc, np.ndarray) else abs(float(wc))
-        regret = ledger.regret(wc)
-        bb = bettor_bound(params, stats, w_abs)
-        sb = stack_bound(
-            algo, params, stats, w_abs,
-            diameter=diameter, max_played=ledger.max_played_norm,
-        )
-        rows.append(
-            {
-                "comparator": [float(x) for x in wc] if isinstance(wc, np.ndarray) else float(wc),
-                "comparator_norm": w_abs,
-                "regret": regret,
-                "bettor_bound": bb,
-                "stack_bound": sb,
-                "ratio": (regret / sb) if sb > 0.0 else None,
-            }
-        )
-    return rows
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    keys = (
-        "algo", "adversary", "T", "dim", "k", "p", "eps", "alpha", "g0", "D",
-        "seed", "comparators", "out", "scale", "rate", "period", "magnitude",
-        "envelope",
-    )
     try:
-        s = _settings(args, keys)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        spec = RunSpec(**_settings(args))
+    except (OSError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(s["out"])
+    out_dir = Path(spec.out)
     if not out_dir.is_dir():
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
-    try:
-        params = BoundParams(
-            epsilon=s["eps"], alpha=s["alpha"], k=s["k"], p=s["p"], g0=s["g0"]
-        )
-        adv_cfg = AdversaryConfig(
-            s["adversary"], scale=s["scale"], dim=s["dim"], seed=s["seed"],
-            rate=s["rate"], period=s["period"], magnitude=s["magnitude"],
-            envelope=s["envelope"],
-        )
-        adversary = StreamAdversary(adv_cfg)
-        learner = build_learner(
-            s["algo"], params, dim=s["dim"], diameter=s["D"],
-            hint=_hint_for(s["algo"], adversary),
-        )
-    except ValueError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
+    adv_cfg, adversary, learner = spec.build()
     recorder = TraceRecorder(learner)
     try:
-        ledger = run_game(recorder, adversary, s["T"])
+        ledger = run_game(recorder, adversary, spec.T)
     except (GameDivergence, ValueError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
@@ -253,50 +239,38 @@ def cmd_run(args: argparse.Namespace) -> int:
                     return 1
             writer.writerow((r.t,) + tuple(_fmt(x) for x in cells))
 
-    stats = StreamStats.from_ledger(ledger, g0=s["g0"])
-    if s["comparators"] == "auto":
-        if s["algo"] == "adagrad_ball":
-            comparators = _ball_comparators(ledger, s["seed"])
-        else:
-            comparators = comparator_sweep(ledger, seed=s["seed"])
-    else:
-        if (ledger.dim or 1) != 1:
-            print("explicit comparators are scalars; use auto for dim > 1", file=sys.stderr)
-            return 2
-        try:
-            comparators = _parse_listish(s["comparators"], float)
-        except ValueError as exc:
-            print(f"bad comparators: {exc}", file=sys.stderr)
-            return 2
-        if not comparators:
-            print("empty comparator list", file=sys.stderr)
-            return 2
+    stats = StreamStats.from_ledger(ledger, g0=spec.g0)
+    params = spec.params
     summary = {
-        "algo": s["algo"],
-        "adversary": {
-            "kind": s["adversary"], "scale": s["scale"], "dim": s["dim"],
-            "seed": s["seed"], "rate": s["rate"], "period": s["period"],
-            "magnitude": s["magnitude"], "envelope": s["envelope"],
-        },
-        "T": s["T"],
-        "dim": s["dim"],
+        "algo": spec.algo,
+        "adversary": dataclasses.asdict(adv_cfg),
+        "T": spec.T,
+        "dim": spec.dim,
         "params": {
-            "epsilon": s["eps"], "alpha": s["alpha"], "k": s["k"],
-            "p": s["p"], "g0": s["g0"],
+            "epsilon": spec.eps, "alpha": spec.alpha, "k": spec.k,
+            "p": spec.p, "g0": spec.g0,
         },
-        "diameter": s["D"],
+        "diameter": spec.D,
         "stats": {
             "T": stats.T, "sum_sq": stats.sum_sq, "sum_abs": stats.sum_abs,
             "G": stats.G, "h_T": stats.h_T, "max_ratio": stats.max_ratio,
             "max_played_norm": ledger.max_played_norm,
         },
-        "comparators": _summary_rows(
-            s["algo"], params, ledger, stats, comparators, s["D"]
-        ),
+        "comparators": [
+            {
+                "comparator": [float(x) for x in wc] if isinstance(wc, np.ndarray) else float(wc),
+                "comparator_norm": w_abs,
+                "regret": regret,
+                "bettor_bound": bettor_bound(params, stats, w_abs),
+                "stack_bound": bound,
+                "ratio": ratio,
+            }
+            for wc, w_abs, regret, bound, ratio in spec.rows(ledger, stats)
+        ],
     }
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(_strict_json(summary), fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {trace_path} and {summary_path}")
     return 0
@@ -311,97 +285,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-def _sweep_cell(cell: dict) -> list:
-    params = BoundParams(
-        epsilon=cell["eps"], alpha=cell["alpha"], k=cell["k"], p=cell["p"],
-        g0=cell["g0"],
-    )
-    adversary = StreamAdversary(
-        AdversaryConfig(
-            cell["adversary"], scale=cell["scale"], dim=cell["dim"],
-            seed=cell["seed"], rate=cell["rate"], period=cell["period"],
-            magnitude=cell["magnitude"], envelope=cell["envelope"],
-        )
-    )
-    learner = build_learner(
-        cell["algo"], params, dim=cell["dim"], diameter=cell["D"],
-        hint=_hint_for(cell["algo"], adversary),
-    )
-    ledger = run_game(learner, adversary, cell["T"])
-    stats = StreamStats.from_ledger(ledger, g0=cell["g0"])
-    if cell["comparators"] == "auto":
-        comparators = comparator_sweep(ledger, seed=cell["seed"])
-    else:
-        comparators = _parse_listish(cell["comparators"], float)
-    rows = []
-    for wc in comparators:
-        w_abs = dual_norm(wc) if isinstance(wc, np.ndarray) else abs(float(wc))
-        regret = ledger.regret(wc)
-        bound = stack_bound(
-            cell["algo"], params, stats, w_abs,
-            diameter=cell["D"], max_played=ledger.max_played_norm,
-        )
-        rows.append(
-            {
-                "k": cell["k"], "p": cell["p"], "adversary": cell["adversary"],
-                "T": cell["T"], "comparator": _comparator_label(wc),
-                "regret": regret, "bound": bound,
-                "ratio": (regret / bound) if bound > 0.0 else None,
-            }
-        )
-    return rows
+def _sweep_cell(spec: RunSpec) -> list:
+    _, adversary, learner = spec.build()
+    ledger = run_game(learner, adversary, spec.T)
+    stats = StreamStats.from_ledger(ledger, g0=spec.g0)
+    return [
+        (spec.k, spec.p, spec.adversary, spec.T, _comparator_label(wc), regret, bound, ratio)
+        for wc, _, regret, bound, ratio in spec.rows(ledger, stats)
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    keys = (
-        "algo", "dim", "eps", "alpha", "g0", "D", "seed", "comparators",
-        "out", "scale", "rate", "period", "magnitude", "envelope", "jobs",
-    )
     try:
-        s = _settings(args, keys)
-        file_cfg = _load_config(getattr(args, "config", None))
-        grids = {}
-        for key, cast in (("k", float), ("p", float), ("adversary", str), ("T", int)):
-            raw = getattr(args, key, None)
-            if raw is None:
-                raw = os.environ.get(ENV_PREFIX + key.upper())
-            if raw is None:
-                raw = file_cfg.get(key)
-            if raw is None:
-                raw = _DEFAULTS[key]
-            grids[key] = _parse_listish(raw, cast)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        settings = _settings(args, grid=GRID_KEYS)
+        grids = {key: settings.pop(key) for key in GRID_KEYS}
+        empty = [key for key, values in grids.items() if not values]
+        if empty:
+            raise ValueError(f"empty sweep grid for {', '.join(empty)}")
+        base = RunSpec(**settings)
+        cells = [
+            dataclasses.replace(base, k=k, p=p, adversary=kind, T=T)
+            for k in grids["k"]
+            for p in grids["p"]
+            for kind in grids["adversary"]
+            for T in grids["T"]
+        ]
+    except (OSError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
-    if any(not v for v in grids.values()):
-        empty = [k for k, v in grids.items() if not v]
-        print(f"empty sweep grid for {', '.join(empty)}", file=sys.stderr)
-        return 2
-    for kind in grids["adversary"]:
-        if kind not in KINDS:
-            print(f"unknown adversary kind {kind!r}, expected one of {KINDS}", file=sys.stderr)
-            return 2
-    out_dir = Path(s["out"])
+    out_dir = Path(base.out)
     if not out_dir.is_dir():
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
-    cells = [
-        {
-            "k": k, "p": p, "adversary": kind, "T": T,
-            "algo": s["algo"], "dim": s["dim"], "eps": s["eps"],
-            "alpha": s["alpha"], "g0": s["g0"], "D": s["D"], "seed": s["seed"],
-            "scale": s["scale"], "rate": s["rate"], "period": s["period"],
-            "magnitude": s["magnitude"], "envelope": s["envelope"],
-            "comparators": s["comparators"],
-        }
-        for k in grids["k"]
-        for p in grids["p"]
-        for kind in grids["adversary"]
-        for T in grids["T"]
-    ]
     try:
-        if s["jobs"] > 1:
-            with ProcessPoolExecutor(max_workers=s["jobs"]) as pool:
+        if base.jobs > 1:
+            with ProcessPoolExecutor(max_workers=base.jobs) as pool:
                 chunks = list(pool.map(_sweep_cell, cells))
         else:
             chunks = [_sweep_cell(cell) for cell in cells]
@@ -414,22 +332,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("k", "p", "adversary", "T", "comparator", "regret", "bound", "ratio"))
-        for row in rows:
-            writer.writerow(
-                (
-                    _fmt(row["k"]), _fmt(row["p"]), row["adversary"], row["T"],
-                    row["comparator"], _fmt(row["regret"]), _fmt(row["bound"]),
-                    _fmt(row["ratio"]) if row["ratio"] is not None else "",
-                )
-            )
+        for k, p, kind, T, label, regret, bound, ratio in rows:
+            writer.writerow((_fmt(k), _fmt(p), kind, T, label, _fmt(regret), _fmt(bound),
+                             _fmt(ratio)))
     written = [str(sweep_path)]
 
     if len(set(grids["T"])) >= 2:
         # growth exponent of clamped regret across the horizon grid
         groups = {}
-        for row in rows:
-            key = (row["k"], row["p"], row["adversary"], row["comparator"])
-            groups.setdefault(key, []).append((row["T"], row["regret"]))
+        for k, p, kind, T, label, regret, _, _ in rows:
+            groups.setdefault((k, p, kind, label), []).append((T, regret))
         exp_path = out_dir / "exponents.csv"
         with open(exp_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

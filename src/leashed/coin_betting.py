@@ -49,12 +49,12 @@ class CoinBettor(HintedLearner):
     """
 
     def __init__(self, epsilon: float = 1.0, alpha: float = 1.0, h1: float = 1.0):
-        if epsilon <= 0.0:
-            raise ValueError(f"initial wealth epsilon must be positive, got {epsilon}")
-        if alpha <= 0.0:
-            raise ValueError(f"accumulator seed alpha must be positive, got {alpha}")
-        if h1 <= 0.0:
-            raise ValueError(f"initial hint must be positive, got {h1}")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"initial wealth epsilon must be positive and finite, got {epsilon}")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"accumulator seed alpha must be positive and finite, got {alpha}")
+        if not 0.0 < h1 < math.inf:
+            raise ValueError(f"initial hint must be positive and finite, got {h1}")
         self.epsilon = float(epsilon)
         self.alpha = float(alpha)
         self.wealth = float(epsilon)

@@ -82,8 +82,8 @@ class Truncation(Learner):
     """
 
     def __init__(self, inner: HintedLearner, g0: float = 1.0):
-        if g0 <= 0.0:
-            raise ValueError(f"initial magnitude guess must be positive, got {g0}")
+        if not 0.0 < g0 < math.inf:
+            raise ValueError(f"initial magnitude guess must be positive and finite, got {g0}")
         if inner.current_hint != g0:
             raise ValueError("inner learner must start with its hint equal to g0")
         self.inner = inner
@@ -136,14 +136,14 @@ class Leashed(Learner):
         g0: float = 1.0,
         fixed_barrier: Union[float, None] = None,
     ):
-        if k <= 0.0:
-            raise ValueError(f"barrier scale k must be positive, got {k}")
+        if not 0.0 < k < math.inf:
+            raise ValueError(f"barrier scale k must be positive and finite, got {k}")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"barrier exponent p must lie in (0, 1], got {p}")
-        if g0 <= 0.0:
-            raise ValueError(f"initial magnitude guess must be positive, got {g0}")
-        if fixed_barrier is not None and fixed_barrier <= 0.0:
-            raise ValueError(f"fixed barrier must be positive, got {fixed_barrier}")
+        if not 0.0 < g0 < math.inf:
+            raise ValueError(f"initial magnitude guess must be positive and finite, got {g0}")
+        if fixed_barrier is not None and not 0.0 < fixed_barrier < math.inf:
+            raise ValueError(f"fixed barrier must be positive and finite, got {fixed_barrier}")
         if inner.current_hint != g0:
             raise ValueError("inner learner must start with its hint equal to g0")
         self.inner = inner

@@ -28,16 +28,17 @@ def stream(config, T, w=0.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         AdversaryConfig("bogus")
-    with pytest.raises(ValueError):
-        AdversaryConfig("constant", scale=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AdversaryConfig("constant", scale=bad)
+        with pytest.raises(ValueError):
+            AdversaryConfig("spike", magnitude=bad)
+        with pytest.raises(ValueError):
+            AdversaryConfig("seeded_uniform", envelope=bad)
     with pytest.raises(ValueError):
         AdversaryConfig("constant", dim=0)
     with pytest.raises(ValueError):
         AdversaryConfig("spike", period=0)
-    with pytest.raises(ValueError):
-        AdversaryConfig("spike", magnitude=0.0)
-    with pytest.raises(ValueError):
-        AdversaryConfig("seeded_uniform", envelope=0.0)
     with pytest.raises(ValueError):
         AdversaryConfig("growing", rate=math.inf)
 

@@ -29,6 +29,8 @@ def test_params_validation():
     for field, bad in (
         ("epsilon", 0.0), ("alpha", -1.0), ("k", 0.0),
         ("p", 0.0), ("p", 1.5), ("g0", 0.0),
+        ("epsilon", math.nan), ("alpha", math.inf), ("k", math.nan), ("k", math.inf),
+        ("p", math.nan), ("g0", math.inf),
     ):
         with pytest.raises(ValueError):
             BoundParams(**{field: bad})
@@ -140,6 +142,9 @@ stats_strategy = st.builds(
 @settings(deadline=None)
 # 16 w h underflows to zero at a subnormal comparator and a small hint
 @example(stats=StreamStats.from_norms([], g0=1.0 / 32.0), w=5e-324)
+# w ** (1 + 1/p) overflows in the leash penalty at q = 0
+@example(stats=StreamStats.from_norms([1.0, 2.0], g0=1.0), w=1e120)
+@example(stats=StreamStats.from_norms([1.0, 2.0], g0=1.0), w=1e300)
 def test_bounds_are_positive(stats, w):
     params = BoundParams()
     assert bettor_bound(params, stats, w) > 0.0

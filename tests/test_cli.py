@@ -123,8 +123,16 @@ def test_run_rejects_unknown_names():
 def test_run_bad_settings(tmp_path):
     assert main(["run", "--k", "-1", "--out", str(tmp_path)]) == 2
     assert main(["run", "--dim", "2", "--algo", "leashed", "--out", str(tmp_path)]) == 2
-    assert main(["run", "--T", "0", "--out", str(tmp_path)]) == 1  # aborts the game
+    assert main(["run", "--T", "0", "--out", str(tmp_path)]) == 2
     assert main(["run", "--comparators", "", "--out", str(tmp_path)]) == 2
+    # non-finite settings and comparators are rejected before the game
+    for flags in (["--k", "nan"], ["--eps", "nan"], ["--scale", "nan"], ["--g0", "inf"],
+                  ["--algo", "fixed_diameter", "--D", "nan"], ["--alpha", "inf"],
+                  ["--adversary", "seeded_uniform", "--envelope", "inf"],
+                  ["--adversary", "spike", "--magnitude", "inf"],
+                  ["--comparators", "nan"], ["--comparators", "0,inf"],
+                  ["--algo", "adagrad_ball", "--dim", "3", "--comparators", "1"]):
+        assert main(["run", "--T", "10", "--out", str(tmp_path)] + flags) == 2, flags
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"
@@ -220,6 +228,54 @@ def test_sweep_bad_grids(tmp_path):
     assert main(["sweep", "--adversary", "constant,bogus",
                  "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--out", str(tmp_path / "nope")]) == 1
+    for flags in (["--k", "nan"], ["--k", "1,inf"], ["--T", "0"], ["--T", "10,0"],
+                  ["--eps", "nan"], ["--alpha", "inf"], ["--comparators", "nan"],
+                  ["--adversary", "spike", "--magnitude", "inf"]):
+        assert main(["sweep", "--T", "10", "--out", str(tmp_path)] + flags) == 2, flags
+
+
+def test_summary_is_strict_json(tmp_path):
+    # the squared-gradient mass overflows, so stats and bounds hold inf
+    assert main(["run", "--scale", "1e200", "--T", "10", "--out", str(tmp_path)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["stats"]["sum_sq"] == "inf"
+    assert float(summary["stats"]["sum_sq"]) == math.inf
+
+
+def test_run_huge_comparator_has_a_finite_bound(tmp_path):
+    # the leash penalty's powers overflow at q = 0, with k = 1e200 both of them
+    for k in ("1", "1e200"):
+        assert main(["run", "--k", k, "--comparators", "1e120", "--T", "10",
+                     "--out", str(tmp_path)]) == 0
+        row, = read_summary(tmp_path / "summary.json")["comparators"]
+        assert math.isfinite(row["stack_bound"]) and row["regret"] <= row["stack_bound"]
+
+
+def test_sweep_ball_comparators_stay_in_the_ball(tmp_path):
+    assert main(["sweep", "--algo", "adagrad_ball", "--dim", "10", "--T", "2000",
+                 "--adversary", "seeded_uniform", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for r in rows:
+        assert float(r["regret"]) <= float(r["bound"])
+        assert float(r["comparator"].removeprefix("|w|=")) <= 1.0
+
+
+def test_null_config_value_counts_as_unset(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": None}))
+    common = ["--adversary", "zero", "--T", "5", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(["run"] + common) == 0
+    assert read_summary(tmp_path / "summary.json")["params"]["k"] == 1.0
+    assert main(["sweep"] + common) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        assert {r["k"] for r in csv.DictReader(fh)} == {"1"}
 
 
 def test_module_entry_point():

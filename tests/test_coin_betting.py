@@ -14,7 +14,7 @@ from leashed import (
 
 
 def test_constructor_validation():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             CoinBettor(epsilon=bad)
         with pytest.raises(ValueError):

@@ -133,8 +133,11 @@ def test_truncation_never_breaks_its_promise(gs):
 
 
 def test_leashed_validation():
-    with pytest.raises(ValueError):
-        fresh_stack(k=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fresh_stack(k=bad)
+        with pytest.raises(ValueError):
+            fresh_stack(fixed_barrier=bad)
     with pytest.raises(ValueError):
         fresh_stack(p=0.0)
     with pytest.raises(ValueError):
@@ -143,8 +146,6 @@ def test_leashed_validation():
         Leashed(CoinBettor(1.0, 1.0, 1.0), g0=-1.0)
     with pytest.raises(ValueError):
         Leashed(CoinBettor(1.0, 1.0, 2.0), g0=1.0)
-    with pytest.raises(ValueError):
-        fresh_stack(fixed_barrier=0.0)
 
 
 def test_leashed_update_requires_play():
