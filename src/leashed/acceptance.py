@@ -1,38 +1,45 @@
 """Executable acceptance checks for every guarantee the package makes.
 
-Each criterion is a self-contained function returning a CriterionResult;
-the verify command and the test suite share them. Measured regret is
-compared against the closed-form guarantees with zero tolerance unless a
-stated numerical slack is part of the check itself. A few streams drive
-bettor wealth past float range by design; those checks are evaluated under
-IEEE extended-real semantics (every comparison still has a definite truth
-value because the quantities never mix opposite infinities).
+Every criterion is a body under the `criterion` runner. The body plays its
+games one at a time, appends one line to `failures` for each check that does
+not hold, and returns the summary that PASS reports. The runner times the
+call, reports the first four failures in place of the summary, fails a
+criterion that reaches its wall-clock gate (adding "; took X s" when every
+check held), builds the CriterionResult and lists the criterion in CRITERIA;
+the verify command and the test suite share them.
+
+Measured regret is compared against the closed-form guarantees with zero
+tolerance unless a stated numerical slack is part of the check itself. A few
+streams drive bettor wealth past float range by design; those checks are
+evaluated under IEEE extended-real semantics (every comparison still has a
+definite truth value because the quantities never mix opposite infinities).
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .adversaries import KINDS, AdversaryConfig, StreamAdversary, best_betting_fraction
-from .bounds import (
-    BoundParams,
-    StreamStats,
-    bettor_bound,
-    conjugate_bound,
-    fixed_diameter_bound,
-    full_stack_bound,
+from .adversaries import (
+    KINDS,
+    SEEDED_KINDS,
+    AdversaryConfig,
+    StreamAdversary,
+    best_betting_fraction,
+    random_unit_vectors,
 )
+from .bounds import BoundParams, StreamStats, conjugate_bound
 from .coin_betting import CoinBettor, ons_inner_regret, ons_regret_bound
-from .core import run_game
-from .reductions import DimFreeLift, Leashed, Truncation, fixed_diameter
-from .unit_ball import AdaGradBall, ball_regret_bound
+from .core import Learner, RegretLedger, dual_norm, run_game
+from .reductions import Leashed
+from .stacks import build_learner, stack_bound
 
 _COMPARATORS = (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
-
-_SEEDED = ("seeded_uniform", "seeded_signs")
+_PARAMS = BoundParams()  # epsilon = alpha = k = g0 = 1, p = 1/2
 
 
 @dataclass
@@ -50,31 +57,86 @@ def format_result(r: CriterionResult) -> str:
     return f"{status} {r.name}: {r.measured}; required: {r.required} [{r.seconds:.2f}s]"
 
 
-def _fresh_stack(bettor_cls=CoinBettor) -> Leashed:
-    return Leashed(bettor_cls(epsilon=1.0, alpha=1.0, h1=1.0), k=1.0, p=0.5, g0=1.0)
+CRITERIA: dict = {}
 
 
-def wealth_positive_bets_clipped(bettor_cls=CoinBettor) -> CriterionResult:
+def criterion(required: str, detail: str = "", gate: Optional[float] = None):
+    """Register body(failures, *args, **kwargs) in CRITERIA under its name, run
+    as the module docstring describes; gate is the wall-clock limit in seconds."""
+    def register(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            failures: list = []
+            t0 = time.perf_counter()
+            summary = body(failures, *args, **kwargs)
+            seconds = time.perf_counter() - t0
+            slow = gate is not None and seconds >= gate
+            measured = "; ".join(failures[:4]) if failures else summary
+            if slow and not failures:
+                measured += f"; took {seconds:.2f}s"
+            return CriterionResult(body.__name__, not failures and not slow, measured,
+                                   required, seconds, detail)
+
+        CRITERIA[body.__name__] = run
+        return run
+
+    return register
+
+
+def _play(failures: list, label: str, learner: Learner, config: AdversaryConfig, T: int,
+          check_finite: bool = True) -> Optional[RegretLedger]:
+    """One game against a fresh adversary: its ledger, or None with the exception recorded."""
+    try:
+        return run_game(learner, StreamAdversary(config), T, check_finite=check_finite)
+    except Exception as exc:
+        failures.append(f"{label}: {type(exc).__name__}: {exc}")
+        return None
+
+
+def _within_bound(failures: list, label: str, ledger: RegretLedger, algo: str,
+                  params: BoundParams, comparators, diameter: Optional[float] = None) -> float:
+    """Check regret <= stack_bound(algo) at every comparator, one failure per
+    violation; returns the largest regret/bound over finite regrets under
+    positive bounds (-inf when there is none)."""
+    stats = StreamStats.from_ledger(ledger, g0=params.g0)
+    worst = -math.inf
+    for i, wc in enumerate(comparators):
+        r = ledger.regret(wc)
+        b = stack_bound(algo, params, stats, dual_norm(wc), diameter=diameter)
+        if not r <= b:
+            name = f"{wc:g}" if np.ndim(wc) == 0 else f"#{i}"
+            failures.append(f"{label} comparator {name}: regret {r:.6g} > bound {b:.6g}")
+        elif math.isfinite(r) and b > 0.0:
+            worst = max(worst, r / b)
+    return worst
+
+
+def _bettor_games():
+    """(label, params, config, T) of the nine games of the bettor hinted with the stream's bound."""
+    for kind in ("constant", "alternating", "seeded_uniform"):
+        for T in (100, 1000, 10_000):
+            config = AdversaryConfig(kind, seed=1)
+            yield f"{kind} T={T}", BoundParams(g0=StreamAdversary(config).bound()), config, T
+
+
+@criterion(
+    required="wealth > 0 and |v_t| <= 1/(2 h_t) exactly, every adversary kind, under 5 s",
+    detail="seeded kinds swept over seeds 1-10; deterministic kinds ignore the seed",
+    gate=5.0,
+)
+def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
     """Wealth stays strictly positive and every bet respects the hint cap."""
-    t0 = time.perf_counter()
-    failures = []
     min_wealth = math.inf
     n_runs = 0
     for kind in KINDS:
         # only the seeded kinds consume the seed; the rest rerun identically
-        seeds = range(1, 11) if kind in _SEEDED else (1,)
-        for seed in seeds:
+        for seed in range(1, 11) if kind in SEEDED_KINDS else (1,):
             n_runs += 1
             label = f"{kind}/seed{seed}"
-            adv = StreamAdversary(AdversaryConfig(kind, seed=seed))
-            stack = _fresh_stack(bettor_cls)
-            inner = stack.inner
-            try:
-                run_game(stack, adv, 10_000)
-            except Exception as exc:
-                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            stack = Leashed(bettor_cls(epsilon=1.0, alpha=1.0, h1=1.0), k=1.0, p=0.5, g0=1.0)
+            if _play(failures, label, stack, AdversaryConfig(kind, seed=seed), 10_000) is None:
                 continue
-            tr = inner.trace
+            tr = stack.inner.trace
             low = min(tr.wealths)
             min_wealth = min(min_wealth, low)
             if not low > 0.0:
@@ -82,324 +144,182 @@ def wealth_positive_bets_clipped(bettor_cls=CoinBettor) -> CriterionResult:
             bad = sum(1 for v, h in zip(tr.vs, tr.hints) if abs(v) > 0.5 / h)
             if bad:
                 failures.append(f"{label}: bet outside [-1/(2h), 1/(2h)] {bad} times")
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 5.0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"{n_runs} runs of T=10000: min wealth {min_wealth:.4g}, 0 cap violations"
-    )
-    if not failures and elapsed >= 5.0:
-        measured += f"; took {elapsed:.2f}s"
-    return CriterionResult(
-        name="wealth_positive_bets_clipped",
-        passed=ok,
-        measured=measured,
-        required="wealth > 0 and |v_t| <= 1/(2 h_t) exactly, every adversary kind, under 5 s",
-        seconds=elapsed,
-        detail="seeded kinds swept over seeds 1-10; deterministic kinds ignore the seed",
-    )
+    return f"{n_runs} runs of T=10000: min wealth {min_wealth:.4g}, 0 cap violations"
 
 
-def bettor_regret_within_bound() -> CriterionResult:
+@criterion(
+    required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100",
+    detail=("the one-signed constant stream pushes wealth past float range near round 1750; "
+            "its late regrets are -inf and the comparison stays exact"),
+)
+def bettor_regret_within_bound(failures: list) -> str:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
-    t0 = time.perf_counter()
-    failures = []
     worst = -math.inf
-    cells = 0
-    for kind in ("constant", "alternating", "seeded_uniform"):
-        for T in (100, 1000, 10_000):
-            adv = StreamAdversary(AdversaryConfig(kind, seed=1))
-            h1 = adv.bound()
-            bettor = CoinBettor(epsilon=1.0, alpha=1.0, h1=h1)
-            ledger = run_game(bettor, adv, T, check_finite=False)
-            stats = StreamStats.from_ledger(ledger, g0=h1)
-            params = BoundParams(epsilon=1.0, alpha=1.0, g0=h1)
-            for wc in _COMPARATORS:
-                cells += 1
-                r = ledger.regret(wc)
-                b = bettor_bound(params, stats, abs(wc))
-                if not r <= b:
-                    failures.append(f"{kind} T={T} comparator {wc:g}: regret {r} > bound {b}")
-                elif math.isfinite(r):
-                    worst = max(worst, r / b)
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"{cells} cells: max regret/bound = {worst:.4g}"
-    )
-    return CriterionResult(
-        name="bettor_regret_within_bound",
-        passed=not failures,
-        measured=measured,
-        required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100",
-        seconds=elapsed,
-        detail=(
-            "the one-signed constant stream pushes wealth past float range near "
-            "round 1750; its late regrets are -inf and the comparison stays exact"
-        ),
-    )
+    for label, params, config, T in _bettor_games():
+        ledger = _play(failures, label, build_learner("ons_hints", params), config, T,
+                       check_finite=False)
+        if ledger is not None:
+            worst = max(worst, _within_bound(failures, label, ledger, "ons_hints", params,
+                                             _COMPARATORS))
+    return f"{9 * len(_COMPARATORS)} cells: max regret/bound = {worst:.4g}"
 
 
-def inner_ons_within_log_bound() -> CriterionResult:
+@criterion(required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3")
+def inner_ons_within_log_bound(failures: list) -> str:
     """Betting-fraction regret vs the best fixed fraction on an exhaustive grid."""
-    t0 = time.perf_counter()
-    failures = []
     worst = -math.inf
-    for kind in ("constant", "alternating", "seeded_uniform"):
-        for T in (100, 1000, 10_000):
-            adv = StreamAdversary(AdversaryConfig(kind, seed=1))
-            h1 = adv.bound()
-            bettor = CoinBettor(epsilon=1.0, alpha=1.0, h1=h1)
-            run_game(bettor, adv, T, check_finite=False)
-            tr = bettor.trace
-            v_star = best_betting_fraction(tr.gs, bettor.h, resolution=1e-4)
-            reg = ons_inner_regret(tr, v_star)
-            cap = ons_regret_bound(1.0, bettor.h, math.fsum(g * g for g in tr.gs))
-            worst = max(worst, reg - cap)
-            if not reg <= cap + 1e-3:
-                failures.append(f"{kind} T={T}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"max (regret - bound) = {worst:.4g} over 9 runs, grid step 1e-4"
-    )
-    return CriterionResult(
-        name="inner_ons_within_log_bound",
-        passed=not failures,
-        measured=measured,
-        required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3",
-        seconds=elapsed,
-    )
+    for label, params, config, T in _bettor_games():
+        bettor = build_learner("ons_hints", params)
+        if _play(failures, label, bettor, config, T, check_finite=False) is None:
+            continue
+        tr = bettor.trace
+        v_star = best_betting_fraction(tr.gs, bettor.h, resolution=1e-4)
+        reg = ons_inner_regret(tr, v_star)
+        cap = ons_regret_bound(1.0, bettor.h, math.fsum(g * g for g in tr.gs))
+        worst = max(worst, reg - cap)
+        if not reg <= cap + 1e-3:
+            failures.append(f"{label}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
+    return f"max (regret - bound) = {worst:.4g} over 9 runs, grid step 1e-4"
 
 
-def truncation_overhead_bounded() -> CriterionResult:
+@criterion(
+    required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly",
+    detail=("one-signed streams at T=1e4 overflow wealth by design and are checked in IEEE "
+            "extended reals; the T=1500/5000 reruns keep both sides finite"),
+)
+def truncation_overhead_bounded(failures: list) -> str:
     """Per-round truncation error, summed against any comparator, stays within range."""
-    t0 = time.perf_counter()
-    failures = []
     worst = -math.inf
-    cells = (
-        ("spike", {}, 10_000, False),
-        ("growing", {}, 10_000, False),
-        ("spike", {"magnitude": 100.0}, 10_000, True),
-        ("growing", {}, 1_500, True),
-        ("spike", {}, 5_000, True),
-    )
+    cells = (("spike", {}, 10_000, False), ("growing", {}, 10_000, False),
+             ("spike", {"magnitude": 100.0}, 10_000, True), ("growing", {}, 1_500, True),
+             ("spike", {}, 5_000, True))
     for kind, kw, T, expect_finite in cells:
         label = f"{kind}{kw or ''} T={T}"
-        adv = StreamAdversary(AdversaryConfig(kind, **kw))
-        wrapper = Truncation(CoinBettor(epsilon=1.0, alpha=1.0, h1=1.0), g0=1.0)
-        try:
-            ledger = run_game(wrapper, adv, T, check_finite=expect_finite)
-        except Exception as exc:
-            failures.append(f"{label}: {type(exc).__name__}: {exc}")
+        wrapper = build_learner("hintless", _PARAMS)
+        ledger = _play(failures, label, wrapper, AdversaryConfig(kind, **kw), T,
+                       check_finite=expect_finite)
+        if ledger is None:
             continue
         if expect_finite and not math.isfinite(ledger.max_played_norm):
             failures.append(f"{label}: expected a finite run, played norm overflowed")
             continue
-        big_g = ledger.max_norm
-        reach = ledger.max_played_norm
-        rows = [
-            (r.grad, sent, r.played)
-            for r, sent in zip(ledger.rounds, wrapper.delivered)
-            if r.grad - sent != 0.0  # exactly-zero truncation error charges nothing
-        ]
+        # exactly-zero truncation error charges nothing
+        rows = [(r.grad, sent, r.played) for r, sent in zip(ledger.rounds, wrapper.delivered)
+                if r.grad - sent != 0.0]
         for wc in _COMPARATORS:
             lhs = math.fsum((g - sent) * (w - wc) for g, sent, w in rows)
-            rhs = big_g * (reach + abs(wc))
+            rhs = ledger.max_norm * (ledger.max_played_norm + abs(wc))
             if not lhs <= rhs:
                 failures.append(f"{label} comparator {wc:g}: overhead {lhs} > {rhs}")
             elif math.isfinite(lhs) and math.isfinite(rhs) and rhs > 0.0:
                 worst = max(worst, lhs / rhs)
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"max overhead/range = {worst:.4g} across {len(cells)} runs"
-    )
-    return CriterionResult(
-        name="truncation_overhead_bounded",
-        passed=not failures,
-        measured=measured,
-        required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly",
-        seconds=elapsed,
-        detail=(
-            "one-signed streams at T=1e4 overflow wealth by design and are checked "
-            "in IEEE extended reals; the T=1500/5000 reruns keep both sides finite"
-        ),
-    )
+    return f"max overhead/range = {worst:.4g} across {len(cells)} runs"
 
 
-def leashed_regret_within_bound() -> CriterionResult:
+@criterion(
+    required="regret <= composed guarantee, zero tolerance, every adversary kind, T in {1e3,1e4}, under 30 s",
+    gate=30.0,
+)
+def leashed_regret_within_bound(failures: list) -> str:
     """Full stack regret never exceeds the composed guarantee."""
-    t0 = time.perf_counter()
-    failures = []
     worst = -math.inf
-    params = BoundParams()
-    cells = 0
     for kind in KINDS:
         for T in (1000, 10_000):
-            adv = StreamAdversary(AdversaryConfig(kind, seed=1))
-            stack = _fresh_stack()
-            try:
-                ledger = run_game(stack, adv, T)
-            except Exception as exc:
-                failures.append(f"{kind} T={T}: {type(exc).__name__}: {exc}")
-                continue
-            stats = StreamStats.from_ledger(ledger, g0=1.0)
-            for wc in _COMPARATORS:
-                cells += 1
-                r = ledger.regret(wc)
-                b = full_stack_bound(params, stats, abs(wc))
-                if not r <= b:
-                    failures.append(f"{kind} T={T} comparator {wc:g}: regret {r:.6g} > bound {b:.6g}")
-                elif b > 0.0:
-                    worst = max(worst, r / b)
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 30.0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"{cells} cells: max regret/bound = {worst:.4g}"
-    )
-    if not failures and elapsed >= 30.0:
-        measured += f"; took {elapsed:.2f}s"
-    return CriterionResult(
-        name="leashed_regret_within_bound",
-        passed=ok,
-        measured=measured,
-        required="regret <= composed guarantee, zero tolerance, every adversary kind, T in {1e3,1e4}, under 30 s",
-        seconds=elapsed,
-    )
+            label = f"{kind} T={T}"
+            ledger = _play(failures, label, build_learner("leashed", _PARAMS),
+                           AdversaryConfig(kind, seed=1), T)
+            if ledger is not None:
+                worst = max(worst, _within_bound(failures, label, ledger, "leashed", _PARAMS,
+                                                 _COMPARATORS))
+    return f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: max regret/bound = {worst:.4g}"
 
 
-def leashed_regret_sublinear() -> CriterionResult:
+@criterion(
+    required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5",
+    detail="constant adversary, comparator 1; regret is negative here so the clamped fit is flat",
+)
+def leashed_regret_sublinear(failures: list) -> str:
     """Average regret shrinks with the horizon; growth exponent at most 0.55."""
-    t0 = time.perf_counter()
     horizons = (100, 1000, 10_000, 100_000)
     regrets = []
     for T in horizons:
-        adv = StreamAdversary(AdversaryConfig("constant"))
-        stack = _fresh_stack()
-        regrets.append(run_game(stack, adv, T).regret(1.0))
+        ledger = _play(failures, f"constant T={T}", build_learner("leashed", _PARAMS),
+                       AdversaryConfig("constant"), T)
+        if ledger is None:
+            return ""
+        regrets.append(ledger.regret(1.0))
+        del ledger  # free it before the next, ten times longer game
     per_round = [r / T for r, T in zip(regrets, horizons)]
     decreasing = per_round[1] < per_round[0] and per_round[2] < per_round[1]
     # regret can be negative; the growth fit clamps at 1 so profit reads as flat
     ys = [math.log10(max(r, 1.0)) for r in regrets]
-    xs = [math.log10(T) for T in horizons]
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    elapsed = time.perf_counter() - t0
-    ok = decreasing and slope <= 0.55
-    return CriterionResult(
-        name="leashed_regret_sublinear",
-        passed=ok,
-        measured=(
-            f"regret/T = {per_round[0]:.4g}, {per_round[1]:.4g}, {per_round[2]:.4g} "
-            f"at T = 1e2, 1e3, 1e4; fitted exponent {slope:.3g}"
-        ),
-        required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5",
-        seconds=elapsed,
-        detail="constant adversary, comparator 1; regret is negative here so the clamped fit is flat",
-    )
+    slope = float(np.polyfit([math.log10(T) for T in horizons], ys, 1)[0])
+    summary = (f"regret/T = {per_round[0]:.4g}, {per_round[1]:.4g}, {per_round[2]:.4g} "
+               f"at T = 1e2, 1e3, 1e4; fitted exponent {slope:.3g}")
+    if not (decreasing and slope <= 0.55):
+        failures.append(summary)
+    return summary
 
 
-def ball_regret_within_bound() -> CriterionResult:
+@criterion(
+    required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4",
+    detail="20 seeded random unit comparators plus the normalized negative gradient sum",
+)
+def ball_regret_within_bound(failures: list) -> str:
     """Unit-ball learner regret never exceeds its guarantee."""
-    t0 = time.perf_counter()
-    failures = []
     worst = -math.inf
     for d in (1, 2, 10):
+        units = random_unit_vectors(d, 20, seed=7)
         for kind in ("seeded_uniform", "alternating", "adaptive_sign"):
-            adv = StreamAdversary(AdversaryConfig(kind, dim=d, seed=2))
-            ball = AdaGradBall(d)
-            ledger = run_game(ball, adv, 10_000)
-            cap = ball_regret_bound(ledger.sum_sq)
-            gen = np.random.Generator(np.random.PCG64(7))
-            comps = []
-            for _ in range(20):
-                x = gen.standard_normal(d)
-                n = float(np.linalg.norm(x))
-                if n == 0.0:
-                    x = np.zeros(d)
-                    x[0] = 1.0
-                    n = 1.0
-                comps.append(x / n)
-            gsum = np.asarray(ledger.grad_sum, dtype=float)
-            gn = float(np.linalg.norm(gsum))
-            if gn > 0.0:
-                comps.append(-gsum / gn)
-            for u in comps:
-                r = ledger.regret(u)
-                if not r <= cap:
-                    failures.append(f"{kind} d={d}: regret {r:.6g} > bound {cap:.6g}")
-                    break
-                if cap > 0.0:
-                    worst = max(worst, r / cap)
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"max regret/bound = {worst:.4g} over 9 runs x 21 comparators"
-    )
-    return CriterionResult(
-        name="ball_regret_within_bound",
-        passed=not failures,
-        measured=measured,
-        required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4",
-        seconds=elapsed,
-        detail="20 seeded random unit comparators plus the normalized negative gradient sum",
-    )
+            label = f"{kind} d={d}"
+            ledger = _play(failures, label, build_learner("adagrad_ball", _PARAMS, dim=d),
+                           AdversaryConfig(kind, dim=d, seed=2), 10_000)
+            if ledger is None:
+                continue
+            gn = dual_norm(ledger.grad_sum)
+            comps = units + [-ledger.grad_sum / gn] if gn > 0.0 else units
+            worst = max(worst, _within_bound(failures, label, ledger, "adagrad_ball", _PARAMS,
+                                             comps))
+    return f"max regret/bound = {worst:.4g} over 9 runs x 21 comparators"
 
 
-def lift_identity_exact() -> CriterionResult:
+@criterion(required="regret = scalar regret at |comparator| + |comparator| * direction regret, to 1e-9 absolute")
+def lift_identity_exact(failures: list) -> str:
     """Dimension-lift regret splits exactly into scalar and direction parts."""
-    t0 = time.perf_counter()
-    failures = []
     worst = 0.0
     for d in (2, 10):
         for kind in ("seeded_uniform", "alternating"):
-            adv = StreamAdversary(AdversaryConfig(kind, dim=d, seed=3))
-            lift = DimFreeLift(_fresh_stack(), AdaGradBall(d), d)
-            ledger = run_game(lift, adv, 1000)
-            gen = np.random.Generator(np.random.PCG64(11))
-            for m in (0.5, 3.0, 50.0):
-                x = gen.standard_normal(d)
-                u = x / float(np.linalg.norm(x))
+            label = f"{kind} d={d}"
+            lift = build_learner("leashed_dimfree", _PARAMS, dim=d)
+            ledger = _play(failures, label, lift, AdversaryConfig(kind, dim=d, seed=3), 1000)
+            if ledger is None:
+                continue
+            for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(d, 3, seed=11)):
                 wc = m * u
                 n = float(np.linalg.norm(wc))
                 un = wc / n
                 lhs = math.fsum(float(r.grad @ (r.played - wc)) for r in ledger.rounds)
                 scalar_part = math.fsum(s * (x1 - n) for s, x1 in zip(lift.ss, lift.xs))
-                direction_part = math.fsum(
-                    float(r.grad @ (y - un)) for r, y in zip(ledger.rounds, lift.ys)
-                )
+                direction_part = math.fsum(float(r.grad @ (y - un))
+                                           for r, y in zip(ledger.rounds, lift.ys))
                 gap = abs(lhs - (scalar_part + n * direction_part))
                 worst = max(worst, gap)
                 if gap > 1e-9:
-                    failures.append(f"{kind} d={d} |comparator|={m:g}: identity gap {gap:.3g}")
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4]) if failures else f"max identity gap = {worst:.3g}"
-    )
-    return CriterionResult(
-        name="lift_identity_exact",
-        passed=not failures,
-        measured=measured,
-        required="regret = scalar regret at |comparator| + |comparator| * direction regret, to 1e-9 absolute",
-        seconds=elapsed,
-    )
+                    failures.append(f"{label} |comparator|={m:g}: identity gap {gap:.3g}")
+    return f"max identity gap = {worst:.3g}"
 
 
-def barrier_scale_invariant() -> CriterionResult:
+@criterion(
+    required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3",
+    detail=("generated magnitudes sit on the 2^-20 lattice, so the ledger sums and maxima "
+            "scale exactly and the barrier ratio divides out bit-for-bit"),
+)
+def barrier_scale_invariant(failures: list) -> str:
     """Scaling a gradient stream by 1000 leaves the barrier trace bit-identical."""
-    t0 = time.perf_counter()
-    failures = []
     T = 1000
 
     def barrier_trace(gs):
-        stack = _fresh_stack()
+        stack = build_learner("leashed", _PARAMS)
         out = []
         for g in gs:
             stack.play()
@@ -409,38 +329,25 @@ def barrier_scale_invariant() -> CriterionResult:
         return out
 
     for kind in KINDS:
-        adv = StreamAdversary(AdversaryConfig(kind, seed=1))
-        ledger = run_game(_fresh_stack(), adv, T)
+        ledger = _play(failures, kind, build_learner("leashed", _PARAMS),
+                       AdversaryConfig(kind, seed=1), T)
+        if ledger is None:
+            continue
         stream = [r.grad for r in ledger.rounds]
-        scaled = [1000.0 * g for g in stream]
         b1 = barrier_trace(stream)
-        b2 = barrier_trace(scaled)
+        b2 = barrier_trace([1000.0 * g for g in stream])
         bad = sum(1 for x, y in zip(b1, b2) if x != y)
         if bad:
             failures.append(f"{kind}: {bad} of {len(b1)} barrier values differ")
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"all {T + 1} barrier values bit-identical for every adversary kind"
-    )
-    return CriterionResult(
-        name="barrier_scale_invariant",
-        passed=not failures,
-        measured=measured,
-        required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3",
-        seconds=elapsed,
-        detail=(
-            "generated magnitudes sit on the 2^-20 lattice, so the ledger sums and "
-            "maxima scale exactly and the barrier ratio divides out bit-for-bit"
-        ),
-    )
+    return f"all {T + 1} barrier values bit-identical for every adversary kind"
 
 
-def conjugate_dominated() -> CriterionResult:
+@criterion(
+    required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples",
+    detail="grid spans [-120, 120] at step 5e-4, wide enough to contain every maximizer in range",
+)
+def conjugate_dominated(failures: list) -> str:
     """Closed-form conjugate cap dominates the brute-force conjugate."""
-    t0 = time.perf_counter()
-    failures = []
     worst = -math.inf
     gen = np.random.Generator(np.random.PCG64(12345))
     xs = np.linspace(-120.0, 120.0, 480_001)
@@ -457,90 +364,33 @@ def conjugate_dominated() -> CriterionResult:
         cap = conjugate_bound(a, b, c, theta)
         worst = max(worst, sup - cap)
         if not sup <= cap + 1e-6:
-            failures.append(
-                f"tuple {i} (a={a:.3g}, b={b:.3g}, c={c:.3g}, theta={theta:.3g}): "
-                f"sup {sup:.6g} > cap {cap:.6g} + 1e-6"
-            )
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"max (brute-force sup - cap) = {worst:.4g} over 20 seeded tuples"
-    )
-    return CriterionResult(
-        name="conjugate_dominated",
-        passed=not failures,
-        measured=measured,
-        required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples",
-        seconds=elapsed,
-        detail="grid spans [-120, 120] at step 5e-4, wide enough to contain every maximizer in range",
-    )
+            failures.append(f"tuple {i} (a={a:.3g}, b={b:.3g}, c={c:.3g}, theta={theta:.3g}): "
+                            f"sup {sup:.6g} > cap {cap:.6g} + 1e-6")
+    return f"max (brute-force sup - cap) = {worst:.4g} over 20 seeded tuples"
 
 
-def diameter_respected() -> CriterionResult:
+@criterion(required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
+def diameter_respected(failures: list) -> str:
     """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
-    t0 = time.perf_counter()
-    failures = []
-    adv = StreamAdversary(AdversaryConfig("growing"))
-    stack = fixed_diameter(CoinBettor(epsilon=1.0, alpha=1.0, h1=1.0), 1.0, g0=1.0)
-    ledger = run_game(stack, adv, 10_000)
+    stack = build_learner("fixed_diameter", _PARAMS, diameter=1.0)
+    ledger = _play(failures, "growing", stack, AdversaryConfig("growing"), 10_000)
+    if ledger is None:
+        return ""
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
-    stats = StreamStats.from_ledger(ledger, g0=1.0)
-    params = BoundParams()
-    worst = -math.inf
-    for wc in (0.0, 0.3, -0.3, 1.0, -1.0):
-        r = ledger.regret(wc)
-        b = fixed_diameter_bound(params, stats, abs(wc), 1.0)
-        if not r <= b:
-            failures.append(f"comparator {wc:g}: regret {r:.6g} > bound {b:.6g}")
-        elif b > 0.0:
-            worst = max(worst, r / b)
-    elapsed = time.perf_counter() - t0
-    measured = (
-        "; ".join(failures[:4])
-        if failures
-        else f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
-    )
-    return CriterionResult(
-        name="diameter_respected",
-        passed=not failures,
-        measured=measured,
-        required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee",
-        seconds=elapsed,
-    )
+    worst = _within_bound(failures, "growing", ledger, "fixed_diameter", _PARAMS,
+                          (0.0, 0.3, -0.3, 1.0, -1.0), diameter=1.0)
+    return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
-
-CRITERIA = {
-    "wealth_positive_bets_clipped": wealth_positive_bets_clipped,
-    "bettor_regret_within_bound": bettor_regret_within_bound,
-    "inner_ons_within_log_bound": inner_ons_within_log_bound,
-    "truncation_overhead_bounded": truncation_overhead_bounded,
-    "leashed_regret_within_bound": leashed_regret_within_bound,
-    "leashed_regret_sublinear": leashed_regret_sublinear,
-    "ball_regret_within_bound": ball_regret_within_bound,
-    "lift_identity_exact": lift_identity_exact,
-    "barrier_scale_invariant": barrier_scale_invariant,
-    "conjugate_dominated": conjugate_dominated,
-    "diameter_respected": diameter_respected,
-}
 
 SUITES = {
     "all": tuple(CRITERIA),
-    "coin": (
-        "wealth_positive_bets_clipped",
-        "bettor_regret_within_bound",
-        "inner_ons_within_log_bound",
-    ),
-    "reductions": (
-        "truncation_overhead_bounded",
-        "leashed_regret_within_bound",
-        "leashed_regret_sublinear",
-        "lift_identity_exact",
-        "barrier_scale_invariant",
-        "diameter_respected",
-    ),
+    "coin": ("wealth_positive_bets_clipped", "bettor_regret_within_bound",
+             "inner_ons_within_log_bound"),
+    "reductions": ("truncation_overhead_bounded", "leashed_regret_within_bound",
+                   "leashed_regret_sublinear", "lift_identity_exact", "barrier_scale_invariant",
+                   "diameter_respected"),
     "ball": ("ball_regret_within_bound",),
     "bounds": ("conjugate_dominated",),
 }

@@ -30,14 +30,20 @@ KINDS = (
     "adaptive_sign",
 )
 
-_SEEDED = ("seeded_uniform", "seeded_signs")
+SEEDED_KINDS = ("seeded_uniform", "seeded_signs")
 
 _GRID = float(2 ** 20)
+# from here on x * 2**20 overflows; every float this large is an integer
+_LATTICE_TOP = 2.0 ** 1004
 
 
 def quantize_magnitude(x: float) -> float:
-    """Largest multiple of 2**-20 not exceeding x; x must be nonnegative."""
-    return math.floor(x * _GRID) / _GRID
+    """Largest multiple of 2**-20 not exceeding x; x must be nonnegative.
+
+    x at or above 2**1004 (inf included) is already on the lattice and comes
+    back unchanged.
+    """
+    return math.floor(x * _GRID) / _GRID if x < _LATTICE_TOP else x
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,11 @@ class AdversaryConfig:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.period < 1:
             raise ValueError(f"spike period must be >= 1, got {self.period}")
-        if not 0.0 < self.magnitude < math.inf:
-            raise ValueError(f"spike magnitude must be positive and finite, got {self.magnitude}")
-        if not 0.0 < self.envelope < math.inf:
-            raise ValueError(f"envelope must be positive and finite, got {self.envelope}")
+        # magnitude and envelope are snapped onto the lattice, which needs x * 2**20 finite
+        if not 0.0 < self.magnitude < _LATTICE_TOP:
+            raise ValueError(f"spike magnitude must lie in (0, 2**1004), got {self.magnitude}")
+        if not 0.0 < self.envelope < _LATTICE_TOP:
+            raise ValueError(f"envelope must lie in (0, 2**1004), got {self.envelope}")
         if not math.isfinite(self.rate):
             raise ValueError(f"growth rate must be finite, got {self.rate}")
 
@@ -73,7 +80,7 @@ class StreamAdversary:
 
     def __init__(self, config: AdversaryConfig):
         self.config = config
-        if config.kind in _SEEDED:
+        if config.kind in SEEDED_KINDS:
             words, dirs = np.random.SeedSequence(config.seed).spawn(2)
             self._words = np.random.Generator(np.random.PCG64(words))
             self._dirs = np.random.Generator(np.random.PCG64(dirs))
@@ -93,7 +100,7 @@ class StreamAdversary:
             return None
         if c.kind == "spike":
             return c.scale * quantize_magnitude(max(1.0, c.magnitude))
-        if c.kind in _SEEDED:
+        if c.kind in SEEDED_KINDS:
             return c.scale * quantize_magnitude(c.envelope)
         return c.scale * quantize_magnitude(1.0)
 
@@ -130,7 +137,11 @@ class StreamAdversary:
         elif kind == "alternating":
             value = c.scale if t % 2 == 0 else -c.scale
         elif kind == "growing":
-            value = c.scale * quantize_magnitude(float(t) ** c.rate)
+            try:
+                raw = float(t) ** c.rate
+            except OverflowError:  # past float range: the game sees a non-finite gradient
+                raw = math.inf
+            value = c.scale * quantize_magnitude(raw)
         elif kind == "spike":
             raw = c.magnitude if t % c.period == 0 else 1.0
             value = c.scale * quantize_magnitude(raw)
@@ -214,20 +225,27 @@ def comparator_sweep(ledger: RegretLedger, seed: int = 0, n_random: int = 4) -> 
     else:
         lead = np.zeros(d)
         lead[0] = 1.0
-    gen = np.random.Generator(np.random.PCG64(seed))
-    dirs = []
-    for _ in range(n_random):
-        x = gen.standard_normal(d)
-        n = float(np.linalg.norm(x))
-        if n == 0.0:
-            x = np.zeros(d)
-            x[0] = 1.0
-            n = 1.0
-        dirs.append(x / n)
+    dirs = random_unit_vectors(d, n_random, seed)
     out = [np.zeros(d)]
     for m in magnitudes:
         out.append(m * lead)
         out.append(-m * lead)
         for u in dirs:
             out.append(m * u)
+    return out
+
+
+def random_unit_vectors(d: int, n: int, seed: int) -> list:
+    """n unit vectors in R^d from normal draws of PCG64(seed), in draw order;
+    a draw of exactly zero is replaced by the first axis."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for _ in range(n):
+        x = gen.standard_normal(d)
+        norm = float(np.linalg.norm(x))
+        if norm == 0.0:
+            x = np.zeros(d)
+            x[0] = 1.0
+            norm = 1.0
+        out.append(x / norm)
     return out

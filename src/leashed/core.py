@@ -179,7 +179,9 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True) -> 
     for t in range(1, T + 1):
         w = learner.play()
         if check_finite and not _is_finite(w):
-            raise GameDivergence(f"learner produced a non-finite point at round {t}")
+            wealth = getattr(learner, "wealth", None)
+            why = "" if wealth is None or math.isfinite(wealth) else ": its wealth left float range"
+            raise GameDivergence(f"learner produced a non-finite point at round {t}{why}")
         g = adversary.next_grad(t, w)
         if isinstance(w, np.ndarray):
             if not isinstance(g, np.ndarray):

@@ -41,6 +41,14 @@ def test_config_validation():
         AdversaryConfig("spike", period=0)
     with pytest.raises(ValueError):
         AdversaryConfig("growing", rate=math.inf)
+    # magnitudes are snapped onto the 2**-20 lattice, so x * 2**20 must stay finite
+    for bad in (2.0 ** 1004, 1e305):
+        with pytest.raises(ValueError):
+            AdversaryConfig("spike", magnitude=bad)
+        with pytest.raises(ValueError):
+            AdversaryConfig("seeded_uniform", envelope=bad)
+    top = math.nextafter(2.0 ** 1004, 0.0)
+    assert StreamAdversary(AdversaryConfig("spike", magnitude=top)).bound() == top
 
 
 def test_quantize_pins():
@@ -48,6 +56,15 @@ def test_quantize_pins():
     assert quantize_magnitude(1.0) == 1.0
     assert quantize_magnitude(10.0) == 10.0
     assert quantize_magnitude(2.0 ** -20) == 2.0 ** -20
+    # past 2**1004 every float is on the lattice already
+    assert quantize_magnitude(2.0 ** 1010) == 2.0 ** 1010
+    assert quantize_magnitude(math.inf) == math.inf
+
+
+def test_growing_overflow_is_an_infinite_gradient():
+    adv = StreamAdversary(AdversaryConfig("growing", rate=2000.0))
+    assert adv.next_grad(1, 0.0) == 1.0
+    assert adv.next_grad(2, 0.0) == math.inf
 
 
 @given(st.floats(min_value=0.0, max_value=1e7))

@@ -2,11 +2,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import leashed
 from leashed import BoundParams, StreamStats, bettor_bound, full_stack_bound
 from leashed.cli import TRACE_COLUMNS, main
 
@@ -14,7 +17,6 @@ from leashed.cli import TRACE_COLUMNS, main
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     # keep ambient LEASHED_* variables out of precedence tests
-    import os
     for key in list(os.environ):
         if key.startswith("LEASHED_"):
             monkeypatch.delenv(key)
@@ -130,6 +132,8 @@ def test_run_bad_settings(tmp_path):
                   ["--algo", "fixed_diameter", "--D", "nan"], ["--alpha", "inf"],
                   ["--adversary", "seeded_uniform", "--envelope", "inf"],
                   ["--adversary", "spike", "--magnitude", "inf"],
+                  ["--adversary", "spike", "--magnitude", "1e305"],
+                  ["--adversary", "seeded_uniform", "--envelope", "1e305"],
                   ["--comparators", "nan"], ["--comparators", "0,inf"],
                   ["--algo", "adagrad_ball", "--dim", "3", "--comparators", "1"]):
         assert main(["run", "--T", "10", "--out", str(tmp_path)] + flags) == 2, flags
@@ -146,10 +150,12 @@ def test_run_aborts_on_contract_violation(tmp_path):
                  "--T", "100", "--out", str(tmp_path)]) == 1
 
 
-def test_run_aborts_on_divergence(tmp_path):
+def test_run_aborts_on_divergence(tmp_path, capsys):
     # one-signed stream against the bare bettor overflows wealth by design
     assert main(["run", "--algo", "ons_hints", "--adversary", "constant",
                  "--T", "3000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite point at round 1753: its wealth left float range" in err
 
 
 def test_settings_precedence(tmp_path, monkeypatch):
@@ -230,8 +236,17 @@ def test_sweep_bad_grids(tmp_path):
     assert main(["sweep", "--out", str(tmp_path / "nope")]) == 1
     for flags in (["--k", "nan"], ["--k", "1,inf"], ["--T", "0"], ["--T", "10,0"],
                   ["--eps", "nan"], ["--alpha", "inf"], ["--comparators", "nan"],
-                  ["--adversary", "spike", "--magnitude", "inf"]):
+                  ["--adversary", "spike", "--magnitude", "inf"],
+                  ["--adversary", "spike", "--magnitude", "1e305"]):
         assert main(["sweep", "--T", "10", "--out", str(tmp_path)] + flags) == 2, flags
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_overflowing_stream_aborts_the_game(command, tmp_path, capsys):
+    # 2.0 ** 2000 is past float range: the gradient of round 2 is infinite
+    assert main([command, "--adversary", "growing", "--rate", "2000", "--T", "5",
+                 "--out", str(tmp_path)]) == 1
+    assert "adversary produced a non-finite gradient at round 2" in capsys.readouterr().err
 
 
 def test_summary_is_strict_json(tmp_path):
@@ -279,9 +294,13 @@ def test_null_config_value_counts_as_unset(tmp_path):
 
 
 def test_module_entry_point():
+    # the child imports the package from this checkout's src, installed or not
+    src = str(Path(leashed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "leashed", "verify", "bounds"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0
     assert "criteria passed" in proc.stdout
