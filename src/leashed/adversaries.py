@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import RegretLedger, Vector
+from .core import RegretLedger, Vector, dual_norm
 
 KINDS = (
     "constant",
@@ -115,13 +115,13 @@ class StreamAdversary:
     def _direction(self) -> np.ndarray:
         d = self.config.dim
         x = self._dirs.standard_normal(d)
-        n = float(np.linalg.norm(x))
+        n = dual_norm(x)
         if n == 0.0:
             x = np.zeros(d)
             x[0] = 1.0
             return x
         u = x / n
-        if float(np.linalg.norm(u)) > 1.0:
+        if dual_norm(u) > 1.0:
             u = u * (1.0 - 2.0 ** -50)
         return u
 
@@ -194,7 +194,7 @@ def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float
     vals, counts = np.unique(gs, return_counts=True)
     weights = counts.astype(float)
     losses = np.empty(n)
-    chunk = max(1, int(4_000_000 // max(1, vals.size)))
+    chunk = max(1, 250_000 // vals.size)
     for lo in range(0, n, chunk):
         block = grid[lo:lo + chunk]
         losses[lo:lo + block.size] = -np.log1p(-np.outer(block, vals)) @ weights
@@ -219,7 +219,7 @@ def comparator_sweep(ledger: RegretLedger, seed: int = 0, n_random: int = 4) -> 
             out.extend((m, -m))
         return out
     gsum = np.asarray(ledger.grad_sum, dtype=float)
-    norm = float(np.linalg.norm(gsum))
+    norm = dual_norm(gsum)
     if norm > 0.0:
         lead = gsum / norm
     else:
@@ -242,7 +242,7 @@ def random_unit_vectors(d: int, n: int, seed: int) -> list:
     out = []
     for _ in range(n):
         x = gen.standard_normal(d)
-        norm = float(np.linalg.norm(x))
+        norm = dual_norm(x)
         if norm == 0.0:
             x = np.zeros(d)
             x[0] = 1.0

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import RegretLedger, dual_norm
+from .core import RegretLedger
 
 DEFAULT_Q_GRID = (0.0, 1.0 / 3.0, 0.5, 1.0)
 
@@ -92,7 +92,13 @@ class StreamStats:
 
     @classmethod
     def from_ledger(cls, ledger: RegretLedger, g0: float) -> "StreamStats":
-        return cls.from_norms((dual_norm(r.grad) for r in ledger.rounds), g0)
+        """The stream statistics of a game, from the ledger's running sums,
+        which it keeps with from_norms' operations in from_norms' order."""
+        if g0 <= 0.0:
+            raise ValueError(f"g0 must be positive, got {g0}")
+        G = ledger.max_norm
+        return cls(T=len(ledger), sum_sq=ledger.sum_sq, sum_abs=ledger.sum_norm, G=G,
+                   h_T=max(g0, G), max_ratio=ledger.max_ratio)
 
 
 def _softplus(x: float) -> float:

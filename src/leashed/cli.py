@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -204,6 +205,33 @@ def _comparator_label(wc) -> str:
     return format(float(wc), ".12g")
 
 
+def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
+    """Stream trace.csv a row per round, in the bytes csv.writer writes:
+    floats in %.17g, a column the learner reports as None left empty, CRLF
+    line ends. Stops at the first round holding a non-finite value and
+    returns that round; returns None once every row is written."""
+    extras = (recorder.hints, recorder.barriers, recorder.wealths)
+    known = [col for col in extras if col[0] is not None]
+    fields = ["%.17g" if col[0] is not None else "" for col in extras]
+    row_fmt = ",".join(["%d", "%.17g", "%.17g", *fields, "%.17g"]) + "\r\n"
+    if isinstance(ledger.rounds[0].played, np.ndarray):
+        norm, dot = dual_norm, _dot
+    else:
+        norm, dot = abs, operator.mul
+    isfinite = math.isfinite
+    cum = 0.0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write = fh.write
+        write(",".join(TRACE_COLUMNS) + "\r\n")
+        for r, *values in zip(ledger.rounds, *known):
+            cum += dot(r.grad, r.played)
+            row = (r.t, norm(r.played), norm(r.grad), *values, cum)
+            if not all(map(isfinite, row)):
+                return r.t
+            write(row_fmt % row)
+    return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = RunSpec(**_settings(args))
@@ -223,21 +251,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     trace_path = out_dir / "trace.csv"
-    cum = 0.0
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for i, r in enumerate(ledger.rounds):
-            cum += _dot(r.grad, r.played)
-            cells = (
-                dual_norm(r.played), dual_norm(r.grad), recorder.hints[i],
-                recorder.barriers[i], recorder.wealths[i], cum,
-            )
-            for x in cells:
-                if x is not None and not math.isfinite(x):
-                    print(f"non-finite trace value at round {r.t}", file=sys.stderr)
-                    return 1
-            writer.writerow((r.t,) + tuple(_fmt(x) for x in cells))
+    bad_round = _write_trace(trace_path, ledger, recorder)
+    if bad_round is not None:
+        print(f"non-finite trace value at round {bad_round}", file=sys.stderr)
+        return 1
 
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     params = spec.params

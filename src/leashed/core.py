@@ -22,8 +22,10 @@ class GameDivergence(RuntimeError):
 
 
 def dual_norm(g: Vector) -> float:
+    """Euclidean norm. For an array, sqrt(g . g) as numpy's norm computes
+    it, bit for bit, overflow to inf included."""
     if isinstance(g, np.ndarray):
-        return float(np.linalg.norm(g))
+        return math.sqrt(float(g @ g))
     return abs(g)
 
 
@@ -33,21 +35,11 @@ def _dot(g: Vector, w: Vector) -> float:
     return g * w
 
 
-def _is_finite(x: Vector) -> bool:
-    if isinstance(x, np.ndarray):
-        return bool(np.isfinite(x).all())
-    return math.isfinite(x)
-
-
-def _copy(x: Vector) -> Vector:
-    return x.copy() if isinstance(x, np.ndarray) else float(x)
-
-
 class Learner:
     """Plays a point each round, then receives the round's gradient.
 
     The optional introspection attributes are read by the trace writer;
-    learners for which a field has no meaning leave it as None.
+    learners for which a field has no meaning leave it as None in every round.
     """
 
     current_hint: Union[float, None] = None
@@ -81,7 +73,12 @@ class RoundRecord:
 
 
 class RegretLedger:
-    """Trace of one game plus incrementally maintained summary statistics."""
+    """Trace of one game plus incrementally maintained summary statistics.
+
+    max_ratio is the largest prefix value of sum_norm / max_norm, updated
+    each round in the order StreamStats.from_norms uses, so the stream
+    statistics of a finished game need no second pass.
+    """
 
     def __init__(self) -> None:
         self.rounds: list[RoundRecord] = []
@@ -90,6 +87,7 @@ class RegretLedger:
         self.sum_norm = 0.0
         self.sum_sq = 0.0
         self.max_norm = 0.0
+        self.max_ratio = 0.0
         self.max_played_norm = 0.0
 
     def __len__(self) -> int:
@@ -104,20 +102,27 @@ class RegretLedger:
 
     def append(self, record: RoundRecord) -> None:
         w, g = record.played, record.grad
-        if not self.rounds and isinstance(g, np.ndarray):
-            self.grad_sum = np.zeros_like(g)
-        self.rounds.append(record)
-        self.cum_loss += _dot(g, w)
         if isinstance(g, np.ndarray):
+            if not self.rounds:
+                self.grad_sum = np.zeros_like(g)
+            self.cum_loss += float(g @ w)
             self.grad_sum += g
+            n = dual_norm(g)
+            pn = dual_norm(w)
         else:
-            self.grad_sum = self.grad_sum + g
-        n = dual_norm(g)
+            self.cum_loss += g * w
+            self.grad_sum += g
+            n = abs(g)
+            pn = abs(w)
+        self.rounds.append(record)
         self.sum_norm += n
         self.sum_sq += n * n
         if n > self.max_norm:
             self.max_norm = n
-        pn = dual_norm(w)
+        if self.max_norm > 0.0:
+            ratio = self.sum_norm / self.max_norm
+            if ratio > self.max_ratio:
+                self.max_ratio = ratio
         if pn > self.max_played_norm:
             self.max_played_norm = pn
 
@@ -172,37 +177,63 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True) -> 
     Non-finite points or gradients abort the game with a diagnostic naming
     the round; pass check_finite=False to let a run continue through float
     overflow, in which case IEEE semantics apply to the ledger sums.
+
+    The type of the first point sets the game: an ndarray makes it a vector
+    game, anything else a scalar game. That choice, made once, picks the
+    finiteness test, the gradient check and the snapshot the loop uses.
     """
     if T < 1:
         raise ValueError(f"number of rounds must be >= 1, got {T}")
+    w = learner.play()
+    if isinstance(w, np.ndarray):
+        finite, coerce, snapshot = _finite_vector, _vector_grad, np.ndarray.copy
+    else:
+        # the ledger keeps Python floats
+        finite, coerce, snapshot = math.isfinite, _scalar_grad, float
     ledger = RegretLedger()
+    play, update, append = learner.play, learner.update, ledger.append
+    next_grad = adversary.next_grad
     for t in range(1, T + 1):
-        w = learner.play()
-        if check_finite and not _is_finite(w):
+        if check_finite and not finite(w):
             wealth = getattr(learner, "wealth", None)
             why = "" if wealth is None or math.isfinite(wealth) else ": its wealth left float range"
             raise GameDivergence(f"learner produced a non-finite point at round {t}{why}")
-        g = adversary.next_grad(t, w)
-        if isinstance(w, np.ndarray):
-            if not isinstance(g, np.ndarray):
-                g = np.atleast_1d(np.asarray(g, dtype=float))
-            if g.shape != w.shape:
-                raise ValueError(
-                    f"gradient dimension {g.shape} does not match point dimension "
-                    f"{w.shape} at round {t}"
-                )
-        elif isinstance(g, np.ndarray):
-            if g.size != 1:
-                raise ValueError(
-                    f"gradient dimension {g.size} does not match point dimension 1 "
-                    f"at round {t}"
-                )
-            g = float(g.reshape(-1)[0])
-        if check_finite and not _is_finite(g):
+        g = coerce(next_grad(t, w), w, t)
+        if check_finite and not finite(g):
             raise GameDivergence(f"adversary produced a non-finite gradient at round {t}")
         h = learner.current_hint
         # snapshot before update: the learner may mutate its play buffer in place
-        w_rec, g_rec = _copy(w), _copy(g)
-        learner.update(g)
-        ledger.append(RoundRecord(t, w_rec, g_rec, 0.0 if h is None else h))
+        w_rec, g_rec = snapshot(w), snapshot(g)
+        update(g)
+        append(RoundRecord(t, w_rec, g_rec, 0.0 if h is None else h))
+        if t < T:
+            w = play()
     return ledger
+
+
+def _finite_vector(x: np.ndarray) -> bool:
+    # a finite squared norm means every entry is finite; only when it is not
+    # (an entry is inf or nan, or the squares overflow) are the entries read
+    return math.isfinite(float(x @ x)) or bool(np.isfinite(x).all())
+
+
+def _scalar_grad(g, w, t: int):
+    if isinstance(g, np.ndarray):
+        if g.size != 1:
+            raise ValueError(
+                f"gradient dimension {g.size} does not match point dimension 1 "
+                f"at round {t}"
+            )
+        g = float(g.reshape(-1)[0])
+    return g
+
+
+def _vector_grad(g, w: np.ndarray, t: int) -> np.ndarray:
+    if not isinstance(g, np.ndarray):
+        g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.shape != w.shape:
+        raise ValueError(
+            f"gradient dimension {g.shape} does not match point dimension "
+            f"{w.shape} at round {t}"
+        )
+    return g

@@ -11,15 +11,15 @@ import math
 
 import numpy as np
 
-from .core import Learner
+from .core import Learner, dual_norm
 
 
 def project_unit_ball(x: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(x))
+    n = dual_norm(x)
     if n <= 1.0:
         return x
     y = x / n
-    m = float(np.linalg.norm(y))
+    m = dual_norm(y)
     if m > 1.0:
         # rounding pushed the rescaled point just outside; shave it back
         y = y * (1.0 - 2.0 ** -50)
@@ -30,8 +30,8 @@ class AdaGradBall(Learner):
     def __init__(self, dim: int, lam: float = math.sqrt(2.0)):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        if lam <= 0.0:
-            raise ValueError(f"step scale must be positive, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"step scale must be positive and finite, got {lam}")
         self.dim = int(dim)
         self.lam = float(lam)
         self.w = np.zeros(self.dim)

@@ -188,6 +188,22 @@ def test_best_fraction_finds_interior_optimum():
     assert v == pytest.approx(-1.0 / 3.0, abs=1e-4)
 
 
+def test_best_fraction_chunks_match_one_block():
+    # 25_000 distinct values leave 10 grid rows per chunk: 11 chunks of 101 rows
+    gs = np.random.default_rng(5).uniform(-1.0, 1.0, 25_000)
+    h, res = float(np.max(np.abs(gs))), 1e-2
+    cap = 0.5 / h
+    n = int(math.ceil(2.0 * cap / res)) + 1
+    n += n % 2 == 0
+    grid = np.linspace(-cap, cap, n)
+    grid[n // 2] = 0.0
+    vals, counts = np.unique(gs, return_counts=True)
+    assert n > 3 * (250_000 // vals.size)
+    losses = -np.log1p(-np.outer(grid, vals)) @ counts.astype(float)
+    ties = np.flatnonzero(losses == losses.min())
+    assert best_betting_fraction(gs, h, res) == float(grid[ties[np.argmin(np.abs(grid[ties]))]])
+
+
 def test_best_fraction_validation():
     with pytest.raises(ValueError):
         best_betting_fraction([2.0], 1.0)  # stream violates the hint

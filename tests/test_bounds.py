@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 from leashed import (
     DEFAULT_Q_GRID,
     SIMPLIFIED_SETTINGS,
+    AdversaryConfig,
     BoundParams,
     RegretLedger,
     RoundRecord,
+    StreamAdversary,
     StreamStats,
     bettor_bound,
+    build_learner,
+    dual_norm,
     conjugate_bound,
     fixed_diameter_bound,
     full_stack_bound,
     hintless_bound,
     leash_bound,
+    run_game,
     simplified_bound,
 )
 
@@ -68,6 +73,19 @@ def test_stream_stats_from_ledger():
     ledger.append(RoundRecord(1, np.zeros(2), np.array([3.0, 4.0]), 0.0))
     s = StreamStats.from_ledger(ledger, g0=1.0)
     assert s.G == 5.0 and s.sum_sq == 25.0 and s.T == 1
+
+
+@pytest.mark.parametrize("algo, dim", [("leashed", 1), ("leashed_dimfree", 10)])
+@pytest.mark.parametrize("kind", ["seeded_uniform", "spike", "zero"])
+def test_from_ledger_equals_from_norms(algo, dim, kind):
+    # the ledger's running sums are from_norms' operations in its order
+    params = BoundParams()
+    ledger = run_game(build_learner(algo, params, dim=dim),
+                      StreamAdversary(AdversaryConfig(kind, dim=dim, seed=3)), 500)
+    fast = StreamStats.from_ledger(ledger, g0=2.0)
+    slow = StreamStats.from_norms([dual_norm(r.grad) for r in ledger.rounds], g0=2.0)
+    for field in ("T", "sum_sq", "sum_abs", "G", "h_T", "max_ratio"):
+        assert getattr(fast, field) == getattr(slow, field), field
 
 
 def test_bettor_bound_at_origin_is_initial_wealth():

@@ -137,15 +137,44 @@ def test_run_game_validates_horizon():
         run_game(FixedPlayer([0.0]), ListAdversary([0.0]), 0)
 
 
+def vec(x):
+    return np.array([x, 0.0])
+
+
 def test_run_game_aborts_on_nonfinite_point():
-    player = FixedPlayer([0.0, 0.0, math.nan, 0.0])
-    with pytest.raises(GameDivergence, match="round 3"):
-        run_game(player, ListAdversary([0.0] * 4), 4)
+    for point in (float, vec):
+        for bad in (math.nan, math.inf, -math.inf):
+            player = FixedPlayer([point(0.0), point(0.0), point(bad), point(0.0)])
+            with pytest.raises(GameDivergence) as info:
+                run_game(player, ListAdversary([point(0.0)] * 4), 4)
+            assert str(info.value) == "learner produced a non-finite point at round 3"
+
+
+def test_run_game_names_wealth_overflow():
+    for point in (float, vec):
+        player = FixedPlayer([point(0.0), point(-math.inf)])
+        player.wealth = -math.inf
+        with pytest.raises(GameDivergence) as info:
+            run_game(player, ListAdversary([point(1.0)] * 2), 2)
+        assert str(info.value) == ("learner produced a non-finite point at round 2: "
+                                   "its wealth left float range")
 
 
 def test_run_game_aborts_on_nonfinite_gradient():
-    with pytest.raises(GameDivergence, match="round 2"):
-        run_game(FixedPlayer([0.0] * 3), ListAdversary([0.0, math.inf, 0.0]), 3)
+    for point in (float, vec):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(GameDivergence) as info:
+                run_game(FixedPlayer([point(0.0)] * 3),
+                         ListAdversary([point(0.0), point(bad), point(0.0)]), 3)
+            assert str(info.value) == "adversary produced a non-finite gradient at round 2"
+
+
+def test_run_game_accepts_finite_vectors_whose_square_overflows():
+    big = np.array([1e200, 1e200])
+    with np.errstate(over="ignore"):
+        ledger = run_game(FixedPlayer([big, big]), ListAdversary([big, big]), 2)
+    assert len(ledger) == 2
+    assert ledger.max_played_norm == math.inf  # sqrt(w . w), as numpy's norm has it
 
 
 def test_run_game_allows_nonfinite_when_unchecked():
@@ -162,12 +191,18 @@ def test_run_game_coerces_size_one_gradient():
 
 
 def test_run_game_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        run_game(FixedPlayer([np.zeros(3)]), ListAdversary([np.zeros(2)]), 1)
-    with pytest.raises(ValueError):
-        run_game(FixedPlayer([np.zeros(3)]), ListAdversary([1.0]), 1)
-    with pytest.raises(ValueError):
-        run_game(FixedPlayer([0.0]), ListAdversary([np.zeros(2)]), 1)
+    # each direction, named at the round it happens
+    for points, grads, message in (
+        ([np.zeros(3)] * 2, [np.zeros(3), np.zeros(2)],
+         "gradient dimension (2,) does not match point dimension (3,) at round 2"),
+        ([np.zeros(3)] * 2, [np.zeros(3), 1.0],
+         "gradient dimension (1,) does not match point dimension (3,) at round 2"),
+        ([0.0] * 2, [0.0, np.zeros(2)],
+         "gradient dimension 2 does not match point dimension 1 at round 2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            run_game(FixedPlayer(points), ListAdversary(grads), 2)
+        assert str(info.value) == message
 
 
 def test_run_game_snapshots_points():
@@ -184,3 +219,15 @@ def test_run_game_snapshots_points():
     ledger = run_game(Mutator(), ListAdversary([np.zeros(2), np.zeros(2)]), 2)
     assert ledger.rounds[0].played[0] == 1.0
     assert ledger.rounds[1].played[0] == 101.0
+
+
+def test_run_keeps_a_spike_past_float_range_finite_until_the_trace(tmp_path, capsys):
+    # the spike [1e200, 0] is a finite gradient; its norm is not, and the
+    # trace writer names the round
+    from leashed.cli import main
+
+    with np.errstate(over="ignore"):
+        rc = main(["run", "--algo", "adagrad_ball", "--dim", "2", "--adversary", "spike",
+                   "--magnitude", "1e200", "--T", "20", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "non-finite trace value at round 10" in capsys.readouterr().err

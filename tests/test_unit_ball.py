@@ -12,8 +12,9 @@ from leashed import AdaGradBall, ball_regret_bound, project_unit_ball
 def test_constructor_validation():
     with pytest.raises(ValueError):
         AdaGradBall(0)
-    with pytest.raises(ValueError):
-        AdaGradBall(2, lam=0.0)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step scale"):
+            AdaGradBall(2, lam=lam)
 
 
 def test_projection():
