@@ -33,7 +33,6 @@ from .bounds import (
 )
 from .coin_betting import (
     ONS_STEP,
-    BettingTrace,
     CoinBettor,
     ons_inner_regret,
     ons_regret_bound,
@@ -67,7 +66,6 @@ __all__ = [
     "ALGOS",
     "AdaGradBall",
     "AdversaryConfig",
-    "BettingTrace",
     "BoundParams",
     "CRITERIA",
     "CoinBettor",

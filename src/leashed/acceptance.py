@@ -34,7 +34,7 @@ from .adversaries import (
 )
 from .bounds import BoundParams, StreamStats, conjugate_bound
 from .coin_betting import CoinBettor, ons_inner_regret, ons_regret_bound
-from .core import Learner, RegretLedger, dual_norm, run_game
+from .core import HintedLearner, Learner, RegretLedger, dual_norm, run_game
 from .reductions import Leashed
 from .stacks import build_learner, stack_bound
 
@@ -84,10 +84,11 @@ def criterion(required: str, detail: str = "", gate: Optional[float] = None):
 
 
 def _play(failures: list, label: str, learner: Learner, config: AdversaryConfig, T: int,
-          check_finite: bool = True) -> Optional[RegretLedger]:
+          check_finite: bool = True, on_round=None) -> Optional[RegretLedger]:
     """One game against a fresh adversary: its ledger, or None with the exception recorded."""
     try:
-        return run_game(learner, StreamAdversary(config), T, check_finite=check_finite)
+        return run_game(learner, StreamAdversary(config), T, check_finite=check_finite,
+                        on_round=on_round)
     except Exception as exc:
         failures.append(f"{label}: {type(exc).__name__}: {exc}")
         return None
@@ -109,6 +110,21 @@ def _within_bound(failures: list, label: str, ledger: RegretLedger, algo: str,
         elif math.isfinite(r) and b > 0.0:
             worst = max(worst, r / b)
     return worst
+
+
+class _SentRecorder:
+    """Inner learner that passes everything through to the one it wraps and
+    keeps every gradient a wrapper sends it."""
+
+    def __init__(self, inner: HintedLearner):
+        self.inner, self.sent = inner, []
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def update(self, g, h_next=None) -> None:
+        self.sent.append(g)
+        self.inner.update(g, h_next)
 
 
 def _bettor_games():
@@ -133,15 +149,19 @@ def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
         for seed in range(1, 11) if kind in SEEDED_KINDS else (1,):
             n_runs += 1
             label = f"{kind}/seed{seed}"
-            stack = Leashed(bettor_cls(epsilon=1.0, alpha=1.0, h1=1.0), k=1.0, p=0.5, g0=1.0)
-            if _play(failures, label, stack, AdversaryConfig(kind, seed=seed), 10_000) is None:
+            bettor = bettor_cls(epsilon=1.0, alpha=1.0, h1=1.0)
+            bets = []  # (fraction, hint in force, wealth) as each bet is placed
+            if _play(failures, label, Leashed(bettor, k=1.0, p=0.5, g0=1.0),
+                     AdversaryConfig(kind, seed=seed), 10_000,
+                     on_round=lambda t, w, g: bets.append((bettor.v, bettor.h, bettor.wealth))
+                     ) is None:
                 continue
-            tr = stack.inner.trace
-            low = min(tr.wealths)
+            # the wealth after each round: the next bet's, then the final one
+            low = min(min(wealth for _, _, wealth in bets[1:]), bettor.wealth)
             min_wealth = min(min_wealth, low)
             if not low > 0.0:
                 failures.append(f"{label}: wealth reached {low}")
-            bad = sum(1 for v, h in zip(tr.vs, tr.hints) if abs(v) > 0.5 / h)
+            bad = sum(1 for v, h, _ in bets if abs(v) > 0.5 / h)
             if bad:
                 failures.append(f"{label}: bet outside [-1/(2h), 1/(2h)] {bad} times")
     return f"{n_runs} runs of T=10000: min wealth {min_wealth:.4g}, 0 cap violations"
@@ -170,12 +190,14 @@ def inner_ons_within_log_bound(failures: list) -> str:
     worst = -math.inf
     for label, params, config, T in _bettor_games():
         bettor = build_learner("ons_hints", params)
-        if _play(failures, label, bettor, config, T, check_finite=False) is None:
+        bets = []  # (gradient, fraction wagered) of each round
+        if _play(failures, label, bettor, config, T, check_finite=False,
+                 on_round=lambda t, w, g: bets.append((float(g), bettor.v))) is None:
             continue
-        tr = bettor.trace
-        v_star = best_betting_fraction(tr.gs, bettor.h, resolution=1e-4)
-        reg = ons_inner_regret(tr, v_star)
-        cap = ons_regret_bound(1.0, bettor.h, math.fsum(g * g for g in tr.gs))
+        gs, vs = zip(*bets)
+        v_star = best_betting_fraction(gs, bettor.h, resolution=1e-4)
+        reg = ons_inner_regret(gs, vs, v_star)
+        cap = ons_regret_bound(1.0, bettor.h, math.fsum(g * g for g in gs))
         worst = max(worst, reg - cap)
         if not reg <= cap + 1e-3:
             failures.append(f"{label}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
@@ -196,16 +218,18 @@ def truncation_overhead_bounded(failures: list) -> str:
     for kind, kw, T, expect_finite in cells:
         label = f"{kind}{kw or ''} T={T}"
         wrapper = build_learner("hintless", _PARAMS)
+        wrapper.inner = inner = _SentRecorder(wrapper.inner)
+        played = []
         ledger = _play(failures, label, wrapper, AdversaryConfig(kind, **kw), T,
-                       check_finite=expect_finite)
+                       check_finite=expect_finite,
+                       on_round=lambda t, w, g: played.append((g, w)))
         if ledger is None:
             continue
         if expect_finite and not math.isfinite(ledger.max_played_norm):
             failures.append(f"{label}: expected a finite run, played norm overflowed")
             continue
         # exactly-zero truncation error charges nothing
-        rows = [(r.grad, sent, r.played) for r, sent in zip(ledger.rounds, wrapper.delivered)
-                if r.grad - sent != 0.0]
+        rows = [(g, sent, w) for (g, w), sent in zip(played, inner.sent) if g - sent != 0.0]
         for wc in _COMPARATORS:
             lhs = math.fsum((g - sent) * (w - wc) for g, sent, w in rows)
             rhs = ledger.max_norm * (ledger.max_played_norm + abs(wc))
@@ -291,17 +315,19 @@ def lift_identity_exact(failures: list) -> str:
         for kind in ("seeded_uniform", "alternating"):
             label = f"{kind} d={d}"
             lift = build_learner("leashed_dimfree", _PARAMS, dim=d)
-            ledger = _play(failures, label, lift, AdversaryConfig(kind, dim=d, seed=3), 1000)
-            if ledger is None:
+            rows = []  # (g, w, x, y) of each round, as played
+            if _play(failures, label, lift, AdversaryConfig(kind, dim=d, seed=3), 1000,
+                     on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy()))
+                     ) is None:
                 continue
             for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(d, 3, seed=11)):
                 wc = m * u
                 n = float(np.linalg.norm(wc))
                 un = wc / n
-                lhs = math.fsum(float(r.grad @ (r.played - wc)) for r in ledger.rounds)
-                scalar_part = math.fsum(s * (x1 - n) for s, x1 in zip(lift.ss, lift.xs))
-                direction_part = math.fsum(float(r.grad @ (y - un))
-                                           for r, y in zip(ledger.rounds, lift.ys))
+                lhs = math.fsum(float(g @ (w - wc)) for g, w, _, _ in rows)
+                # s_t = <g_t, y_t>, the loss the lift hands its scalar learner
+                scalar_part = math.fsum(float(g @ y) * (x1 - n) for g, _, x1, y in rows)
+                direction_part = math.fsum(float(g @ (y - un)) for g, _, _, y in rows)
                 gap = abs(lhs - (scalar_part + n * direction_part))
                 worst = max(worst, gap)
                 if gap > 1e-9:
@@ -329,11 +355,10 @@ def barrier_scale_invariant(failures: list) -> str:
         return out
 
     for kind in KINDS:
-        ledger = _play(failures, kind, build_learner("leashed", _PARAMS),
-                       AdversaryConfig(kind, seed=1), T)
-        if ledger is None:
+        stream = []
+        if _play(failures, kind, build_learner("leashed", _PARAMS), AdversaryConfig(kind, seed=1),
+                 T, on_round=lambda t, w, g: stream.append(g)) is None:
             continue
-        stream = [r.grad for r in ledger.rounds]
         b1 = barrier_trace(stream)
         b2 = barrier_trace([1000.0 * g for g in stream])
         bad = sum(1 for x, y in zip(b1, b2) if x != y)

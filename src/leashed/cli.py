@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ import numpy as np
 
 from .adversaries import KINDS, AdversaryConfig, StreamAdversary, comparator_sweep
 from .bounds import BoundParams, StreamStats, bettor_bound
-from .core import GameDivergence, Learner, RegretLedger, _dot, dual_norm, run_game
+from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
 from .stacks import ALGOS, build_learner, stack_bound
 from .acceptance import SUITES, format_result, run_suite
 
@@ -208,24 +207,19 @@ def _comparator_label(wc) -> str:
 def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
     """Stream trace.csv a row per round, in the bytes csv.writer writes:
     floats in %.17g, a column the learner reports as None left empty, CRLF
-    line ends. Stops at the first round holding a non-finite value and
+    line ends. The norms and cum_loss are the ledger's, the other columns
+    the recorder's. Stops at the first round holding a non-finite value and
     returns that round; returns None once every row is written."""
     extras = (recorder.hints, recorder.barriers, recorder.wealths)
     known = [col for col in extras if col[0] is not None]
     fields = ["%.17g" if col[0] is not None else "" for col in extras]
     row_fmt = ",".join(["%d", "%.17g", "%.17g", *fields, "%.17g"]) + "\r\n"
-    if isinstance(ledger.rounds[0].played, np.ndarray):
-        norm, dot = dual_norm, _dot
-    else:
-        norm, dot = abs, operator.mul
     isfinite = math.isfinite
-    cum = 0.0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write = fh.write
         write(",".join(TRACE_COLUMNS) + "\r\n")
         for r, *values in zip(ledger.rounds, *known):
-            cum += dot(r.grad, r.played)
-            row = (r.t, norm(r.played), norm(r.grad), *values, cum)
+            row = (r.t, r.w_norm, r.g_norm, *values, r.cum_loss)
             if not all(map(isfinite, row)):
                 return r.t
             write(row_fmt % row)

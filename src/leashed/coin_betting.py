@@ -12,7 +12,6 @@ wealth never dies and never more than multiplies by 3/2 in a round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 from .core import HintedLearner
@@ -21,21 +20,6 @@ from .core import HintedLearner
 # -ln(1 - g v) are 1-exp-concave on every wealth factor the hint allows, with
 # curvature constant (2 - ln 3) / 2.
 ONS_STEP = 2.0 / (2.0 - math.log(3.0))
-
-
-@dataclass
-class BettingTrace:
-    """Per-round history of the inner betting game."""
-
-    vs: list = field(default_factory=list)       # fraction wagered
-    gs: list = field(default_factory=list)       # gradient received
-    zs: list = field(default_factory=list)       # loss derivative at the wagered fraction
-    hints: list = field(default_factory=list)    # hint in force at bet time
-    bets: list = field(default_factory=list)     # point played, v * wealth
-    wealths: list = field(default_factory=list)  # wealth after the round
-
-    def __len__(self) -> int:
-        return len(self.gs)
 
 
 class CoinBettor(HintedLearner):
@@ -62,7 +46,6 @@ class CoinBettor(HintedLearner):
         self.A = 4.0 * self.alpha
         self.h = float(h1)
         self.t = 0
-        self.trace = BettingTrace()
 
     @property
     def current_hint(self) -> float:
@@ -84,13 +67,6 @@ class CoinBettor(HintedLearner):
         self.wealth -= g * w
         z = g / (1.0 - g * self.v)
         self.A += z * z
-        tr = self.trace
-        tr.vs.append(self.v)
-        tr.gs.append(g)
-        tr.zs.append(z)
-        tr.hints.append(self.h)
-        tr.bets.append(w)
-        tr.wealths.append(self.wealth)
         cap = 0.5 / h_next
         v_new = self.v - ONS_STEP * z / self.A
         self.v = max(min(v_new, cap), -cap)
@@ -98,14 +74,15 @@ class CoinBettor(HintedLearner):
         self.t += 1
 
 
-def ons_inner_regret(trace: BettingTrace, v_ref: float) -> float:
-    """Excess log-wealth loss of the wagered fractions over a fixed fraction.
+def ons_inner_regret(gs, vs, v_ref: float) -> float:
+    """Excess log-wealth loss of the wagered fractions vs over a fixed
+    fraction, on the gradients gs the bettor received.
 
     v_ref must keep every factor 1 - g * v_ref positive.
     """
     v_ref = float(v_ref)
     terms = []
-    for g, v in zip(trace.gs, trace.vs):
+    for g, v in zip(gs, vs):
         ref = 1.0 - g * v_ref
         if ref <= 0.0:
             raise ValueError(

@@ -1,16 +1,17 @@
 """Game loop and regret accounting for online linear optimization.
 
 Points and gradients are plain floats in the one-dimensional game and 1-d
-numpy arrays otherwise. Losses are exclusively linear, so a game is fully
-described by the sequence of played points and gradients; the ledger keeps
-that sequence plus running statistics needed by the bound evaluators.
-The norm is Euclidean (self-dual) throughout.
+numpy arrays otherwise. Losses are exclusively linear, so the regret of a
+game against every comparator follows from two running sums; the ledger
+keeps those, the statistics the bound evaluators need, and the norms of
+each round, never the points or gradients themselves. The norm is
+Euclidean (self-dual) throughout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -27,12 +28,6 @@ def dual_norm(g: Vector) -> float:
     if isinstance(g, np.ndarray):
         return math.sqrt(float(g @ g))
     return abs(g)
-
-
-def _dot(g: Vector, w: Vector) -> float:
-    if isinstance(g, np.ndarray):
-        return float(g @ w)
-    return g * w
 
 
 class Learner:
@@ -66,22 +61,30 @@ class HintedLearner(Learner):
 
 @dataclass(slots=True)
 class RoundRecord:
+    """What trace.csv reads of one round: the norms of the point as played
+    and of its gradient, and the cumulative loss after the round."""
+
     t: int
-    played: Vector
-    grad: Vector
-    hint_before: float  # hint in force when the point was played, 0 if hintless
+    w_norm: float
+    g_norm: float
+    cum_loss: float
 
 
 class RegretLedger:
-    """Trace of one game plus incrementally maintained summary statistics.
+    """Running summary statistics of one game plus a norm-only row per round.
 
-    max_ratio is the largest prefix value of sum_norm / max_norm, updated
-    each round in the order StreamStats.from_norms uses, so the stream
-    statistics of a finished game need no second pass.
+    A row holds no point or gradient, so its size depends on neither the
+    dimension nor the learner. Regret is affine in the comparator, so
+    cum_loss and grad_sum are all it needs. max_ratio is the largest prefix
+    value of sum_norm / max_norm, updated each round in the order
+    StreamStats.from_norms uses, so the stream statistics of a finished game
+    need no second pass. dim is set by the first append: the gradient's
+    length in a vector game, 1 in a scalar one.
     """
 
     def __init__(self) -> None:
         self.rounds: list[RoundRecord] = []
+        self.dim: Union[int, None] = None
         self.cum_loss = 0.0
         self.grad_sum: Vector = 0.0
         self.sum_norm = 0.0
@@ -93,28 +96,25 @@ class RegretLedger:
     def __len__(self) -> int:
         return len(self.rounds)
 
-    @property
-    def dim(self) -> Union[int, None]:
-        if not self.rounds:
-            return None
-        w = self.rounds[0].played
-        return w.shape[0] if isinstance(w, np.ndarray) else 1
-
-    def append(self, record: RoundRecord) -> None:
-        w, g = record.played, record.grad
+    def append(self, t: int, w: Vector, g: Vector) -> None:
+        """Account round t, where w was played and g answered it. Nothing of
+        w or g is kept, so the caller may reuse their buffers afterwards."""
         if isinstance(g, np.ndarray):
-            if not self.rounds:
+            if self.dim is None:
+                self.dim = g.shape[0]
                 self.grad_sum = np.zeros_like(g)
             self.cum_loss += float(g @ w)
             self.grad_sum += g
             n = dual_norm(g)
             pn = dual_norm(w)
         else:
+            if self.dim is None:
+                self.dim = 1
             self.cum_loss += g * w
             self.grad_sum += g
             n = abs(g)
             pn = abs(w)
-        self.rounds.append(record)
+        self.rounds.append(RoundRecord(t, pn, n, self.cum_loss))
         self.sum_norm += n
         self.sum_sq += n * n
         if n > self.max_norm:
@@ -132,7 +132,7 @@ class RegretLedger:
         Affine in the comparator with slope -grad_sum. An empty ledger has
         zero regret against anything.
         """
-        if not self.rounds:
+        if self.dim is None:
             return 0.0
         if isinstance(self.grad_sum, np.ndarray):
             w = np.atleast_1d(np.asarray(comparator, dtype=float))
@@ -151,25 +151,29 @@ class RegretLedger:
             w = w.reshape(())
         return self.cum_loss - self.grad_sum * float(w)
 
-    def recompute(self) -> dict:
-        """Summary statistics recomputed from scratch (exact summation)."""
-        norms = [dual_norm(r.grad) for r in self.rounds]
-        if isinstance(self.grad_sum, np.ndarray):
-            cols = np.stack([np.asarray(r.grad, dtype=float) for r in self.rounds])
+    @staticmethod
+    def recompute(pairs) -> dict:
+        """The summary statistics of the (point, gradient) pairs of a game,
+        computed from scratch with exact summation."""
+        pairs = list(pairs)
+        norms = [dual_norm(g) for _, g in pairs]
+        if pairs and isinstance(pairs[0][1], np.ndarray):
+            cols = np.stack([np.asarray(g, dtype=float) for _, g in pairs])
             grad_sum = np.array([math.fsum(cols[:, j]) for j in range(cols.shape[1])])
         else:
-            grad_sum = math.fsum(r.grad for r in self.rounds)
+            grad_sum = math.fsum(g for _, g in pairs)
         return {
-            "cum_loss": math.fsum(_dot(r.grad, r.played) for r in self.rounds),
+            "cum_loss": math.fsum(float(np.dot(g, w)) for w, g in pairs),
             "grad_sum": grad_sum,
             "sum_norm": math.fsum(norms),
             "sum_sq": math.fsum(n * n for n in norms),
             "max_norm": max(norms, default=0.0),
-            "max_played_norm": max((dual_norm(r.played) for r in self.rounds), default=0.0),
+            "max_played_norm": max((dual_norm(w) for w, _ in pairs), default=0.0),
         }
 
 
-def run_game(learner: Learner, adversary, T: int, check_finite: bool = True) -> RegretLedger:
+def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
+             on_round: Optional[Callable[[int, Vector, Vector], None]] = None) -> RegretLedger:
     """Run T rounds of the online linear optimization protocol.
 
     Each round the learner plays a point, the adversary answers with a
@@ -178,20 +182,33 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True) -> 
     the round; pass check_finite=False to let a run continue through float
     overflow, in which case IEEE semantics apply to the ledger sums.
 
+    The ledger reads each round's point and gradient before the learner's
+    update, so a learner may mutate its play buffer in place. on_round, if
+    given, is called as on_round(t, w, g) after both finiteness checks and
+    before the update: w and g are the point and gradient as played, and
+    the learner's attributes still hold the state w was played from. It is
+    how a caller sees more of a game than the ledger's norms.
+
     The type of the first point sets the game: an ndarray makes it a vector
     game, anything else a scalar game. That choice, made once, picks the
-    finiteness test, the gradient check and the snapshot the loop uses.
+    finiteness test and the gradient check the loop uses.
     """
     if T < 1:
         raise ValueError(f"number of rounds must be >= 1, got {T}")
     w = learner.play()
     if isinstance(w, np.ndarray):
-        finite, coerce, snapshot = _finite_vector, _vector_grad, np.ndarray.copy
+        finite, coerce = _finite_vector, _vector_grad
     else:
-        # the ledger keeps Python floats
-        finite, coerce, snapshot = math.isfinite, _scalar_grad, float
+        finite, coerce = math.isfinite, _scalar_grad
     ledger = RegretLedger()
-    play, update, append = learner.play, learner.update, ledger.append
+    play, update, record = learner.play, learner.update, ledger.append
+    if on_round is not None:
+        append = record
+
+        def record(t, w, g):
+            append(t, w, g)
+            on_round(t, w, g)
+
     next_grad = adversary.next_grad
     for t in range(1, T + 1):
         if check_finite and not finite(w):
@@ -201,11 +218,8 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True) -> 
         g = coerce(next_grad(t, w), w, t)
         if check_finite and not finite(g):
             raise GameDivergence(f"adversary produced a non-finite gradient at round {t}")
-        h = learner.current_hint
-        # snapshot before update: the learner may mutate its play buffer in place
-        w_rec, g_rec = snapshot(w), snapshot(g)
+        record(t, w, g)
         update(g)
-        append(RoundRecord(t, w_rec, g_rec, 0.0 if h is None else h))
         if t < T:
             w = play()
     return ledger

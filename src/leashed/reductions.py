@@ -88,8 +88,6 @@ class Truncation(Learner):
             raise ValueError("inner learner must start with its hint equal to g0")
         self.inner = inner
         self.h = float(g0)
-        self.delivered: list = []   # gradient actually sent inward each round
-        self.hints_used: list[float] = []  # hint in force at delivery time
 
     @property
     def current_hint(self) -> float:
@@ -106,8 +104,6 @@ class Truncation(Learner):
         n = dual_norm(g)
         g_in = truncate(g, self.h)
         h_new = max(self.h, n)
-        self.delivered.append(g_in)
-        self.hints_used.append(self.h)
         self.inner.update(g_in, h_new)
         self.h = h_new
 
@@ -208,8 +204,9 @@ class DimFreeLift(Learner):
 
     Plays w_t = x_t * y_t where x_t comes from the scalar learner and y_t
     from the ball learner; the ball sees the raw gradient, the scalar
-    learner sees the projected loss <g_t, y_t>. Keeps a per-round trace of
-    (x_t, y_t, s_t) so the exact regret decomposition can be audited.
+    learner sees the projected loss <g_t, y_t>. Between a play and its
+    update, x and y hold the round's x_t and y_t, which is what an audit of
+    the regret decomposition reads; y is None outside a round.
     """
 
     def __init__(self, scalar_learner: Learner, ball_learner: Learner, dim: int):
@@ -218,10 +215,8 @@ class DimFreeLift(Learner):
         self.one_d = scalar_learner
         self.ball = ball_learner
         self.dim = int(dim)
-        self.xs: list[float] = []
-        self.ys: list[np.ndarray] = []
-        self.ss: list[float] = []
-        self._y: Union[np.ndarray, None] = None
+        self.x = 0.0
+        self.y: Union[np.ndarray, None] = None
 
     @property
     def current_hint(self) -> Union[float, None]:
@@ -236,22 +231,18 @@ class DimFreeLift(Learner):
         return getattr(self.one_d, "wealth", None)
 
     def play(self) -> np.ndarray:
-        x = float(self.one_d.play())
-        y = np.asarray(self.ball.play(), dtype=float)
-        self._y = y.copy()
-        self.xs.append(x)
-        self.ys.append(self._y)
+        self.x = x = float(self.one_d.play())
+        self.y = y = np.asarray(self.ball.play(), dtype=float)
         return x * y
 
     def update(self, g) -> None:
-        if self._y is None:
+        if self.y is None:
             raise RuntimeError("update called before play")
         g = np.atleast_1d(np.asarray(g, dtype=float))
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} does not match dimension {self.dim}")
-        y = self._y
-        self._y = None
+        # s is taken before the ball updates, which may reuse y's buffer
+        s = float(g @ self.y)
+        self.y = None
         self.ball.update(g)
-        s = float(g @ y)
-        self.ss.append(s)
         self.one_d.update(s)

@@ -11,7 +11,6 @@ from leashed import (
     KINDS,
     AdversaryConfig,
     RegretLedger,
-    RoundRecord,
     StreamAdversary,
     best_betting_fraction,
     comparator_sweep,
@@ -225,7 +224,7 @@ def test_best_fraction_beats_zero_and_stays_in_domain(gs):
 def scalar_ledger(plays_and_grads):
     ledger = RegretLedger()
     for t, (w, g) in enumerate(plays_and_grads, start=1):
-        ledger.append(RoundRecord(t, w, g, 0.0))
+        ledger.append(t, w, g)
     return ledger
 
 
@@ -238,7 +237,7 @@ def test_comparator_sweep_scalar():
 
 def test_comparator_sweep_vector():
     ledger = RegretLedger()
-    ledger.append(RoundRecord(1, np.zeros(3), np.array([2.0, 0.0, 0.0]), 0.0))
+    ledger.append(1, np.zeros(3), np.array([2.0, 0.0, 0.0]))
     out = comparator_sweep(ledger, seed=0, n_random=4)
     assert len(out) == 1 + 4 * 6
     assert np.array_equal(out[0], np.zeros(3))

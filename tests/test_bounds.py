@@ -12,7 +12,6 @@ from leashed import (
     AdversaryConfig,
     BoundParams,
     RegretLedger,
-    RoundRecord,
     StreamAdversary,
     StreamStats,
     bettor_bound,
@@ -70,7 +69,7 @@ def test_stream_stats_max_ratio_is_prefix_maximum():
 
 def test_stream_stats_from_ledger():
     ledger = RegretLedger()
-    ledger.append(RoundRecord(1, np.zeros(2), np.array([3.0, 4.0]), 0.0))
+    ledger.append(1, np.zeros(2), np.array([3.0, 4.0]))
     s = StreamStats.from_ledger(ledger, g0=1.0)
     assert s.G == 5.0 and s.sum_sq == 25.0 and s.T == 1
 
@@ -80,10 +79,12 @@ def test_stream_stats_from_ledger():
 def test_from_ledger_equals_from_norms(algo, dim, kind):
     # the ledger's running sums are from_norms' operations in its order
     params = BoundParams()
+    norms = []
     ledger = run_game(build_learner(algo, params, dim=dim),
-                      StreamAdversary(AdversaryConfig(kind, dim=dim, seed=3)), 500)
+                      StreamAdversary(AdversaryConfig(kind, dim=dim, seed=3)), 500,
+                      on_round=lambda t, w, g: norms.append(dual_norm(g)))
     fast = StreamStats.from_ledger(ledger, g0=2.0)
-    slow = StreamStats.from_norms([dual_norm(r.grad) for r in ledger.rounds], g0=2.0)
+    slow = StreamStats.from_norms(norms, g0=2.0)
     for field in ("T", "sum_sq", "sum_abs", "G", "h_T", "max_ratio"):
         assert getattr(fast, field) == getattr(slow, field), field
 

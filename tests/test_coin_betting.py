@@ -81,15 +81,13 @@ def test_play_is_fraction_times_wealth():
     assert b.play() == b.v * b.wealth
 
 
-def test_trace_lengths():
+def test_keeps_no_per_round_history():
     b = CoinBettor(1.0, 1.0, 1.0)
-    for g in (1.0, -1.0, 0.5):
+    for g in (1.0, -1.0, 0.5) * 100:
         b.update(g)
-    tr = b.trace
-    assert len(tr) == 3
-    assert len(tr.vs) == len(tr.gs) == len(tr.zs) == 3
-    assert len(tr.hints) == len(tr.bets) == len(tr.wealths) == 3
-    assert tr.gs == [1.0, -1.0, 0.5]
+    assert b.t == 300
+    # the state after any number of rounds is a handful of scalars
+    assert all(isinstance(v, (int, float)) for v in vars(b).values()), vars(b)
 
 
 # one betting game: fractions of the hint, and multiplicative hint escalations
@@ -130,26 +128,27 @@ def test_fraction_always_inside_cap(moves, h1):
 @settings(deadline=None)
 def test_wealth_equals_initial_minus_losses(moves, eps):
     b = CoinBettor(eps, 1.0, 1.0)
-    b.play()
+    terms = []
     for frac, esc in moves:
-        b.update(frac * b.h, h_next=b.h * esc)
-    losses = math.fsum(g * w for g, w in zip(b.trace.gs, b.trace.bets))
+        g, w = frac * b.h, b.play()
+        b.update(g, h_next=b.h * esc)
+        terms.append(g * w)
+    losses = math.fsum(terms)
     assert eps - losses == pytest.approx(b.wealth, rel=1e-9, abs=1e-9)
 
 
 def test_inner_regret_single_round():
     b = CoinBettor(1.0, 1.0, 1.0)
-    b.update(1.0)
+    gs, vs = [1.0], [b.v]
+    b.update(gs[0])
     # first bet is v = 0, so the excess loss vs v_ref = 1/4 is ln(3/4)
-    assert ons_inner_regret(b.trace, 0.25) == pytest.approx(math.log(0.75), rel=1e-15)
-    assert ons_inner_regret(b.trace, 0.0) == 0.0
+    assert ons_inner_regret(gs, vs, 0.25) == pytest.approx(math.log(0.75), rel=1e-15)
+    assert ons_inner_regret(gs, vs, 0.0) == 0.0
 
 
 def test_inner_regret_rejects_out_of_domain_reference():
-    b = CoinBettor(1.0, 1.0, 1.0)
-    b.update(1.0)
     with pytest.raises(ValueError):
-        ons_inner_regret(b.trace, 1.0)
+        ons_inner_regret([1.0], [0.0], 1.0)
 
 
 def test_ons_regret_bound_values():

@@ -11,6 +11,7 @@ from leashed import (
     AdaGradBall,
     CoinBettor,
     DimFreeLift,
+    Learner,
     Leashed,
     Truncation,
     fixed_diameter,
@@ -26,6 +27,34 @@ grad_floats = st.floats(min_value=-1e8, max_value=1e8,
 
 def fresh_stack(**kw):
     return Leashed(CoinBettor(1.0, 1.0, 1.0), g0=1.0, **kw)
+
+
+class InwardBettor(CoinBettor):
+    """Coin bettor that keeps what a wrapper sends it: each gradient with
+    the hint in force when it arrives."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.received = []
+
+    def update(self, g, h_next=None):
+        self.received.append((g, self.h))
+        super().update(g, h_next)
+
+
+class ScalarLog(Learner):
+    """Scalar learner that always plays 2 and keeps the losses it is charged."""
+
+    current_hint = 1.0
+
+    def __init__(self):
+        self.charged = []
+
+    def play(self):
+        return 2.0
+
+    def update(self, s):
+        self.charged.append(s)
 
 
 def test_truncate_scalar():
@@ -111,24 +140,24 @@ def test_truncation_validation():
 
 
 def test_truncation_fabricates_monotone_hints():
-    w = Truncation(CoinBettor(1.0, 1.0, 1.0), g0=1.0)
+    w = Truncation(InwardBettor(1.0, 1.0, 1.0), g0=1.0)
     for g in (0.5, 3.0, 2.0, -7.0):
         w.play()
         w.update(g)
-    assert w.hints_used == [1.0, 1.0, 3.0, 3.0]
+    assert w.inner.received == [(0.5, 1.0), (1.0, 1.0), (2.0, 3.0), (-3.0, 3.0)]
     assert w.h == 7.0
-    assert w.delivered == [0.5, 1.0, 2.0, -3.0]
     assert w.wealth == w.inner.wealth
 
 
 @given(st.lists(grad_floats, min_size=1, max_size=120))
 @settings(deadline=None)
 def test_truncation_never_breaks_its_promise(gs):
-    w = Truncation(CoinBettor(1.0, 1.0, 1.0), g0=1.0)
+    w = Truncation(InwardBettor(1.0, 1.0, 1.0), g0=1.0)
     for g in gs:
         w.play()
         w.update(g)  # CoinBettor itself rejects any broken promise
-    for sent, h in zip(w.delivered, w.hints_used):
+    assert len(w.inner.received) == len(gs)
+    for sent, h in w.inner.received:
         assert abs(sent) <= h
 
 
@@ -244,17 +273,27 @@ def test_dimfree_lift_plays_product_and_passes_through():
     assert lift.barrier == 0.0
     assert lift.wealth == 1.0
     w = lift.play()
-    assert np.array_equal(w, lift.xs[0] * lift.ys[0])
-    lift.update(np.array([1.0, 0.0, 0.0]))
-    assert lift.ss == [float(np.dot([1.0, 0.0, 0.0], lift.ys[0]))]
+    assert np.array_equal(w, lift.x * lift.y)
+    # the scalar learner is charged <g_t, y_t> for the y_t the round played
+    lift = DimFreeLift(ScalarLog(), AdaGradBall(3), 3)
+    ys, gs = [], [np.array([1.0, 0.0, 0.0]), np.array([0.5, -2.0, 1.0])]
+    for g in gs:
+        assert np.array_equal(lift.play(), 2.0 * lift.y)
+        ys.append(lift.y.copy())
+        lift.update(g)
+        assert lift.y is None
+    assert lift.one_d.charged == [float(g @ y) for g, y in zip(gs, ys)]
+    assert lift.one_d.charged[1] != 0.0
 
 
 def test_dimfree_lift_regret_decomposition():
     gen = np.random.Generator(np.random.PCG64(21))
     lift = DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
-    plays, grads = [], []
+    plays, grads, xs, ys = [], [], [], []
     for _ in range(60):
         plays.append(lift.play().copy())
+        xs.append(lift.x)
+        ys.append(lift.y.copy())
         g = gen.standard_normal(3)
         grads.append(g)
         lift.update(g)
@@ -264,8 +303,8 @@ def test_dimfree_lift_regret_decomposition():
         wc = m * u
         n = float(np.linalg.norm(wc))
         total = math.fsum(float(g @ (w - wc)) for g, w in zip(grads, plays))
-        scalar_part = math.fsum(s * (x - n) for s, x in zip(lift.ss, lift.xs))
+        scalar_part = math.fsum(float(g @ y) * (x - n) for g, x, y in zip(grads, xs, ys))
         direction_part = math.fsum(
-            float(g @ (y - wc / n)) for g, y in zip(grads, lift.ys)
+            float(g @ (y - wc / n)) for g, y in zip(grads, ys)
         )
         assert total == pytest.approx(scalar_part + n * direction_part, abs=1e-9)
