@@ -191,16 +191,27 @@ def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float
         n += 1
     grid = np.linspace(-cap, cap, n)
     grid[n // 2] = 0.0
-    vals, counts = np.unique(gs, return_counts=True)
-    weights = counts.astype(float)
-    losses = np.empty(n)
-    chunk = max(1, 250_000 // vals.size)
-    for lo in range(0, n, chunk):
-        block = grid[lo:lo + chunk]
-        losses[lo:lo + block.size] = -np.log1p(-np.outer(block, vals)) @ weights
+    losses = _betting_losses(grid, gs)
     best = losses.min()
     ties = np.flatnonzero(losses == best)
     return float(grid[ties[np.argmin(np.abs(grid[ties]))]])
+
+
+def _betting_losses(grid: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """sum(-ln(1 - g*v)) over gs at every v of the grid, each distinct g
+    once with its count as weight. Rows of the grid go in blocks of about
+    250k loss terms, each evaluated in place; negating the values first and
+    the sums last is exact, so the losses equal -log1p(-outer(grid, vals))
+    @ weights bit for bit."""
+    vals, counts = np.unique(gs, return_counts=True)
+    neg, weights = -vals, counts.astype(float)
+    losses = np.empty(grid.size)
+    chunk = max(1, 250_000 // vals.size)
+    for lo in range(0, grid.size, chunk):
+        m = np.outer(grid[lo:lo + chunk], neg)
+        np.log1p(m, out=m)
+        losses[lo:lo + m.shape[0]] = m @ weights
+    return np.negative(losses, out=losses)
 
 
 def comparator_sweep(ledger: RegretLedger, seed: int = 0, n_random: int = 4) -> list:

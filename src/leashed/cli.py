@@ -239,7 +239,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     adv_cfg, adversary, learner = spec.build()
     recorder = TraceRecorder(learner)
     try:
-        ledger = run_game(recorder, adversary, spec.T)
+        ledger = run_game(recorder, adversary, spec.T, keep_rows=True)
     except (GameDivergence, ValueError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1

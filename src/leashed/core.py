@@ -3,9 +3,11 @@
 Points and gradients are plain floats in the one-dimensional game and 1-d
 numpy arrays otherwise. Losses are exclusively linear, so the regret of a
 game against every comparator follows from two running sums; the ledger
-keeps those, the statistics the bound evaluators need, and the norms of
-each round, never the points or gradients themselves. The norm is
-Euclidean (self-dual) throughout.
+keeps those and the statistics the bound evaluators need, never the points
+or gradients themselves, so a game's memory depends on neither T nor d.
+Only a caller that asks for them (the trace writer of `leashed run`) gets
+a row of norms per round as well. The norm is Euclidean (self-dual)
+throughout.
 """
 from __future__ import annotations
 
@@ -71,19 +73,25 @@ class RoundRecord:
 
 
 class RegretLedger:
-    """Running summary statistics of one game plus a norm-only row per round.
+    """Running summary statistics of one game, and, if asked, a norm-only
+    row per round.
 
-    A row holds no point or gradient, so its size depends on neither the
-    dimension nor the learner. Regret is affine in the comparator, so
-    cum_loss and grad_sum are all it needs. max_ratio is the largest prefix
-    value of sum_norm / max_norm, updated each round in the order
-    StreamStats.from_norms uses, so the stream statistics of a finished game
-    need no second pass. dim is set by the first append: the gradient's
-    length in a vector game, 1 in a scalar one.
+    Regret is affine in the comparator, so cum_loss and grad_sum are all it
+    needs. max_ratio is the largest prefix value of sum_norm / max_norm,
+    updated each round in the order StreamStats.from_norms uses, so the
+    stream statistics of a finished game need no second pass. dim is set by
+    the first append: the gradient's length in a vector game, 1 in a scalar
+    one. len() counts the rounds appended.
+
+    With keep_rows, `rounds` collects one RoundRecord per round; a row holds
+    no point or gradient, so its size depends on neither the dimension nor
+    the learner. Without it, `rounds` is None and the ledger's memory does
+    not grow with the rounds.
     """
 
-    def __init__(self) -> None:
-        self.rounds: list[RoundRecord] = []
+    def __init__(self, keep_rows: bool = False) -> None:
+        self.rounds: Optional[list[RoundRecord]] = [] if keep_rows else None
+        self.n_rounds = 0
         self.dim: Union[int, None] = None
         self.cum_loss = 0.0
         self.grad_sum: Vector = 0.0
@@ -94,27 +102,29 @@ class RegretLedger:
         self.max_played_norm = 0.0
 
     def __len__(self) -> int:
-        return len(self.rounds)
+        return self.n_rounds
 
-    def append(self, t: int, w: Vector, g: Vector) -> None:
-        """Account round t, where w was played and g answered it. Nothing of
-        w or g is kept, so the caller may reuse their buffers afterwards."""
+    def append(self, t: int, w: Vector, g: Vector, pn: Optional[float] = None,
+               n: Optional[float] = None) -> None:
+        """Account round t, where w was played and g answered it. pn and n
+        are dual_norm(w) and dual_norm(g), computed here unless the caller
+        has them already. Nothing of w or g is kept, so the caller may reuse
+        their buffers afterwards."""
         if isinstance(g, np.ndarray):
             if self.dim is None:
                 self.dim = g.shape[0]
                 self.grad_sum = np.zeros_like(g)
             self.cum_loss += float(g @ w)
-            self.grad_sum += g
-            n = dual_norm(g)
-            pn = dual_norm(w)
         else:
             if self.dim is None:
                 self.dim = 1
             self.cum_loss += g * w
-            self.grad_sum += g
-            n = abs(g)
-            pn = abs(w)
-        self.rounds.append(RoundRecord(t, pn, n, self.cum_loss))
+        self.grad_sum += g
+        if n is None:
+            n, pn = dual_norm(g), dual_norm(w)
+        self.n_rounds += 1
+        if self.rounds is not None:
+            self.rounds.append(RoundRecord(t, pn, n, self.cum_loss))
         self.sum_norm += n
         self.sum_sq += n * n
         if n > self.max_norm:
@@ -173,7 +183,8 @@ class RegretLedger:
 
 
 def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
-             on_round: Optional[Callable[[int, Vector, Vector], None]] = None) -> RegretLedger:
+             on_round: Optional[Callable[[int, Vector, Vector], None]] = None,
+             keep_rows: bool = False) -> RegretLedger:
     """Run T rounds of the online linear optimization protocol.
 
     Each round the learner plays a point, the adversary answers with a
@@ -187,48 +198,53 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     given, is called as on_round(t, w, g) after both finiteness checks and
     before the update: w and g are the point and gradient as played, and
     the learner's attributes still hold the state w was played from. It is
-    how a caller sees more of a game than the ledger's norms.
+    how a caller sees more of a game than the ledger's sums. keep_rows asks
+    the ledger for its per-round rows (RegretLedger.rounds), which only a
+    trace writer needs; without it the game's memory does not grow with T.
 
     The type of the first point sets the game: an ndarray makes it a vector
     game, anything else a scalar game. That choice, made once, picks the
-    finiteness test and the gradient check the loop uses.
+    norm, the finiteness test and the gradient check the loop uses. Each
+    norm is computed once a round, for the finiteness test and the ledger.
     """
     if T < 1:
         raise ValueError(f"number of rounds must be >= 1, got {T}")
     w = learner.play()
     if isinstance(w, np.ndarray):
-        finite, coerce = _finite_vector, _vector_grad
+        norm, finite, coerce = dual_norm, _finite_entries, _vector_grad
     else:
-        finite, coerce = math.isfinite, _scalar_grad
-    ledger = RegretLedger()
+        norm, finite, coerce = abs, math.isfinite, _scalar_grad
+    ledger = RegretLedger(keep_rows)
     play, update, record = learner.play, learner.update, ledger.append
     if on_round is not None:
         append = record
 
-        def record(t, w, g):
-            append(t, w, g)
+        def record(t, w, g, pn, n):
+            append(t, w, g, pn, n)
             on_round(t, w, g)
 
-    next_grad = adversary.next_grad
+    next_grad, isfinite = adversary.next_grad, math.isfinite
     for t in range(1, T + 1):
-        if check_finite and not finite(w):
+        # a finite norm means every entry is finite; only when it is not
+        # (an entry is inf or nan, or the squares overflow) are the entries read
+        pn = norm(w)
+        if check_finite and not (isfinite(pn) or finite(w)):
             wealth = getattr(learner, "wealth", None)
             why = "" if wealth is None or math.isfinite(wealth) else ": its wealth left float range"
             raise GameDivergence(f"learner produced a non-finite point at round {t}{why}")
         g = coerce(next_grad(t, w), w, t)
-        if check_finite and not finite(g):
+        n = norm(g)
+        if check_finite and not (isfinite(n) or finite(g)):
             raise GameDivergence(f"adversary produced a non-finite gradient at round {t}")
-        record(t, w, g)
+        record(t, w, g, pn, n)
         update(g)
         if t < T:
             w = play()
     return ledger
 
 
-def _finite_vector(x: np.ndarray) -> bool:
-    # a finite squared norm means every entry is finite; only when it is not
-    # (an entry is inf or nan, or the squares overflow) are the entries read
-    return math.isfinite(float(x @ x)) or bool(np.isfinite(x).all())
+def _finite_entries(x: np.ndarray) -> bool:
+    return bool(np.isfinite(x).all())
 
 
 def _scalar_grad(g, w, t: int):

@@ -4,6 +4,7 @@ Run with -s to see the formatted lines; each test also asserts the verdict.
 """
 import math
 
+import numpy as np
 import pytest
 
 from leashed import (CRITERIA, SUITES, AdversaryConfig, BoundParams, acceptance,
@@ -15,12 +16,31 @@ BOUND_CRITERIA = ("bettor_regret_within_bound", "leashed_regret_within_bound",
                   "ball_regret_within_bound", "diameter_respected")
 
 
+# what each criterion measures; a change that keeps every game and oracle
+# bit-identical keeps these strings
+MEASURED = {
+    "wealth_positive_bets_clipped": "26 runs of T=10000: min wealth 0.0008414, 0 cap violations",
+    "bettor_regret_within_bound": "81 cells: max regret/bound = 0.9998",
+    "inner_ons_within_log_bound": "max (regret - bound) = -15.2 over 9 runs, grid step 1e-4",
+    "truncation_overhead_bounded": "max overhead/range = 5.961e-182 across 5 runs",
+    "leashed_regret_within_bound": "144 cells: max regret/bound = 0.3979",
+    "leashed_regret_sublinear": ("regret/T = -7.532, -22.06, -67.66 at T = 1e2, 1e3, 1e4; "
+                                 "fitted exponent 0"),
+    "ball_regret_within_bound": "max regret/bound = 0.4964 over 9 runs x 21 comparators",
+    "lift_identity_exact": "max identity gap = 2.63e-13",
+    "barrier_scale_invariant": "all 1001 barrier values bit-identical for every adversary kind",
+    "conjugate_dominated": "max (brute-force sup - cap) = -13.24 over 20 seeded tuples",
+    "diameter_respected": "max played point 1 <= 1; max regret/bound = 2.721e-05",
+}
+
+
 @pytest.mark.parametrize("name", list(CRITERIA), ids=list(CRITERIA))
 def test_criterion(name):
     result = CRITERIA[name]()
     print(format_result(result))
     assert result.name == name
     assert result.passed, result.measured
+    assert result.measured == MEASURED[name]
 
 
 def test_suites_reference_known_criteria():
@@ -111,3 +131,31 @@ def test_bound_criteria_have_teeth(name, monkeypatch):
     result = CRITERIA[name]()
     assert not result.passed
     assert "> bound -inf" in result.measured
+
+
+def full_width_sup(a, b, c, theta):
+    """The conjugate grid's sup as first evaluated, over all 480,001 points at once."""
+    xs = np.linspace(-120.0, 120.0, 480_001)
+    absx = np.abs(xs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        expo = b * np.where(absx > 0.0, xs * xs / (absx + c), 0.0)
+        vals = theta * xs - a * np.exp(expo)
+    return float(np.max(vals))
+
+
+def test_blocked_conjugate_sup_equals_the_full_width_grid():
+    blocks = acceptance._conjugate_grid()
+    assert sum(xs.size for xs, _ in blocks) == 480_001
+    gen = np.random.default_rng(2024)
+    # the criterion's ranges, the edge c = 0, and a NaN that must propagate
+    tuples = [(0.1 + 9.9 * gen.random(), 0.1 + 9.9 * gen.random(), 10.0 * gen.random(),
+               -100.0 + 200.0 * gen.random()) for _ in range(30)]
+    tuples += [(1.0, 1.0, 0.0, 2.0), (1.0, 1.0, 1.0, math.nan)]
+    for a, b, c, theta in tuples:
+        got = acceptance._conjugate_sup(a, b, c, theta, blocks)
+        want = full_width_sup(a, b, c, theta)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (a, b, c, theta)
+    # a NaN in a later block is not lost to the block maxima before it
+    xs = np.array([0.0, 1.0, math.nan])
+    assert math.isnan(acceptance._conjugate_sup(1.0, 1.0, 1.0, 2.0, [(xs[:2], np.abs(xs[:2])),
+                                                                     (xs[2:], np.abs(xs[2:]))]))

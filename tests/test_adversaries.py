@@ -12,6 +12,7 @@ from leashed import (
     AdversaryConfig,
     RegretLedger,
     StreamAdversary,
+    adversaries,
     best_betting_fraction,
     comparator_sweep,
     dual_norm,
@@ -201,6 +202,35 @@ def test_best_fraction_chunks_match_one_block():
     losses = -np.log1p(-np.outer(grid, vals)) @ counts.astype(float)
     ties = np.flatnonzero(losses == losses.min())
     assert best_betting_fraction(gs, h, res) == float(grid[ties[np.argmin(np.abs(grid[ties]))]])
+
+
+def out_of_place_losses(grid, gs):
+    """The betting losses as the oracle first evaluated them: a fresh
+    negated outer product, its log1p and its negation, block by block."""
+    vals, counts = np.unique(gs, return_counts=True)
+    weights = counts.astype(float)
+    losses = np.empty(grid.size)
+    chunk = max(1, 250_000 // vals.size)
+    for lo in range(0, grid.size, chunk):
+        block = grid[lo:lo + chunk]
+        losses[lo:lo + block.size] = -np.log1p(-np.outer(block, vals)) @ weights
+    return losses
+
+
+@pytest.mark.parametrize("kind, T, distinct, resolution", [
+    ("constant", 1000, 1, 1e-4),
+    ("alternating", 1000, 2, 1e-4),
+    ("seeded_uniform", 10_000, 9_968, 1e-3),  # 25 grid rows a block
+])
+def test_in_place_losses_equal_the_out_of_place_expression(kind, T, distinct, resolution):
+    config = AdversaryConfig(kind, seed=1)
+    gs = np.array(stream(config, T))
+    assert np.unique(gs).size == distinct
+    cap = 0.5 / StreamAdversary(config).bound()
+    n = 2 * int(math.ceil(cap / resolution)) + 1
+    grid = np.linspace(-cap, cap, n)
+    grid[n // 2] = 0.0
+    assert np.array_equal(adversaries._betting_losses(grid, gs), out_of_place_losses(grid, gs))
 
 
 def test_best_fraction_validation():

@@ -150,7 +150,7 @@ def test_run_game_records_protocol():
     player = FixedPlayer([1.0, -2.0, 0.5])
     seen = []
     ledger = run_game(player, ListAdversary([1.0, 0.0, -1.0]), 3,
-                      on_round=lambda t, w, g: seen.append((t, w, g)))
+                      on_round=lambda t, w, g: seen.append((t, w, g)), keep_rows=True)
     assert seen == [(1, 1.0, 1.0), (2, -2.0, 0.0), (3, 0.5, -1.0)]
     assert len(ledger) == 3
     assert [r.t for r in ledger.rounds] == [1, 2, 3]
@@ -249,7 +249,7 @@ def test_run_game_snapshots_points():
 
     seen = []
     ledger = run_game(Mutator(), ListAdversary([np.array([1.0, 0.0]), np.array([0.0, 2.0])]), 2,
-                      on_round=lambda t, w, g: seen.append(float(w[0])))
+                      on_round=lambda t, w, g: seen.append(float(w[0])), keep_rows=True)
     assert seen == [3.0, 103.0]
     assert [r.w_norm for r in ledger.rounds] == [5.0, dual_norm(np.array([103.0, 4.0]))]
     # round 1 loses 1 * 3, round 2 loses 2 * 4 at the mutated point [103, 4]
@@ -257,34 +257,45 @@ def test_run_game_snapshots_points():
     assert ledger.max_played_norm == ledger.rounds[1].w_norm
 
 
-def kept_bytes(dim: int, T: int) -> int:
-    """Bytes allocated during a leashed_dimfree game on seeded_uniform and
-    still held, with the ledger and the learner alive, once it is over."""
+def kept_bytes(algo: str, dim: int, T: int, keep_rows: bool = False) -> int:
+    """Bytes allocated during a game of algo on seeded_uniform and still
+    held, with the ledger and the learner alive, once it is over."""
     from leashed import AdversaryConfig, BoundParams, StreamAdversary, build_learner
 
-    learner = build_learner("leashed_dimfree", BoundParams(), dim=dim)
+    learner = build_learner(algo, BoundParams(), dim=dim)
     adversary = StreamAdversary(AdversaryConfig("seeded_uniform", dim=dim, seed=0))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ledger = run_game(learner, adversary, T)
+        ledger = run_game(learner, adversary, T, keep_rows=keep_rows)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(ledger) == T
+    assert (ledger.rounds is not None) == keep_rows
     return kept
 
 
 def test_game_memory_per_round_does_not_grow_with_dimension():
     T = 500
-    small, large = kept_bytes(10, T), kept_bytes(1000, T)
+    small = kept_bytes("leashed_dimfree", 10, T, keep_rows=True)
+    large = kept_bytes("leashed_dimfree", 1000, T, keep_rows=True)
     # a round keeps a norm-only row whatever d; keeping the point or the
     # gradient would cost 8 KB a round at d = 1000
     assert large / T < 1024, large / T
     # what d adds is the learners' fixed state, a few d-vectors, not d per round
     assert large - small < 8 * 8 * 1000, (small, large)
+
+
+def test_game_memory_does_not_grow_with_rounds_unless_rows_are_kept():
+    short, long = kept_bytes("leashed", 1, 2_000), kept_bytes("leashed", 1, 20_000)
+    # the ledger's running sums and the learners' current state, whatever T
+    assert long - short < 4096, (short, long)
+    short, long = (kept_bytes("leashed", 1, T, keep_rows=True) for T in (2_000, 20_000))
+    # a RoundRecord of four fields is well over 32 bytes a round
+    assert long - short > 32 * 18_000, (short, long)
 
 
 def test_run_keeps_a_spike_past_float_range_finite_until_the_trace(tmp_path, capsys):

@@ -3,7 +3,9 @@
 Every pairing of a stack with an adversary kind runs through `cli.main` at
 T = 300 with seed 0 (the vector stacks in 3 dimensions, fixed_diameter with
 --D 1), and the sha256 of its trace.csv and summary.json must equal the pin.
-A pairing that exits nonzero is pinned by its exit code instead.
+A pairing that exits nonzero is pinned by its exit code instead. Two small
+`sweep --jobs 1` grids, one scalar and one vector, pin sweep.csv and
+exponents.csv the same way.
 
 The pins were generated from the code before the per-round path was
 rewritten for speed. To regenerate them, print the table from the commit
@@ -218,6 +220,23 @@ PINS = {
     ),
 }
 
+# (sweep arguments, sha256 of sweep.csv, sha256 of exponents.csv), each at seed 3
+SWEEP_PINS = {
+    "leashed": (
+        ["--algo", "leashed", "--k", "0.5,2", "--p", "0.5,0.3333333333333333",
+         "--adversary", "seeded_uniform,spike", "--T", "100,1000"],
+        "d0fe6205c137fbc893ae497f9216865ea8b23d9b104028d871d26f9b244cade9",
+        "35cbdaf59e8d353c65a028217322277c83a3338fec61135952ed3c29833e3795",
+    ),
+    "leashed_dimfree": (
+        ["--algo", "leashed_dimfree", "--dim", "3",
+         "--adversary", "seeded_uniform,alternating", "--T", "50,300"],
+        "08fc4a32c56bc77c731fd2b688abea2503d5ccfb9eb75b4f8a379dc1e234211d",
+        "81c5b4858b4c832bc39565b7908a54553696ab0b9a490bf8c4cca6b4cd9c58bb",
+    ),
+}
+SWEEP_FILES = ("sweep.csv", "exponents.csv")
+
 
 def digests(work: Path) -> dict:
     """{"algo/kind": (trace sha256, summary sha256) or exit code} for every pairing."""
@@ -252,6 +271,29 @@ def test_every_pairing_writes_the_pinned_bytes(tmp_path, monkeypatch):
     assert not changed, f"outputs differ from the pins for {changed}"
 
 
+def sweep_digests(work: Path) -> dict:
+    """{"name": (sweep.csv sha256, exponents.csv sha256)} for each pinned grid."""
+    from leashed import cli
+
+    out = {}
+    for name, (args, *_) in SWEEP_PINS.items():
+        for f in SWEEP_FILES:
+            (work / f).unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["sweep", *args, "--seed", "3", "--jobs", "1", "--out", str(work)])
+        assert rc == 0, name
+        out[name] = tuple(hashlib.sha256((work / f).read_bytes()).hexdigest()
+                          for f in SWEEP_FILES)
+    return out
+
+
+def test_sweeps_write_the_pinned_bytes(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("LEASHED_")]:
+        monkeypatch.delenv(key)
+    got = sweep_digests(tmp_path)
+    assert got == {name: tuple(pin[1:]) for name, pin in SWEEP_PINS.items()}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = digests(Path(tmp))
@@ -262,3 +304,6 @@ if __name__ == "__main__":
         else:
             print(f'    "{pair}": {value},')
     print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (sweep_csv, exponents_csv) in sweep_digests(Path(tmp)).items():
+            print(f"{name}: sweep.csv {sweep_csv}, exponents.csv {exponents_csv}")
