@@ -220,7 +220,11 @@ def conjugate_bound(a: float, b: float, c: float, theta: float) -> float:
     # Split the sup at |x| = c.  On |x| >= c the exponent is at least b|x|/2,
     # on |x| <= c it is at least b x^2 / (2c); each minorant has a closed-form
     # conjugate cap and the true conjugate is at most the larger of the two.
-    arm1 = t * (2.0 / b) * (math.log(2.0 * t / (a * b)) - 1.0)
+    # for subnormal t the ratio 2t/(ab) can round to zero; take its log as a
+    # difference of logs there so arm1 stays finite
+    ratio = 2.0 * t / (a * b)
+    log_ratio = math.log(ratio) if ratio > 0.0 else math.log(2.0 * t) - math.log(a * b)
+    arm1 = t * (2.0 / b) * (log_ratio - 1.0)
     arm2 = t * math.sqrt((2.0 * c / b) * math.log1p(2.0 * c * t * t / (a * a * b))) - a
     return max(arm1, arm2)
 

@@ -241,6 +241,15 @@ def test_conjugate_bound_dominates_everywhere(a, b, c, theta):
     assert sup <= conjugate_bound(a, b, c, theta) + 1e-6
 
 
+def test_conjugate_bound_at_subnormal_theta():
+    # 2 * theta / (a * b) underflows to zero here; the cap must stay finite
+    for a, b, c in ((2.0, 2.0, 0.0), (10.0, 10.0, 4.0)):
+        for theta in (5e-324, -5e-324, 1e-310):
+            cap = conjugate_bound(a, b, c, theta)
+            assert math.isfinite(cap)
+            assert brute_conjugate(a, b, c, theta, lo=-120.0, hi=120.0) <= cap + 1e-6
+
+
 def test_simplified_bounds():
     s100 = StreamStats(T=100, sum_sq=100.0, sum_abs=100.0, G=1.0,
                        h_T=1.0, max_ratio=100.0)
