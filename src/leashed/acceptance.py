@@ -1,12 +1,15 @@
 """Executable acceptance checks for every guarantee the package makes.
 
 Every criterion is a body under the `criterion` runner. The body plays its
-games one at a time, appends one line to `failures` for each check that does
-not hold, and returns the summary that PASS reports. The runner times the
-call, reports the first four failures in place of the summary, fails a
-criterion that reaches its wall-clock gate (adding "; took X s" when every
-check held), builds the CriterionResult and lists the criterion in CRITERIA;
-the verify command and the test suite share them.
+games one at a time, each built from a `stacks.RunSpec` (epsilon = alpha =
+k = g0 = 1 and p = 1/2 unless the spec sets them), and a bound check scores
+its game through `RunSpec.rows`, the path `run` and `sweep` report through.
+The body appends one line to `failures` for each check that does not hold,
+and returns the summary that PASS reports. The runner times the call,
+reports the first four failures in place of the summary, fails a criterion
+that reaches its wall-clock gate (adding "; took X s" when every check
+held), builds the CriterionResult and lists the criterion in CRITERIA; the
+verify command and the test suite share them.
 
 Measured regret is compared against the closed-form guarantees with zero
 tolerance unless a stated numerical slack is part of the check itself. A few
@@ -24,22 +27,14 @@ from typing import Optional
 
 import numpy as np
 
-from .adversaries import (
-    KINDS,
-    SEEDED_KINDS,
-    AdversaryConfig,
-    StreamAdversary,
-    best_betting_fraction,
-    random_unit_vectors,
-)
-from .bounds import BoundParams, StreamStats, conjugate_bound
+from .adversaries import KINDS, SEEDED_KINDS, best_betting_fraction, random_unit_vectors
+from .bounds import StreamStats, conjugate_bound
 from .coin_betting import CoinBettor, ons_inner_regret, ons_regret_bound
 from .core import HintedLearner, Learner, RegretLedger, dual_norm, run_game
 from .reductions import Leashed
-from .stacks import build_learner, stack_bound
+from .stacks import RunSpec
 
 _COMPARATORS = (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
-_PARAMS = BoundParams()  # epsilon = alpha = k = g0 = 1, p = 1/2
 
 
 @dataclass
@@ -83,32 +78,33 @@ def criterion(required: str, detail: str = "", gate: Optional[float] = None):
     return register
 
 
-def _play(failures: list, label: str, learner: Learner, config: AdversaryConfig, T: int,
+def _play(failures: list, label: str, spec: RunSpec, learner: Optional[Learner] = None,
           check_finite: bool = True, on_round=None) -> Optional[RegretLedger]:
-    """One game against a fresh adversary: its ledger, or None with the exception recorded."""
+    """The game of spec against a fresh adversary, played by learner if given
+    (a learner the criterion inspects or wraps) and else by the spec's own
+    stack: its ledger, or None with the exception recorded."""
     try:
-        return run_game(learner, StreamAdversary(config), T, check_finite=check_finite,
-                        on_round=on_round)
+        _, adversary, built = spec.build()
+        return run_game(built if learner is None else learner, adversary, spec.T,
+                        check_finite=check_finite, on_round=on_round)
     except Exception as exc:
         failures.append(f"{label}: {type(exc).__name__}: {exc}")
         return None
 
 
-def _within_bound(failures: list, label: str, ledger: RegretLedger, algo: str,
-                  params: BoundParams, comparators, diameter: Optional[float] = None) -> float:
-    """Check regret <= stack_bound(algo) at every comparator, one failure per
-    violation; returns the largest regret/bound over finite regrets under
+def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger,
+                  comparators) -> float:
+    """Check regret <= the spec's stack bound at every comparator, one failure
+    per violation; returns the largest regret/bound over finite regrets under
     positive bounds (-inf when there is none)."""
-    stats = StreamStats.from_ledger(ledger, g0=params.g0)
+    stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     worst = -math.inf
-    for i, wc in enumerate(comparators):
-        r = ledger.regret(wc)
-        b = stack_bound(algo, params, stats, dual_norm(wc), diameter=diameter)
+    for i, (wc, _, r, b, ratio) in enumerate(spec.rows(ledger, stats, comparators)):
         if not r <= b:
             name = f"{wc:g}" if np.ndim(wc) == 0 else f"#{i}"
             failures.append(f"{label} comparator {name}: regret {r:.6g} > bound {b:.6g}")
-        elif math.isfinite(r) and b > 0.0:
-            worst = max(worst, r / b)
+        elif math.isfinite(r) and ratio is not None:
+            worst = max(worst, ratio)
     return worst
 
 
@@ -128,11 +124,10 @@ class _SentRecorder:
 
 
 def _bettor_games():
-    """(label, params, config, T) of the nine games of the bettor hinted with the stream's bound."""
+    """(label, spec) of the nine games of the bettor hinted with the stream's bound."""
     for kind in ("constant", "alternating", "seeded_uniform"):
         for T in (100, 1000, 10_000):
-            config = AdversaryConfig(kind, seed=1)
-            yield f"{kind} T={T}", BoundParams(g0=StreamAdversary(config).bound()), config, T
+            yield f"{kind} T={T}", RunSpec(algo="ons_hints", adversary=kind, seed=1, T=T)
 
 
 @criterion(
@@ -149,10 +144,10 @@ def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
         for seed in range(1, 11) if kind in SEEDED_KINDS else (1,):
             n_runs += 1
             label = f"{kind}/seed{seed}"
-            bettor = bettor_cls(epsilon=1.0, alpha=1.0, h1=1.0)
+            spec = RunSpec(adversary=kind, seed=seed, T=10_000)
+            bettor = bettor_cls(epsilon=spec.eps, alpha=spec.alpha, h1=spec.g0)
             bets = []  # (fraction, hint in force, wealth) as each bet is placed
-            if _play(failures, label, Leashed(bettor, k=1.0, p=0.5, g0=1.0),
-                     AdversaryConfig(kind, seed=seed), 10_000,
+            if _play(failures, label, spec, Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0),
                      on_round=lambda t, w, g: bets.append((bettor.v, bettor.h, bettor.wealth))
                      ) is None:
                 continue
@@ -175,12 +170,10 @@ def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
 def bettor_regret_within_bound(failures: list) -> str:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
     worst = -math.inf
-    for label, params, config, T in _bettor_games():
-        ledger = _play(failures, label, build_learner("ons_hints", params), config, T,
-                       check_finite=False)
+    for label, spec in _bettor_games():
+        ledger = _play(failures, label, spec, check_finite=False)
         if ledger is not None:
-            worst = max(worst, _within_bound(failures, label, ledger, "ons_hints", params,
-                                             _COMPARATORS))
+            worst = max(worst, _within_bound(failures, label, spec, ledger, _COMPARATORS))
     return f"{9 * len(_COMPARATORS)} cells: max regret/bound = {worst:.4g}"
 
 
@@ -188,10 +181,10 @@ def bettor_regret_within_bound(failures: list) -> str:
 def inner_ons_within_log_bound(failures: list) -> str:
     """Betting-fraction regret vs the best fixed fraction on an exhaustive grid."""
     worst = -math.inf
-    for label, params, config, T in _bettor_games():
-        bettor = build_learner("ons_hints", params)
+    for label, spec in _bettor_games():
+        bettor = spec.build()[2]
         bets = []  # (gradient, fraction wagered) of each round
-        if _play(failures, label, bettor, config, T, check_finite=False,
+        if _play(failures, label, spec, bettor, check_finite=False,
                  on_round=lambda t, w, g: bets.append((float(g), bettor.v))) is None:
             continue
         gs, vs = zip(*bets)
@@ -217,11 +210,11 @@ def truncation_overhead_bounded(failures: list) -> str:
              ("spike", {}, 5_000, True))
     for kind, kw, T, expect_finite in cells:
         label = f"{kind}{kw or ''} T={T}"
-        wrapper = build_learner("hintless", _PARAMS)
+        spec = RunSpec(algo="hintless", adversary=kind, T=T, **kw)
+        wrapper = spec.build()[2]
         wrapper.inner = inner = _SentRecorder(wrapper.inner)
         played = []
-        ledger = _play(failures, label, wrapper, AdversaryConfig(kind, **kw), T,
-                       check_finite=expect_finite,
+        ledger = _play(failures, label, spec, wrapper, check_finite=expect_finite,
                        on_round=lambda t, w, g: played.append((g, w)))
         if ledger is None:
             continue
@@ -250,11 +243,10 @@ def leashed_regret_within_bound(failures: list) -> str:
     for kind in KINDS:
         for T in (1000, 10_000):
             label = f"{kind} T={T}"
-            ledger = _play(failures, label, build_learner("leashed", _PARAMS),
-                           AdversaryConfig(kind, seed=1), T)
+            spec = RunSpec(adversary=kind, seed=1, T=T)
+            ledger = _play(failures, label, spec)
             if ledger is not None:
-                worst = max(worst, _within_bound(failures, label, ledger, "leashed", _PARAMS,
-                                                 _COMPARATORS))
+                worst = max(worst, _within_bound(failures, label, spec, ledger, _COMPARATORS))
     return f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: max regret/bound = {worst:.4g}"
 
 
@@ -267,8 +259,7 @@ def leashed_regret_sublinear(failures: list) -> str:
     horizons = (100, 1000, 10_000, 100_000)
     regrets = []
     for T in horizons:
-        ledger = _play(failures, f"constant T={T}", build_learner("leashed", _PARAMS),
-                       AdversaryConfig("constant"), T)
+        ledger = _play(failures, f"constant T={T}", RunSpec(adversary="constant", T=T))
         if ledger is None:
             return ""
         regrets.append(ledger.regret(1.0))
@@ -295,14 +286,13 @@ def ball_regret_within_bound(failures: list) -> str:
         units = random_unit_vectors(d, 20, seed=7)
         for kind in ("seeded_uniform", "alternating", "adaptive_sign"):
             label = f"{kind} d={d}"
-            ledger = _play(failures, label, build_learner("adagrad_ball", _PARAMS, dim=d),
-                           AdversaryConfig(kind, dim=d, seed=2), 10_000)
+            spec = RunSpec(algo="adagrad_ball", adversary=kind, dim=d, seed=2, T=10_000)
+            ledger = _play(failures, label, spec)
             if ledger is None:
                 continue
             gn = dual_norm(ledger.grad_sum)
             comps = units + [-ledger.grad_sum / gn] if gn > 0.0 else units
-            worst = max(worst, _within_bound(failures, label, ledger, "adagrad_ball", _PARAMS,
-                                             comps))
+            worst = max(worst, _within_bound(failures, label, spec, ledger, comps))
     return f"max regret/bound = {worst:.4g} over 9 runs x 21 comparators"
 
 
@@ -313,10 +303,10 @@ def lift_identity_exact(failures: list) -> str:
     for d in (2, 10):
         for kind in ("seeded_uniform", "alternating"):
             label = f"{kind} d={d}"
-            lift = build_learner("leashed_dimfree", _PARAMS, dim=d)
+            spec = RunSpec(algo="leashed_dimfree", adversary=kind, dim=d, seed=3, T=1000)
+            lift = spec.build()[2]
             rows = []  # (g, w, x, y) of each round, as played
-            if _play(failures, label, lift, AdversaryConfig(kind, dim=d, seed=3), 1000,
-                     on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy()))
+            if _play(failures, label, spec, lift, on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy()))
                      ) is None:
                 continue
             for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(d, 3, seed=11)):
@@ -343,8 +333,7 @@ def barrier_scale_invariant(failures: list) -> str:
     """Scaling a gradient stream by 1000 leaves the barrier trace bit-identical."""
     T = 1000
 
-    def barrier_trace(gs):
-        stack = build_learner("leashed", _PARAMS)
+    def barrier_trace(stack, gs):
         out = []
         for g in gs:
             stack.play()
@@ -354,12 +343,12 @@ def barrier_scale_invariant(failures: list) -> str:
         return out
 
     for kind in KINDS:
+        spec = RunSpec(adversary=kind, seed=1, T=T)
         stream = []
-        if _play(failures, kind, build_learner("leashed", _PARAMS), AdversaryConfig(kind, seed=1),
-                 T, on_round=lambda t, w, g: stream.append(g)) is None:
+        if _play(failures, kind, spec, on_round=lambda t, w, g: stream.append(g)) is None:
             continue
-        b1 = barrier_trace(stream)
-        b2 = barrier_trace([1000.0 * g for g in stream])
+        b1 = barrier_trace(spec.build()[2], stream)
+        b2 = barrier_trace(spec.build()[2], [1000.0 * g for g in stream])
         bad = sum(1 for x, y in zip(b1, b2) if x != y)
         if bad:
             failures.append(f"{kind}: {bad} of {len(b1)} barrier values differ")
@@ -411,15 +400,14 @@ def _conjugate_sup(a: float, b: float, c: float, theta: float, blocks: list) -> 
 @criterion(required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
 def diameter_respected(failures: list) -> str:
     """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
-    stack = build_learner("fixed_diameter", _PARAMS, diameter=1.0)
-    ledger = _play(failures, "growing", stack, AdversaryConfig("growing"), 10_000)
+    spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000)
+    ledger = _play(failures, "growing", spec)
     if ledger is None:
         return ""
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
-    worst = _within_bound(failures, "growing", ledger, "fixed_diameter", _PARAMS,
-                          (0.0, 0.3, -0.3, 1.0, -1.0), diameter=1.0)
+    worst = _within_bound(failures, "growing", spec, ledger, (0.0, 0.3, -0.3, 1.0, -1.0))
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
 

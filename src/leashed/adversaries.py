@@ -35,6 +35,8 @@ SEEDED_KINDS = ("seeded_uniform", "seeded_signs")
 _GRID = float(2 ** 20)
 # from here on x * 2**20 overflows; every float this large is an integer
 _LATTICE_TOP = 2.0 ** 1004
+# seeded random directions per magnitude in comparator_sweep
+_N_RANDOM = 4
 
 
 def quantize_magnitude(x: float) -> float:
@@ -214,13 +216,13 @@ def _betting_losses(grid: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return np.negative(losses, out=losses)
 
 
-def comparator_sweep(ledger: RegretLedger, seed: int = 0, n_random: int = 4) -> list:
+def comparator_sweep(ledger: RegretLedger, seed: int = 0) -> list:
     """Standard comparator set for bound reports.
 
     One-dimensional games get the fixed scalars 0, +/-0.1, +/-1, +/-10,
     +/-100. Higher dimensions get the zero vector plus those magnitudes
     along +/- the normalized gradient sum (first axis when the sum is zero)
-    and along n_random seeded random unit directions per magnitude.
+    and along four seeded random unit directions per magnitude.
     """
     magnitudes = (0.1, 1.0, 10.0, 100.0)
     d = ledger.dim
@@ -236,7 +238,7 @@ def comparator_sweep(ledger: RegretLedger, seed: int = 0, n_random: int = 4) -> 
     else:
         lead = np.zeros(d)
         lead[0] = 1.0
-    dirs = random_unit_vectors(d, n_random, seed)
+    dirs = random_unit_vectors(d, _N_RANDOM, seed)
     out = [np.zeros(d)]
     for m in magnitudes:
         out.append(m * lead)

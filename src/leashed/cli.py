@@ -1,11 +1,12 @@
 """Command-line harness: single runs with traces, acceptance checks, sweeps.
 
-A game's settings form one frozen RunSpec. Each field resolves in precedence
-order: command-line flag, then the environment variable LEASHED_<FIELD>
-(e.g. LEASHED_T), then the JSON config file given via --config, where null
-counts as unset, then the field's default. The spec is checked by building
-it, so bad settings fail before any game runs. Trace and summary files land
-in the directory named by --out, which must already exist.
+A game's settings form one frozen `stacks.RunSpec`, the record `verify`
+builds its games from too. Each field resolves in precedence order:
+command-line flag, then the environment variable LEASHED_<FIELD> (e.g.
+LEASHED_T), then the JSON config file given via --config, where null counts
+as unset, then the field's default. The spec is checked by building it, so
+bad settings fail before any game runs. Trace and summary files land in the
+directory named by --out, which must already exist.
 """
 from __future__ import annotations
 
@@ -18,14 +19,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .adversaries import KINDS, AdversaryConfig, StreamAdversary, comparator_sweep
-from .bounds import BoundParams, StreamStats, bettor_bound
+from .adversaries import KINDS
+from .bounds import StreamStats, bettor_bound
 from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
-from .stacks import ALGOS, build_learner, stack_bound
+from .stacks import ALGOS, RunSpec, _parse_listish
 from .acceptance import SUITES, format_result, run_suite
 
 ENV_PREFIX = "LEASHED_"
@@ -46,14 +47,6 @@ class TraceRecorder(Learner):
         self.wealths: list = []
 
     @property
-    def current_hint(self):
-        return self.inner.current_hint
-
-    @property
-    def barrier(self):
-        return self.inner.barrier
-
-    @property
     def wealth(self):
         return self.inner.wealth
 
@@ -66,92 +59,6 @@ class TraceRecorder(Learner):
     def update(self, g) -> None:
         self.inner.update(g)
         self.wealths.append(self.inner.wealth)
-
-
-def _parse_listish(raw, cast) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    return [cast(p) for p in parts]
-
-
-@dataclasses.dataclass(frozen=True)
-class RunSpec:
-    """Every setting of `run` and of one `sweep` cell: the game, the
-    comparators reported on, the output directory and sweep's worker count."""
-
-    algo: str = "leashed"
-    adversary: str = "constant"
-    T: int = 1000
-    dim: int = 1
-    k: float = 1.0
-    p: float = 0.5
-    eps: float = 1.0
-    alpha: float = 1.0
-    g0: float = 1.0
-    D: Optional[float] = None
-    seed: int = 0
-    comparators: str = "auto"  # "auto" or comma-separated scalars
-    out: str = "."
-    scale: float = 1.0
-    rate: float = 0.5
-    period: int = 10
-    magnitude: float = 10.0
-    envelope: float = 1.0
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"number of rounds must be >= 1, got {self.T}")
-        self.build()  # the library checks what it is built from
-        if self.comparators != "auto":
-            given = _parse_listish(self.comparators, float)
-            if not given:
-                raise ValueError("empty comparator list")
-            if not all(math.isfinite(w) for w in given):
-                raise ValueError(f"comparators must be finite, got {self.comparators!r}")
-            if self.dim != 1:
-                raise ValueError("explicit comparators are scalars; use auto for dim > 1")
-
-    @property
-    def params(self) -> BoundParams:
-        return BoundParams(epsilon=self.eps, alpha=self.alpha, k=self.k, p=self.p, g0=self.g0)
-
-    def build(self) -> tuple:
-        """(adversary config, adversary, learner) for a fresh game."""
-        adv_cfg = AdversaryConfig(
-            self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
-            period=self.period, magnitude=self.magnitude, envelope=self.envelope,
-        )
-        adversary = StreamAdversary(adv_cfg)
-        # ons_hints is promised the stream's a-priori cap; without one (growing,
-        # zero) it falls back to g0, and an unbounded stream aborts on contract
-        hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
-        learner = build_learner(self.algo, self.params, dim=self.dim, diameter=self.D, hint=hint)
-        return adv_cfg, adversary, learner
-
-    def comparators_for(self, ledger: RegretLedger) -> list:
-        """The explicit scalars; else, for adagrad_ball, whose bound holds only
-        inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
-        if self.comparators != "auto":
-            return _parse_listish(self.comparators, float)
-        if self.algo != "adagrad_ball":
-            return comparator_sweep(ledger, seed=self.seed)
-        if self.dim == 1:
-            return [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
-        return [w for w in comparator_sweep(ledger, seed=self.seed)
-                if dual_norm(w) <= 1.0 + 1e-12]
-
-    def rows(self, ledger: RegretLedger, stats: StreamStats) -> Iterator[tuple]:
-        """(comparator, its norm, regret, stack bound, regret / bound) per
-        comparator; the ratio is None where the bound is not positive."""
-        params = self.params
-        for wc in self.comparators_for(ledger):
-            w_abs = dual_norm(wc)
-            regret = ledger.regret(wc)
-            bound = stack_bound(self.algo, params, stats, w_abs,
-                                diameter=self.D, max_played=ledger.max_played_norm)
-            yield wc, w_abs, regret, bound, (regret / bound) if bound > 0.0 else None
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -252,6 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     params = spec.params
+    rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     summary = {
         "algo": spec.algo,
         "adversary": dataclasses.asdict(adv_cfg),
@@ -276,7 +184,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "stack_bound": bound,
                 "ratio": ratio,
             }
-            for wc, w_abs, regret, bound, ratio in spec.rows(ledger, stats)
+            for wc, w_abs, regret, bound, ratio in rows
         ],
     }
     summary_path = out_dir / "summary.json"
@@ -300,9 +208,10 @@ def _sweep_cell(spec: RunSpec) -> list:
     _, adversary, learner = spec.build()
     ledger = run_game(learner, adversary, spec.T)
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
+    rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     return [
         (spec.k, spec.p, spec.adversary, spec.T, _comparator_label(wc), regret, bound, ratio)
-        for wc, _, regret, bound, ratio in spec.rows(ledger, stats)
+        for wc, _, regret, bound, ratio in rows
     ]
 
 

@@ -150,7 +150,6 @@ class Leashed(Learner):
         self.B = float(fixed_barrier) if fixed_barrier is not None else 0.0
         self.G = 0.0
         self.sum_abs = 0.0
-        self.max_ratio = 0.0
         self._pending: Union[float, None] = None
 
     @property
@@ -182,10 +181,7 @@ class Leashed(Learner):
         self.sum_abs += a
         self.h = max(self.h, a)
         if self.fixed_barrier is None and self.G > 0.0:
-            ratio = self.sum_abs / self.G
-            if ratio > self.max_ratio:
-                self.max_ratio = ratio
-            next_b = self.k * ratio ** self.p
+            next_b = self.k * (self.sum_abs / self.G) ** self.p
         else:
             next_b = self.B
         g_in = truncate(g, old_h)

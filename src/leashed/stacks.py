@@ -1,8 +1,12 @@
-"""Assembly of named learner stacks and their matching guarantees."""
+"""Assembly of named learner stacks, their matching guarantees, and the
+RunSpec record that `run`, `sweep` and `verify` build and score games from."""
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+import math
+from typing import Iterator, Optional
 
+from .adversaries import AdversaryConfig, StreamAdversary, comparator_sweep
 from .bounds import (
     BoundParams,
     StreamStats,
@@ -12,7 +16,7 @@ from .bounds import (
     hintless_bound,
 )
 from .coin_betting import CoinBettor
-from .core import Learner
+from .core import Learner, RegretLedger, dual_norm
 from .reductions import DimFreeLift, Leashed, Truncation, fixed_diameter
 from .unit_ball import AdaGradBall, ball_regret_bound
 
@@ -101,3 +105,91 @@ def stack_bound(
     if algo == "adagrad_ball":
         return ball_regret_bound(stats.sum_sq)
     raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
+
+
+def _parse_listish(raw, cast) -> list:
+    if isinstance(raw, (list, tuple)):
+        return [cast(v) for v in raw]
+    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+    return [cast(p) for p in parts]
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """Every setting of one game: the stack, the stream and its horizon, the
+    comparators `run` and `sweep` report on, the output directory and
+    sweep's worker count. Building a spec checks it, so bad settings fail
+    before any game runs."""
+
+    algo: str = "leashed"
+    adversary: str = "constant"
+    T: int = 1000
+    dim: int = 1
+    k: float = 1.0
+    p: float = 0.5
+    eps: float = 1.0
+    alpha: float = 1.0
+    g0: float = 1.0
+    D: Optional[float] = None
+    seed: int = 0
+    comparators: str = "auto"  # "auto" or comma-separated scalars
+    out: str = "."
+    scale: float = 1.0
+    rate: float = 0.5
+    period: int = 10
+    magnitude: float = 10.0
+    envelope: float = 1.0
+    jobs: int = 1
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValueError(f"number of rounds must be >= 1, got {self.T}")
+        self.build()  # the library checks what it is built from
+        if self.comparators != "auto":
+            given = _parse_listish(self.comparators, float)
+            if not given:
+                raise ValueError("empty comparator list")
+            if not all(math.isfinite(w) for w in given):
+                raise ValueError(f"comparators must be finite, got {self.comparators!r}")
+            if self.dim != 1:
+                raise ValueError("explicit comparators are scalars; use auto for dim > 1")
+
+    @property
+    def params(self) -> BoundParams:
+        return BoundParams(epsilon=self.eps, alpha=self.alpha, k=self.k, p=self.p, g0=self.g0)
+
+    def build(self) -> tuple:
+        """(adversary config, adversary, learner) for a fresh game."""
+        adv_cfg = AdversaryConfig(
+            self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
+            period=self.period, magnitude=self.magnitude, envelope=self.envelope,
+        )
+        adversary = StreamAdversary(adv_cfg)
+        # ons_hints is promised the stream's a-priori cap; without one (growing,
+        # zero) it falls back to g0, and an unbounded stream aborts on contract
+        hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
+        learner = build_learner(self.algo, self.params, dim=self.dim, diameter=self.D, hint=hint)
+        return adv_cfg, adversary, learner
+
+    def comparators_for(self, ledger: RegretLedger) -> list:
+        """The explicit scalars; else, for adagrad_ball, whose bound holds only
+        inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
+        if self.comparators != "auto":
+            return _parse_listish(self.comparators, float)
+        if self.algo != "adagrad_ball":
+            return comparator_sweep(ledger, seed=self.seed)
+        if self.dim == 1:
+            return [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
+        return [w for w in comparator_sweep(ledger, seed=self.seed)
+                if dual_norm(w) <= 1.0 + 1e-12]
+
+    def rows(self, ledger: RegretLedger, stats: StreamStats, comparators) -> Iterator[tuple]:
+        """(comparator, its norm, regret, stack bound, regret / bound) per
+        comparator; the ratio is None where the bound is not positive."""
+        params = self.params
+        for wc in comparators:
+            w_abs = dual_norm(wc)
+            regret = ledger.regret(wc)
+            bound = stack_bound(self.algo, params, stats, w_abs,
+                                diameter=self.D, max_played=ledger.max_played_norm)
+            yield wc, w_abs, regret, bound, (regret / bound) if bound > 0.0 else None

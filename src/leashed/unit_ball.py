@@ -2,8 +2,8 @@
 
 Serves as the direction learner in the dimension-free lifting; its regret
 against any unit-norm comparator is at most 2^(3/2) * sqrt(sum of squared
-gradient norms). The step scale sqrt(2) is the minimizer of 2/lam + lam,
-so no tuning knob remains.
+gradient norms). The step scale STEP_SCALE = sqrt(2) is the minimizer of
+2/lam + lam, so no tuning knob remains.
 """
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from .core import Learner, dual_norm
+
+STEP_SCALE = math.sqrt(2.0)
 
 
 def project_unit_ball(x: np.ndarray) -> np.ndarray:
@@ -27,13 +29,10 @@ def project_unit_ball(x: np.ndarray) -> np.ndarray:
 
 
 class AdaGradBall(Learner):
-    def __init__(self, dim: int, lam: float = math.sqrt(2.0)):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        if not 0.0 < lam < math.inf:
-            raise ValueError(f"step scale must be positive and finite, got {lam}")
         self.dim = int(dim)
-        self.lam = float(lam)
         self.w = np.zeros(self.dim)
         self.sum_sq = 0.0
 
@@ -46,7 +45,7 @@ class AdaGradBall(Learner):
             raise ValueError(f"gradient shape {g.shape} does not match dimension {self.dim}")
         self.sum_sq += float(g @ g)
         if self.sum_sq > 0.0:
-            eta = self.lam / math.sqrt(self.sum_sq)
+            eta = STEP_SCALE / math.sqrt(self.sum_sq)
             self.w = project_unit_ball(self.w - eta * g)
 
 

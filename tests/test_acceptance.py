@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from leashed import (CRITERIA, SUITES, AdversaryConfig, BoundParams, acceptance,
-                     build_learner, format_result, run_suite)
+from leashed import CRITERIA, SUITES, acceptance, format_result, run_suite, stacks
 from leashed.coin_betting import ONS_STEP, CoinBettor
 from leashed.acceptance import wealth_positive_bets_clipped
 
@@ -116,9 +115,8 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
 
 def test_runner_records_a_raising_game():
     failures = []
-    learner = build_learner("leashed", BoundParams())
-    assert acceptance._play(failures, "growing", learner,
-                            AdversaryConfig("growing", rate=2000.0), 5) is None
+    spec = stacks.RunSpec(adversary="growing", rate=2000.0, T=5)
+    assert acceptance._play(failures, "growing", spec) is None
     assert failures == [
         "growing: GameDivergence: adversary produced a non-finite gradient at round 2"
     ]
@@ -127,7 +125,7 @@ def test_runner_records_a_raising_game():
 @pytest.mark.parametrize("name", BOUND_CRITERIA)
 def test_bound_criteria_have_teeth(name, monkeypatch):
     # every regret exceeds a bound of -inf, so the shared check must fail each cell
-    monkeypatch.setattr(acceptance, "stack_bound", lambda *args, **kwargs: -math.inf)
+    monkeypatch.setattr(stacks, "stack_bound", lambda *args, **kwargs: -math.inf)
     result = CRITERIA[name]()
     assert not result.passed
     assert "> bound -inf" in result.measured

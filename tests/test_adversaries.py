@@ -268,7 +268,7 @@ def test_comparator_sweep_scalar():
 def test_comparator_sweep_vector():
     ledger = RegretLedger()
     ledger.append(1, np.zeros(3), np.array([2.0, 0.0, 0.0]))
-    out = comparator_sweep(ledger, seed=0, n_random=4)
+    out = comparator_sweep(ledger, seed=0)
     assert len(out) == 1 + 4 * 6
     assert np.array_equal(out[0], np.zeros(3))
     # two aligned comparators per magnitude point along the gradient sum
@@ -277,5 +277,5 @@ def test_comparator_sweep_vector():
     for w in out[1:]:
         # every nonzero comparator sits at one of the standard magnitudes
         assert min(abs(dual_norm(w) - m) for m in (0.1, 1.0, 10.0, 100.0)) < 1e-9
-    again = comparator_sweep(ledger, seed=0, n_random=4)
+    again = comparator_sweep(ledger, seed=0)
     assert all(np.array_equal(x, y) for x, y in zip(out, again))

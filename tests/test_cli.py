@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leashed
-from leashed import BoundParams, StreamStats, bettor_bound, full_stack_bound
+from leashed import BoundParams, StreamStats, bettor_bound, full_stack_bound, stacks
 from leashed.cli import TRACE_COLUMNS, main
 
 
@@ -260,6 +260,14 @@ def test_summary_is_strict_json(tmp_path):
     summary = json.loads(text, parse_constant=reject)
     assert summary["stats"]["sum_sq"] == "inf"
     assert float(summary["stats"]["sum_sq"]) == math.inf
+
+
+def test_run_scores_through_the_stack_bound_verify_uses(tmp_path, monkeypatch):
+    # the patch test_bound_criteria_have_teeth makes to fail every verify cell
+    monkeypatch.setattr(stacks, "stack_bound", lambda *args, **kwargs: -math.inf)
+    assert main(["run", "--T", "10", "--out", str(tmp_path)]) == 0
+    rows = read_summary(tmp_path / "summary.json")["comparators"]
+    assert rows and all(row["stack_bound"] == "-inf" and row["ratio"] is None for row in rows)
 
 
 def test_run_huge_comparator_has_a_finite_bound(tmp_path):

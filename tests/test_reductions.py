@@ -198,7 +198,6 @@ def test_barrier_uses_running_ratio():
     stack.play(); stack.update(1.0)
     stack.play(); stack.update(2.0)
     assert stack.B == 1.5 ** 0.5  # (|1| + |2|) / max = 1.5, raised to p
-    assert stack.max_ratio == 1.5
     assert stack.G == 2.0
 
 

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leashed import AdaGradBall, ball_regret_bound, project_unit_ball
+from leashed import AdaGradBall, ball_regret_bound, project_unit_ball, unit_ball
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
         AdaGradBall(0)
-    for lam in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="step scale"):
-            AdaGradBall(2, lam=lam)
 
 
 def test_projection():
@@ -56,7 +53,7 @@ def test_default_step_scale_is_optimal():
     f = lambda lam: 2.0 / lam + lam
     assert f(math.sqrt(2.0)) <= f(math.sqrt(2.0) - 0.01)
     assert f(math.sqrt(2.0)) <= f(math.sqrt(2.0) + 0.01)
-    assert AdaGradBall(1).lam == math.sqrt(2.0)
+    assert unit_ball.STEP_SCALE == math.sqrt(2.0)
 
 
 @given(
