@@ -7,7 +7,9 @@ gradient exactly, with no rounding, and running magnitude sums stay exact
 well past the horizons used in tests. Seeded kinds draw from PCG64; two
 independent child streams (spawned from a SeedSequence over the seed) supply
 magnitude/sign words and direction vectors, so traces are reproducible
-bit-for-bit from (config, seed) alone.
+bit-for-bit from (config, seed) alone. A seeded stream is drawn a block of
+rounds at a time, with the operations of one draw per round applied
+elementwise; the size of a block never changes the stream.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import RegretLedger, Vector, dual_norm
+from .core import RegretLedger, Vector
 
 KINDS = (
     "constant",
@@ -37,6 +39,10 @@ _GRID = float(2 ** 20)
 _LATTICE_TOP = 2.0 ** 1004
 # seeded random directions per magnitude in comparator_sweep
 _N_RANDOM = 4
+# rounds per block of a scalar seeded stream; entries per block of a vector
+# one (max(1, _VECTOR_BLOCK // d) rows), so its memory does not grow with d
+_SCALAR_BLOCK = 1024
+_VECTOR_BLOCK = 8192
 
 
 def quantize_magnitude(x: float) -> float:
@@ -82,11 +88,13 @@ class StreamAdversary:
 
     def __init__(self, config: AdversaryConfig):
         self.config = config
+        # a seeded stream's gradients, a block at a time; None for other kinds
+        self._block: Union[list, np.ndarray, None] = None
         if config.kind in SEEDED_KINDS:
             words, dirs = np.random.SeedSequence(config.seed).spawn(2)
             self._words = np.random.Generator(np.random.PCG64(words))
             self._dirs = np.random.Generator(np.random.PCG64(dirs))
-            self._buf = np.empty(0, dtype=np.uint64)
+            self._block = []
             self._i = 0
 
     def bound(self) -> Union[float, None]:
@@ -106,34 +114,49 @@ class StreamAdversary:
             return c.scale * quantize_magnitude(c.envelope)
         return c.scale * quantize_magnitude(1.0)
 
-    def _next_word(self) -> int:
-        if self._i >= len(self._buf):
-            self._buf = self._words.integers(0, 2 ** 64, size=4096, dtype=np.uint64)
-            self._i = 0
-        u = int(self._buf[self._i])
-        self._i += 1
-        return u
-
-    def _direction(self) -> np.ndarray:
-        d = self.config.dim
-        x = self._dirs.standard_normal(d)
-        n = dual_norm(x)
-        if n == 0.0:
-            x = np.zeros(d)
-            x[0] = 1.0
-            return x
-        u = x / n
-        if dual_norm(u) > 1.0:
-            u = u * (1.0 - 2.0 ** -50)
-        return u
+    def _fill(self) -> None:
+        """Draw the next block of a seeded stream: Python floats in the
+        one-dimensional game, else an array with a round's gradient per row.
+        Each value takes the IEEE operations, in order, of one draw per
+        round: a word (low bit the sign, top 53 bits the uniform fraction),
+        the magnitude snapped to the lattice, times the scale, times a unit
+        direction that rounding left above norm 1 shaved by 2**-50."""
+        c = self.config
+        n = _SCALAR_BLOCK if c.dim == 1 else max(1, _VECTOR_BLOCK // c.dim)
+        u = self._words.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+        sign = np.where(u & 1, 1.0, -1.0)
+        # scale * mag may overflow to inf, as a Python float product does silently
+        with np.errstate(over="ignore"):
+            if c.kind == "seeded_uniform":
+                # the fraction is below 1, so frac * envelope stays under _LATTICE_TOP
+                frac = (u >> 11).astype(float) * 2.0 ** -53
+                mag = np.floor(frac * c.envelope * _GRID) / _GRID
+            else:
+                mag = quantize_magnitude(c.envelope)
+            values = sign * (c.scale * mag)
+        if c.dim == 1:
+            self._block = values.tolist()
+        else:
+            block = _unit_rows(self._dirs.standard_normal((n, c.dim)))
+            over = _row_norms(block) > 1.0
+            if over.any():
+                block[over] *= 1.0 - 2.0 ** -50
+            self._block = np.multiply(values[:, None], block, out=block)
+        self._i = 0
 
     def next_grad(self, t: int, w: Vector) -> Vector:
         """Gradient for round t (1-based); w is the point just played."""
+        if self._block is not None:
+            i = self._i
+            if i == len(self._block):
+                self._fill()
+                i = 0
+            self._i = i + 1
+            return self._block[i]
         c = self.config
         kind = c.kind
         if kind == "zero":
             return np.zeros(c.dim) if c.dim > 1 else 0.0
-        direction = None
         if kind == "constant":
             value = c.scale * 1.0
         elif kind == "alternating":
@@ -147,28 +170,35 @@ class StreamAdversary:
         elif kind == "spike":
             raw = c.magnitude if t % c.period == 0 else 1.0
             value = c.scale * quantize_magnitude(raw)
-        elif kind == "adaptive_sign":
+        else:  # adaptive_sign
             lead = float(w[0]) if isinstance(w, np.ndarray) else float(w)
             sign = 1.0 if lead >= 0.0 else -1.0
             value = sign * (c.scale * 1.0)
-        else:
-            u = self._next_word()
-            sign = 1.0 if u & 1 else -1.0
-            if kind == "seeded_uniform":
-                frac = (u >> 11) * 2.0 ** -53
-                mag = quantize_magnitude(frac * c.envelope)
-            else:
-                mag = quantize_magnitude(c.envelope)
-            value = sign * (c.scale * mag)
-            if c.dim > 1:
-                direction = self._direction()
         if c.dim == 1:
             return value
-        if direction is None:
-            g = np.zeros(c.dim)
-            g[0] = value
-            return g
-        return value * direction
+        g = np.zeros(c.dim)
+        g[0] = value
+        return g
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """x with each row divided by its dual_norm, in place: row for row, bit
+    for bit, row / dual_norm(row). A row whose norm is not positive (zero,
+    or nan) becomes the first axis."""
+    norms = _row_norms(x)
+    flat = ~(norms > 0.0)
+    if flat.any():
+        x[flat] = 0.0
+        x[flat, 0] = 1.0
+        norms[flat] = 1.0
+    x /= norms[:, None]
+    return x
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """dual_norm of every row: each row's x . x is one ddot, as in
+    dual_norm (einsum sums in another order)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).reshape(-1))
 
 
 def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float:
@@ -231,13 +261,7 @@ def comparator_sweep(ledger: RegretLedger, seed: int = 0) -> list:
         for m in magnitudes:
             out.extend((m, -m))
         return out
-    gsum = np.asarray(ledger.grad_sum, dtype=float)
-    norm = dual_norm(gsum)
-    if norm > 0.0:
-        lead = gsum / norm
-    else:
-        lead = np.zeros(d)
-        lead[0] = 1.0
+    lead = _unit_rows(np.array(ledger.grad_sum, dtype=float, ndmin=2))[0]
     dirs = random_unit_vectors(d, _N_RANDOM, seed)
     out = [np.zeros(d)]
     for m in magnitudes:
@@ -252,13 +276,4 @@ def random_unit_vectors(d: int, n: int, seed: int) -> list:
     """n unit vectors in R^d from normal draws of PCG64(seed), in draw order;
     a draw of exactly zero is replaced by the first axis."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for _ in range(n):
-        x = gen.standard_normal(d)
-        norm = dual_norm(x)
-        if norm == 0.0:
-            x = np.zeros(d)
-            x[0] = 1.0
-            norm = 1.0
-        out.append(x / norm)
-    return out
+    return list(_unit_rows(gen.standard_normal((n, d))))

@@ -191,7 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(_strict_json(summary), fh, indent=2, allow_nan=False)
         fh.write("\n")
-    print(f"wrote {trace_path} and {summary_path}")
+    print(f"wrote {trace_path.name} and {summary_path.name}")
     return 0
 
 
@@ -255,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for k, p, kind, T, label, regret, bound, ratio in rows:
             writer.writerow((_fmt(k), _fmt(p), kind, T, label, _fmt(regret), _fmt(bound),
                              _fmt(ratio)))
-    written = [str(sweep_path)]
+    written = [sweep_path.name]
 
     if len(set(grids["T"])) >= 2:
         # growth exponent of clamped regret across the horizon grid
@@ -274,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ys = [math.log10(max(r, 1.0)) for _, r in pts]
                 slope = float(np.polyfit(xs, ys, 1)[0])
                 writer.writerow((_fmt(k), _fmt(p), kind, label, _fmt(slope)))
-        written.append(str(exp_path))
+        written.append(exp_path.name)
     print("wrote " + " and ".join(written))
     return 0
 

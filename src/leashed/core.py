@@ -28,7 +28,7 @@ def dual_norm(g: Vector) -> float:
     """Euclidean norm. For an array, sqrt(g . g) as numpy's norm computes
     it, bit for bit, overflow to inf included."""
     if isinstance(g, np.ndarray):
-        return math.sqrt(float(g @ g))
+        return math.sqrt(g.dot(g))
     return abs(g)
 
 
@@ -114,7 +114,7 @@ class RegretLedger:
             if self.dim is None:
                 self.dim = g.shape[0]
                 self.grad_sum = np.zeros_like(g)
-            self.cum_loss += float(g @ w)
+            self.cum_loss += float(g.dot(w))
         else:
             if self.dim is None:
                 self.dim = 1
@@ -160,26 +160,6 @@ class RegretLedger:
                 )
             w = w.reshape(())
         return self.cum_loss - self.grad_sum * float(w)
-
-    @staticmethod
-    def recompute(pairs) -> dict:
-        """The summary statistics of the (point, gradient) pairs of a game,
-        computed from scratch with exact summation."""
-        pairs = list(pairs)
-        norms = [dual_norm(g) for _, g in pairs]
-        if pairs and isinstance(pairs[0][1], np.ndarray):
-            cols = np.stack([np.asarray(g, dtype=float) for _, g in pairs])
-            grad_sum = np.array([math.fsum(cols[:, j]) for j in range(cols.shape[1])])
-        else:
-            grad_sum = math.fsum(g for _, g in pairs)
-        return {
-            "cum_loss": math.fsum(float(np.dot(g, w)) for w, g in pairs),
-            "grad_sum": grad_sum,
-            "sum_norm": math.fsum(norms),
-            "sum_sq": math.fsum(n * n for n in norms),
-            "max_norm": max(norms, default=0.0),
-            "max_played_norm": max((dual_norm(w) for w, _ in pairs), default=0.0),
-        }
 
 
 def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,

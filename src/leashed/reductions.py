@@ -238,7 +238,7 @@ class DimFreeLift(Learner):
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} does not match dimension {self.dim}")
         # s is taken before the ball updates, which may reuse y's buffer
-        s = float(g @ self.y)
+        s = float(g.dot(self.y))
         self.y = None
         self.ball.update(g)
         self.one_d.update(s)

@@ -43,7 +43,7 @@ class AdaGradBall(Learner):
         g = np.atleast_1d(np.asarray(g, dtype=float))
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape} does not match dimension {self.dim}")
-        self.sum_sq += float(g @ g)
+        self.sum_sq += float(g.dot(g))
         if self.sum_sq > 0.0:
             eta = STEP_SCALE / math.sqrt(self.sum_sq)
             self.w = project_unit_ball(self.w - eta * g)

@@ -1,5 +1,6 @@
 """Stream generators, their promises, and the brute-force betting oracle."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,89 @@ def test_seeded_streams_reproducible(kind):
     va = stream(AdversaryConfig(kind, dim=4, seed=11), 200, w=np.zeros(4))
     vb = stream(AdversaryConfig(kind, dim=4, seed=11), 200, w=np.zeros(4))
     assert all(np.array_equal(x, y) for x, y in zip(va, vb))
+
+
+class OneDrawAtATime:
+    """The seeded kinds drawn one round at a time, as StreamAdversary drew
+    them before it drew blocks: one word per round, and in a vector game one
+    standard_normal(d) draw per round, normalized by its dual_norm. The
+    reference for the block fill; `shaved` counts the rounds whose unit
+    direction took the 2**-50 shave."""
+
+    def __init__(self, config):
+        self.c = config
+        words, dirs = np.random.SeedSequence(config.seed).spawn(2)
+        self.words = np.random.Generator(np.random.PCG64(words))
+        self.dirs = np.random.Generator(np.random.PCG64(dirs))
+        self.shaved = 0
+
+    def direction(self):
+        d = self.c.dim
+        x = self.dirs.standard_normal(d)
+        n = dual_norm(x)
+        if n == 0.0:
+            x = np.zeros(d)
+            x[0] = 1.0
+            return x
+        u = x / n
+        if dual_norm(u) > 1.0:
+            self.shaved += 1
+            u = u * (1.0 - 2.0 ** -50)
+        return u
+
+    def next_grad(self):
+        c = self.c
+        u = int(self.words.integers(0, 2 ** 64, dtype=np.uint64))
+        sign = 1.0 if u & 1 else -1.0
+        if c.kind == "seeded_uniform":
+            mag = quantize_magnitude((u >> 11) * 2.0 ** -53 * c.envelope)
+        else:
+            mag = quantize_magnitude(c.envelope)
+        value = sign * (c.scale * mag)
+        return value if c.dim == 1 else value * self.direction()
+
+
+def rows_per_block(d):
+    return adversaries._SCALAR_BLOCK if d == 1 else max(1, adversaries._VECTOR_BLOCK // d)
+
+
+def assert_same_stream(config, T):
+    """StreamAdversary(config) gives OneDrawAtATime(config)'s T gradients
+    bit for bit; returns the reference."""
+    ref = OneDrawAtATime(config)
+    adv = StreamAdversary(config)
+    w = 0.0 if config.dim == 1 else np.zeros(config.dim)
+    for t in range(1, T + 1):
+        want, got = ref.next_grad(), adv.next_grad(t, w)
+        if config.dim == 1:
+            assert type(got) is float
+            assert got.hex() == want.hex(), t
+        else:
+            assert got.shape == (config.dim,)
+            assert got.tobytes() == want.tobytes(), t
+    return ref
+
+
+@pytest.mark.parametrize("kind", adversaries.SEEDED_KINDS)
+def test_blocks_draw_the_one_at_a_time_stream(kind):
+    shaved = 0
+    for d in (1, 2, 3, 10, 1000):
+        config = AdversaryConfig(kind, dim=d, seed=7, envelope=3.5, scale=0.75)
+        # past the third block boundary
+        shaved += assert_same_stream(config, 3 * rows_per_block(d) + 5).shaved
+    # the shave path runs in the vector streams (on 0.4-5% of rows)
+    assert shaved > 0
+
+
+@pytest.mark.parametrize("kind", adversaries.SEEDED_KINDS)
+@pytest.mark.parametrize("dim", (1, 3))
+def test_blocks_overflow_to_infinite_gradients_silently(kind, dim):
+    config = AdversaryConfig(kind, dim=dim, seed=2, envelope=2.0 ** 1003, scale=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_stream(config, rows_per_block(dim) + 5)
+        g = StreamAdversary(config).next_grad(1, 0.0 if dim == 1 else np.zeros(dim))
+    assert np.isinf(g).all()
 
 
 def test_seeded_uniform_spans_the_envelope():

@@ -229,6 +229,16 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+def test_written_files_are_named_relative_to_out(tmp_path, capsys):
+    # what run and sweep print does not depend on where --out sits
+    assert main(["run", "--adversary", "zero", "--T", "5", "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--k", "1", "--p", "0.5", "--adversary", "zero",
+                 "--T", "10,20", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "wrote trace.csv and summary.json\nwrote sweep.csv and exponents.csv\n"
+    assert str(tmp_path) not in out
+
+
 def test_sweep_bad_grids(tmp_path):
     assert main(["sweep", "--k", "", "--out", str(tmp_path)]) == 2
     assert main(["sweep", "--adversary", "constant,bogus",

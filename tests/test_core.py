@@ -50,6 +50,18 @@ def test_dual_norm():
     assert dual_norm(np.array([3.0, 4.0])) == 5.0
 
 
+@pytest.mark.parametrize("d", (1, 2, 3, 10, 33, 1000))
+def test_dual_norm_is_numpys_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        # entries spread over e^-15 to e^15, so the summation order shows
+        x = rng.standard_normal(d) * np.exp(rng.uniform(-15.0, 15.0, d))
+        assert dual_norm(x).hex() == float(np.linalg.norm(x)).hex()
+    # the squares overflow, as they do in numpy's norm
+    with np.errstate(over="ignore"):
+        assert dual_norm(np.array([1e200, 1e200])) == np.linalg.norm([1e200, 1e200]) == math.inf
+
+
 def test_empty_ledger_regret_zero():
     ledger = RegretLedger()
     assert ledger.regret(0.0) == 0.0
@@ -128,6 +140,20 @@ def test_regret_affine_in_comparator(rounds, u, v):
     assert mid == pytest.approx(avg, rel=1e-9, abs=affine_slack(ledger, u, v))
 
 
+def recompute(pairs) -> dict:
+    """The summary statistics of the scalar (point, gradient) pairs of a
+    game, computed from scratch with exact summation."""
+    norms = [abs(g) for _, g in pairs]
+    return {
+        "cum_loss": math.fsum(g * w for w, g in pairs),
+        "grad_sum": math.fsum(g for _, g in pairs),
+        "sum_norm": math.fsum(norms),
+        "sum_sq": math.fsum(n * n for n in norms),
+        "max_norm": max(norms, default=0.0),
+        "max_played_norm": max((abs(w) for w, _ in pairs), default=0.0),
+    }
+
+
 def summation_slack(terms):
     """Bound on |recursive sum - exact sum| of the n rounded terms.
 
@@ -152,7 +178,7 @@ def test_recompute_matches_incremental(rounds):
     ledger = RegretLedger()
     for t, (w, g) in enumerate(rounds, start=1):
         ledger.append(t, w, g)
-    exact = RegretLedger.recompute(rounds)
+    exact = recompute(rounds)
     assert ledger.max_norm == exact["max_norm"]
     assert ledger.max_played_norm == exact["max_played_norm"]
     # signed sums may cancel, so they are held to the error of the summation itself

@@ -5,7 +5,8 @@ T = 300 with seed 0 (the vector stacks in 3 dimensions, fixed_diameter with
 --D 1), and the sha256 of its trace.csv and summary.json must equal the pin.
 A pairing that exits nonzero is pinned by its exit code instead. Two small
 `sweep --jobs 1` grids, one scalar and one vector, pin sweep.csv and
-exponents.csv the same way.
+exponents.csv the same way, and two longer runs pin seeded streams past the
+first block of draws.
 
 The pins were generated from the code before the per-round path was
 rewritten for speed. To regenerate them, print the table from the commit
@@ -220,6 +221,23 @@ PINS = {
     ),
 }
 
+# (run arguments, sha256 of trace.csv, sha256 of summary.json), each at seed 0:
+# games long enough to draw their seeded streams in more than one block,
+# pinned from the code that drew one round at a time
+LONG_PINS = {
+    "leashed/seeded_uniform": (
+        ["--algo", "leashed", "--adversary", "seeded_uniform", "--T", "5000"],
+        "1c8757c5e5d952373aee8537b0b1a851f0a4cf193155b0739ca6e5aa4eec74bc",
+        "8996405e7c7f9f5e57d97af4edee065d59c6acb44f1648e270952a3ae2116b6e",
+    ),
+    "leashed_dimfree/seeded_signs": (
+        ["--algo", "leashed_dimfree", "--adversary", "seeded_signs", "--dim", "3",
+         "--T", "3000"],
+        "9ee8d83f681a136c2b4783adbe4a9d83160357628e2ac30dd698aa89c98d0091",
+        "d57b19800eaccd5e60e71067defaa876d2e96e4a2748f83f7d2b971bc1caba94",
+    ),
+}
+
 # (sweep arguments, sha256 of sweep.csv, sha256 of exponents.csv), each at seed 3
 SWEEP_PINS = {
     "leashed": (
@@ -238,27 +256,33 @@ SWEEP_PINS = {
 SWEEP_FILES = ("sweep.csv", "exponents.csv")
 
 
+def run_digest(work: Path, args: list):
+    """(trace sha256, summary sha256) of `leashed run <args>` at SEED, or its
+    exit code if it fails."""
+    from leashed import cli
+
+    for name in FILES:
+        (work / name).unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["run", *args, "--seed", str(SEED), "--out", str(work)])
+    return tuple(
+        hashlib.sha256((work / name).read_bytes()).hexdigest() for name in FILES
+    ) if rc == 0 else rc
+
+
 def digests(work: Path) -> dict:
     """{"algo/kind": (trace sha256, summary sha256) or exit code} for every pairing."""
-    from leashed import ALGOS, KINDS, cli
+    from leashed import ALGOS, KINDS
 
     out = {}
     for algo in ALGOS:
         for kind in KINDS:
-            argv = ["run", "--algo", algo, "--adversary", kind, "--T", str(T),
-                    "--seed", str(SEED), "--out", str(work)]
+            args = ["--algo", algo, "--adversary", kind, "--T", str(T)]
             if algo in ("adagrad_ball", "leashed_dimfree"):
-                argv += ["--dim", str(VECTOR_DIM)]
+                args += ["--dim", str(VECTOR_DIM)]
             if algo == "fixed_diameter":
-                argv += ["--D", "1"]
-            for name in FILES:
-                (work / name).unlink(missing_ok=True)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(argv)
-            out[f"{algo}/{kind}"] = tuple(
-                hashlib.sha256((work / name).read_bytes()).hexdigest() for name in FILES
-            ) if rc == 0 else rc
+                args += ["--D", "1"]
+            out[f"{algo}/{kind}"] = run_digest(work, args)
     return out
 
 
@@ -269,6 +293,13 @@ def test_every_pairing_writes_the_pinned_bytes(tmp_path, monkeypatch):
     assert set(got) == set(PINS)
     changed = sorted(pair for pair in PINS if got[pair] != PINS[pair])
     assert not changed, f"outputs differ from the pins for {changed}"
+
+
+def test_games_longer_than_a_block_write_the_pinned_bytes(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("LEASHED_")]:
+        monkeypatch.delenv(key)
+    got = {name: run_digest(tmp_path, args) for name, (args, *_) in LONG_PINS.items()}
+    assert got == {name: tuple(pin[1:]) for name, pin in LONG_PINS.items()}
 
 
 def sweep_digests(work: Path) -> dict:
@@ -304,6 +335,9 @@ if __name__ == "__main__":
         else:
             print(f'    "{pair}": {value},')
     print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (args, *_) in LONG_PINS.items():
+            print(f"{name} {' '.join(args)}: {run_digest(Path(tmp), args)}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, (sweep_csv, exponents_csv) in sweep_digests(Path(tmp)).items():
             print(f"{name}: sweep.csv {sweep_csv}, exponents.csv {exponents_csv}")
