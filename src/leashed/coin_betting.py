@@ -56,20 +56,25 @@ class CoinBettor(HintedLearner):
 
     def update(self, g: float, h_next: Union[float, None] = None) -> None:
         g = float(g)
-        h_next = self.h if h_next is None else float(h_next)
-        if abs(g) > self.h:
-            raise ValueError(
-                f"gradient magnitude {abs(g)} exceeds the hint {self.h} in force"
-            )
-        if h_next < self.h:
-            raise ValueError(f"hints must be nondecreasing, got {h_next} after {self.h}")
-        w = self.v * self.wealth
+        h = self.h
+        h_next = h if h_next is None else float(h_next)
+        if abs(g) > h:
+            raise ValueError(f"gradient magnitude {abs(g)} exceeds the hint {h} in force")
+        if h_next < h:
+            raise ValueError(f"hints must be nondecreasing, got {h_next} after {h}")
+        v = self.v
+        w = v * self.wealth
         self.wealth -= g * w
-        z = g / (1.0 - g * self.v)
-        self.A += z * z
+        z = g / (1.0 - g * v)
+        self.A = A = self.A + z * z
+        v -= ONS_STEP * z / A
+        # clamp to [-cap, cap], the same value as max(min(v, cap), -cap)
         cap = 0.5 / h_next
-        v_new = self.v - ONS_STEP * z / self.A
-        self.v = max(min(v_new, cap), -cap)
+        if v > cap:
+            v = cap
+        elif v < -cap:
+            v = -cap
+        self.v = v
         self.h = h_next
         self.t += 1
 

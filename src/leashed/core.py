@@ -32,6 +32,23 @@ def dual_norm(g: Vector) -> float:
     return abs(g)
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def as_gradient(g, dim: int) -> np.ndarray:
+    """g as a float64 array of shape (dim,); ValueError for any other shape.
+
+    A float64 ndarray of that shape, which is what run_game hands a vector
+    learner, is returned as it is; anything else (a list, a 0-d or float32
+    array) is converted first, then checked."""
+    if type(g) is np.ndarray and g.dtype is _FLOAT64 and g.shape == (dim,):
+        return g
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.shape != (dim,):
+        raise ValueError(f"gradient shape {g.shape} does not match dimension {dim}")
+    return g
+
+
 class Learner:
     """Plays a point each round, then receives the round's gradient.
 

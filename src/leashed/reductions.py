@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import HintedLearner, Learner, Vector, dual_norm
+from .core import HintedLearner, Learner, Vector, as_gradient, dual_norm
 
 
 def truncate(g: Vector, h: float) -> Vector:
@@ -102,10 +102,13 @@ class Truncation(Learner):
 
     def update(self, g: Vector) -> None:
         n = dual_norm(g)
-        g_in = truncate(g, self.h)
-        h_new = max(self.h, n)
-        self.inner.update(g_in, h_new)
-        self.h = h_new
+        h = self.h
+        # truncate only when it clips, so the norm is taken once a round
+        g_in = g if n < h else truncate(g, h)
+        if n > h:
+            h = n
+        self.inner.update(g_in, h)
+        self.h = h
 
 
 class Leashed(Learner):
@@ -170,23 +173,26 @@ class Leashed(Learner):
         return leash_project(w, self.B)
 
     def update(self, g: float) -> None:
-        if self._pending is None:
-            raise RuntimeError("update called before play")
         w_inner = self._pending
+        if w_inner is None:
+            raise RuntimeError("update called before play")
         self._pending = None
         g = float(g)
         a = abs(g)
-        old_h = self.h
-        self.G = max(self.G, a)
-        self.sum_abs += a
-        self.h = max(self.h, a)
-        if self.fixed_barrier is None and self.G > 0.0:
-            next_b = self.k * (self.sum_abs / self.G) ** self.p
+        old_h = h = self.h
+        G = self.G
+        if a > G:
+            self.G = G = a
+        self.sum_abs = sum_abs = self.sum_abs + a
+        if a > h:
+            self.h = h = a
+        B = self.B
+        if self.fixed_barrier is None and G > 0.0:
+            next_b = self.k * (sum_abs / G) ** self.p
         else:
-            next_b = self.B
-        g_in = truncate(g, old_h)
-        g_sur = surrogate_grad(g_in, w_inner, self.B)
-        self.inner.update(g_sur, self.h)
+            next_b = B
+        g_in = g if a < old_h else truncate(g, old_h)
+        self.inner.update(surrogate_grad(g_in, w_inner, B), h)
         self.B = next_b
 
 
@@ -234,9 +240,7 @@ class DimFreeLift(Learner):
     def update(self, g) -> None:
         if self.y is None:
             raise RuntimeError("update called before play")
-        g = np.atleast_1d(np.asarray(g, dtype=float))
-        if g.shape != (self.dim,):
-            raise ValueError(f"gradient shape {g.shape} does not match dimension {self.dim}")
+        g = as_gradient(g, self.dim)
         # s is taken before the ball updates, which may reuse y's buffer
         s = float(g.dot(self.y))
         self.y = None

@@ -144,6 +144,8 @@ class RunSpec:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"number of rounds must be >= 1, got {self.T}")
+        if self.jobs < 1:
+            raise ValueError(f"number of worker processes must be >= 1, got {self.jobs}")
         self.build()  # the library checks what it is built from
         if self.comparators != "auto":
             given = _parse_listish(self.comparators, float)

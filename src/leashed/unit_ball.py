@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import Learner, dual_norm
+from .core import Learner, as_gradient, dual_norm
 
 STEP_SCALE = math.sqrt(2.0)
 
@@ -40,9 +40,7 @@ class AdaGradBall(Learner):
         return self.w
 
     def update(self, g) -> None:
-        g = np.atleast_1d(np.asarray(g, dtype=float))
-        if g.shape != (self.dim,):
-            raise ValueError(f"gradient shape {g.shape} does not match dimension {self.dim}")
+        g = as_gradient(g, self.dim)
         self.sum_sq += float(g.dot(g))
         if self.sum_sq > 0.0:
             eta = STEP_SCALE / math.sqrt(self.sum_sq)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leashed
-from leashed import BoundParams, StreamStats, bettor_bound, full_stack_bound, stacks
+from leashed import BoundParams, StreamStats, bettor_bound, cli, full_stack_bound, stacks
 from leashed.cli import TRACE_COLUMNS, main
 
 
@@ -227,6 +227,22 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(argv + ["--out", str(a), "--jobs", "1"]) == 0
     assert main(argv + ["--out", str(b), "--jobs", "2"]) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_job(jobs, tmp_path, monkeypatch, capsys):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a rejected sweep started a worker")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_worker)
+    monkeypatch.setattr(cli, "_sweep_cell", no_worker)
+    argv = ["sweep", "--k", "1", "--p", "0.5", "--adversary", "zero", "--T", "10",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--jobs", jobs]) == 2
+    monkeypatch.setenv("LEASHED_JOBS", jobs)
+    assert main(argv) == 2
+    assert "bad configuration: number of worker processes must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_written_files_are_named_relative_to_out(tmp_path, capsys):

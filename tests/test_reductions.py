@@ -266,6 +266,22 @@ def test_dimfree_lift_validation():
         lift.update(np.zeros(3))
 
 
+@pytest.mark.parametrize("raw", [[0.1, -0.3, 2.7],
+                                 np.array([0.1, -0.3, 2.7], dtype=np.float32)])
+def test_dimfree_lift_coerces_gradients_other_than_float64_arrays(raw):
+    cast = np.asarray(raw, dtype=float)
+    lift = DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
+    ref = DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
+    for _ in range(4):
+        assert lift.play().tobytes() == ref.play().tobytes()
+        lift.update(raw)
+        ref.update(cast)
+    assert lift.play().tobytes() == ref.play().tobytes()
+    for bad in (np.zeros((1, 3)), np.zeros(2), [1.0, 2.0]):
+        with pytest.raises(ValueError, match="does not match dimension 3"):
+            lift.update(bad)
+
+
 def test_dimfree_lift_plays_product_and_passes_through():
     lift = DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
     assert lift.current_hint == 1.0

@@ -43,6 +43,32 @@ def test_shape_mismatch_rejected():
         ball.update(np.zeros(3))
 
 
+@pytest.mark.parametrize("dim, raw", [
+    (3, [0.1, -0.3, 2.7]),
+    (3, np.array([0.1, -0.3, 2.7], dtype=np.float32)),
+    (1, np.array(0.7)),
+    (1, np.array([0.7], dtype=np.float32)),
+    (1, 0.7),
+])
+def test_gradients_other_than_float64_arrays_are_coerced(dim, raw):
+    # a list, a 0-d or a float32 array moves the ball as its float64 cast does
+    cast = np.atleast_1d(np.asarray(raw, dtype=float))
+    ball, ref = AdaGradBall(dim), AdaGradBall(dim)
+    for _ in range(3):
+        ball.update(raw)
+        ref.update(cast)
+        assert ball.w.dtype == np.float64
+        assert ball.w.tobytes() == ref.w.tobytes()
+        assert ball.sum_sq == ref.sum_sq
+
+
+@pytest.mark.parametrize("g", [np.zeros(2), np.zeros(4), np.zeros((1, 3)), np.zeros((3, 1)),
+                               np.array(1.0), [1.0, 2.0]])
+def test_wrong_shape_rejected_with_or_without_coercion(g):
+    with pytest.raises(ValueError, match="does not match dimension 3"):
+        AdaGradBall(3).update(g)
+
+
 def test_bound_value():
     assert ball_regret_bound(0.0) == 0.0
     assert ball_regret_bound(2.0) == pytest.approx(4.0, rel=1e-12)
