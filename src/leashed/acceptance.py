@@ -146,17 +146,25 @@ def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
             label = f"{kind}/seed{seed}"
             spec = RunSpec(adversary=kind, seed=seed, T=10_000)
             bettor = bettor_cls(epsilon=spec.eps, alpha=spec.alpha, h1=spec.g0)
-            bets = []  # (fraction, hint in force, wealth) as each bet is placed
+            # the least wealth a bet from round 2 on is placed from; bets over the cap
+            low, bad = None, 0
+
+            def watch(t, w, g):
+                nonlocal low, bad
+                # builtin min's order: keep the first value, replace on a smaller one
+                if t > 1 and (low is None or bettor.wealth < low):
+                    low = bettor.wealth
+                if abs(bettor.v) > 0.5 / bettor.h:
+                    bad += 1
+
             if _play(failures, label, spec, Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0),
-                     on_round=lambda t, w, g: bets.append((bettor.v, bettor.h, bettor.wealth))
-                     ) is None:
+                     on_round=watch) is None:
                 continue
             # the wealth after each round: the next bet's, then the final one
-            low = min(min(wealth for _, _, wealth in bets[1:]), bettor.wealth)
+            low = min(low, bettor.wealth)
             min_wealth = min(min_wealth, low)
             if not low > 0.0:
                 failures.append(f"{label}: wealth reached {low}")
-            bad = sum(1 for v, h, _ in bets if abs(v) > 0.5 / h)
             if bad:
                 failures.append(f"{label}: bet outside [-1/(2h), 1/(2h)] {bad} times")
     return f"{n_runs} runs of T=10000: min wealth {min_wealth:.4g}, 0 cap violations"

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional, Union
 
@@ -27,7 +28,7 @@ from .adversaries import KINDS
 from .bounds import StreamStats, bettor_bound
 from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
 from .stacks import ALGOS, RunSpec, _parse_listish
-from .acceptance import SUITES, format_result, run_suite
+from . import acceptance
 
 ENV_PREFIX = "LEASHED_"
 
@@ -195,10 +196,33 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], spread over min(jobs, len(items)) forked
+    worker processes when that is two or more, else run in this process.
+    Every worker has exited when it returns or raises."""
+    workers = min(jobs, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _run_criterion(name: str) -> acceptance.CriterionResult:
+    # looked up when called, so the registry in force in the worker applies
+    return acceptance.CRITERIA[name]()
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite)
+    results = _map(_run_criterion, acceptance.SUITES[args.suite], _usable_cores())
     for r in results:
-        print(format_result(r))
+        print(acceptance.format_result(r))
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
     return 0 if n_pass == len(results) else 1
@@ -238,11 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
     try:
-        if base.jobs > 1:
-            with ProcessPoolExecutor(max_workers=base.jobs) as pool:
-                chunks = list(pool.map(_sweep_cell, cells))
-        else:
-            chunks = [_sweep_cell(cell) for cell in cells]
+        chunks = _map(_sweep_cell, cells, base.jobs)
     except (GameDivergence, ValueError) as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return 1
@@ -319,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run acceptance criteria")
     verify_p.add_argument(
-        "suite", nargs="?", default="all", choices=tuple(SUITES),
+        "suite", nargs="?", default="all", choices=tuple(acceptance.SUITES),
         help="criterion group to run",
     )
     verify_p.set_defaults(func=cmd_verify)
@@ -334,4 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenProcessPool as exc:  # a worker was killed, for example for memory
+        print(f"{args.command} aborted: a worker process died: {exc}", file=sys.stderr)
+        return 1

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import leashed
-from leashed import BoundParams, StreamStats, bettor_bound, cli, full_stack_bound, stacks
+from leashed import (BoundParams, StreamStats, acceptance, bettor_bound, cli, full_stack_bound,
+                     stacks)
 from leashed.cli import TRACE_COLUMNS, main
+from test_acceptance import MEASURED
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +194,116 @@ def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
     assert exc.value.code == 2
+
+
+def test_verify_prints_the_pinned_measurements(capsys):
+    names = acceptance.SUITES["reductions"]
+    assert main(["verify", "reductions"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines[:-1]] == [f"PASS {n}" for n in names]
+    for name, line in zip(names, lines):
+        assert line.startswith(f"PASS {name}: {MEASURED[name]}; required: "), line
+    assert lines[-1] == f"{len(names)}/{len(names)} criteria passed"
+
+
+def _scratch_criterion(name, outcome="pass"):
+    def body(failures):
+        if outcome == "exit":
+            os._exit(3)
+        if outcome == "fail":
+            failures.append(f"failed in {os.getpid()}")
+        return f"ran in {os.getpid()}"
+
+    body.__name__ = name
+    return acceptance.criterion(required="anything")(body)
+
+
+@pytest.fixture
+def scratch_suites(monkeypatch):
+    # quick criteria that report the process they ran in, in place of the shipped ones
+    monkeypatch.setattr(acceptance, "CRITERIA", {})
+    for name in ("first", "second", "third"):
+        _scratch_criterion(name)
+    _scratch_criterion("fails", "fail")
+    _scratch_criterion("exits", "exit")
+    monkeypatch.setattr(acceptance, "SUITES", {
+        "trio": ("third", "first", "second"), "solo": ("second",),
+        "failing": ("first", "fails", "second"), "dying": ("first", "exits", "second")})
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pids(out):
+    """The criterion names in the order printed, and the pids they ran in."""
+    lines = out.splitlines()[:-1]
+    return ([line.split(":")[0].split()[1] for line in lines],
+            {int(line.split("ran in ")[1].split(";")[0]) for line in lines})
+
+
+def test_verify_runs_criteria_in_workers_in_suite_order(scratch_suites, monkeypatch, capsys):
+    _cores(monkeypatch, 2)
+    assert main(["verify", "trio"]) == 0
+    out = capsys.readouterr().out
+    names, pids = _pids(out)
+    assert names == ["third", "first", "second"]
+    assert os.getpid() not in pids
+    assert out.endswith("3/3 criteria passed\n")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("suite, cores", [("trio", 1), ("solo", 2), ("trio", None)])
+def test_verify_runs_in_process_on_one_core_or_criterion(suite, cores, scratch_suites,
+                                                         monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify built a worker pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    if cores is None:  # no affinity call: the core count decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        _cores(monkeypatch, cores)
+    assert main(["verify", suite]) == 0
+    names, pids = _pids(capsys.readouterr().out)
+    assert names == list(acceptance.SUITES[suite])
+    assert pids == {os.getpid()}
+
+
+def test_verify_reports_a_criterion_failing_in_a_worker(scratch_suites, monkeypatch, capsys):
+    _cores(monkeypatch, 2)
+    assert main(["verify", "failing"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["PASS first", "FAIL fails",
+                                                           "PASS second"]
+    assert f"failed in {os.getpid()}" not in lines[1]
+    assert lines[-1] == "2/3 criteria passed"
+
+
+def test_verify_names_a_dead_worker(scratch_suites, monkeypatch, capsys):
+    _cores(monkeypatch, 2)
+    assert main(["verify", "dying"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify aborted: a worker process died: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert multiprocessing.active_children() == []
+
+
+def _exit_worker(spec):
+    os._exit(3)
+
+
+def test_sweep_names_a_dead_worker(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_sweep_cell", _exit_worker)
+    assert main(["sweep", "--k", "1", "--p", "0.5", "--adversary", "zero", "--T", "10,20",
+                 "--jobs", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sweep aborted: a worker process died: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_grid(tmp_path):
