@@ -19,7 +19,6 @@ from .adversaries import (
     quantize_magnitude,
 )
 from .bounds import (
-    DEFAULT_Q_GRID,
     SIMPLIFIED_SETTINGS,
     BoundParams,
     StreamStats,
@@ -28,7 +27,6 @@ from .bounds import (
     fixed_diameter_bound,
     full_stack_bound,
     hintless_bound,
-    leash_bound,
     simplified_bound,
 )
 from .coin_betting import (
@@ -58,7 +56,7 @@ from .reductions import (
 )
 from .stacks import ALGOS, build_learner, stack_bound
 from .unit_ball import AdaGradBall, ball_regret_bound, project_unit_ball
-from .acceptance import CRITERIA, SUITES, CriterionResult, format_result, run_suite
+from .acceptance import CRITERIA, SUITES, CriterionResult, format_result
 
 __version__ = "0.1.0"
 
@@ -70,7 +68,6 @@ __all__ = [
     "CRITERIA",
     "CoinBettor",
     "CriterionResult",
-    "DEFAULT_Q_GRID",
     "DimFreeLift",
     "GameDivergence",
     "HintedLearner",
@@ -97,14 +94,12 @@ __all__ = [
     "format_result",
     "full_stack_bound",
     "hintless_bound",
-    "leash_bound",
     "leash_project",
     "ons_inner_regret",
     "ons_regret_bound",
     "project_unit_ball",
     "quantize_magnitude",
     "run_game",
-    "run_suite",
     "simplified_bound",
     "stack_bound",
     "surrogate_grad",

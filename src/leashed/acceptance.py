@@ -44,7 +44,6 @@ class CriterionResult:
     measured: str
     required: str
     seconds: float
-    detail: str = ""
 
 
 def format_result(r: CriterionResult) -> str:
@@ -55,7 +54,7 @@ def format_result(r: CriterionResult) -> str:
 CRITERIA: dict = {}
 
 
-def criterion(required: str, detail: str = "", gate: Optional[float] = None):
+def criterion(required: str, gate: Optional[float] = None):
     """Register body(failures, *args, **kwargs) in CRITERIA under its name, run
     as the module docstring describes; gate is the wall-clock limit in seconds."""
     def register(body):
@@ -70,7 +69,7 @@ def criterion(required: str, detail: str = "", gate: Optional[float] = None):
             if slow and not failures:
                 measured += f"; took {seconds:.2f}s"
             return CriterionResult(body.__name__, not failures and not slow, measured,
-                                   required, seconds, detail)
+                                   required, seconds)
 
         CRITERIA[body.__name__] = run
         return run
@@ -132,7 +131,6 @@ def _bettor_games():
 
 @criterion(
     required="wealth > 0 and |v_t| <= 1/(2 h_t) exactly, every adversary kind, under 5 s",
-    detail="seeded kinds swept over seeds 1-10; deterministic kinds ignore the seed",
     gate=5.0,
 )
 def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
@@ -170,13 +168,11 @@ def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> str:
     return f"{n_runs} runs of T=10000: min wealth {min_wealth:.4g}, 0 cap violations"
 
 
-@criterion(
-    required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100",
-    detail=("the one-signed constant stream pushes wealth past float range near round 1750; "
-            "its late regrets are -inf and the comparison stays exact"),
-)
+@criterion(required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100")
 def bettor_regret_within_bound(failures: list) -> str:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
+    # the one-signed constant stream pushes wealth past float range near round
+    # 1750; its late regrets are -inf and the comparison stays exact
     worst = -math.inf
     for label, spec in _bettor_games():
         ledger = _play(failures, label, spec, check_finite=False)
@@ -205,13 +201,11 @@ def inner_ons_within_log_bound(failures: list) -> str:
     return f"max (regret - bound) = {worst:.4g} over 9 runs, grid step 1e-4"
 
 
-@criterion(
-    required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly",
-    detail=("one-signed streams at T=1e4 overflow wealth by design and are checked in IEEE "
-            "extended reals; the T=1500/5000 reruns keep both sides finite"),
-)
+@criterion(required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly")
 def truncation_overhead_bounded(failures: list) -> str:
     """Per-round truncation error, summed against any comparator, stays within range."""
+    # one-signed streams at T=1e4 overflow wealth by design and are checked in
+    # IEEE extended reals; the T=1500/5000 reruns keep both sides finite
     worst = -math.inf
     cells = (("spike", {}, 10_000, False), ("growing", {}, 10_000, False),
              ("spike", {"magnitude": 100.0}, 10_000, True), ("growing", {}, 1_500, True),
@@ -258,10 +252,7 @@ def leashed_regret_within_bound(failures: list) -> str:
     return f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: max regret/bound = {worst:.4g}"
 
 
-@criterion(
-    required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5",
-    detail="constant adversary, comparator 1; regret is negative here so the clamped fit is flat",
-)
+@criterion(required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
 def leashed_regret_sublinear(failures: list) -> str:
     """Average regret shrinks with the horizon; growth exponent at most 0.55."""
     horizons = (100, 1000, 10_000, 100_000)
@@ -283,10 +274,7 @@ def leashed_regret_sublinear(failures: list) -> str:
     return summary
 
 
-@criterion(
-    required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4",
-    detail="20 seeded random unit comparators plus the normalized negative gradient sum",
-)
+@criterion(required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4")
 def ball_regret_within_bound(failures: list) -> str:
     """Unit-ball learner regret never exceeds its guarantee."""
     worst = -math.inf
@@ -332,13 +320,11 @@ def lift_identity_exact(failures: list) -> str:
     return f"max identity gap = {worst:.3g}"
 
 
-@criterion(
-    required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3",
-    detail=("generated magnitudes sit on the 2^-20 lattice, so the ledger sums and maxima "
-            "scale exactly and the barrier ratio divides out bit-for-bit"),
-)
+@criterion(required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3")
 def barrier_scale_invariant(failures: list) -> str:
     """Scaling a gradient stream by 1000 leaves the barrier trace bit-identical."""
+    # generated magnitudes sit on the 2^-20 lattice, so the ledger sums and
+    # maxima scale exactly and the barrier ratio divides out bit-for-bit
     T = 1000
 
     def barrier_trace(stack, gs):
@@ -363,14 +349,12 @@ def barrier_scale_invariant(failures: list) -> str:
     return f"all {T + 1} barrier values bit-identical for every adversary kind"
 
 
-@criterion(
-    required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples",
-    detail="grid spans [-120, 120] at step 5e-4, wide enough to contain every maximizer in range",
-)
+@criterion(required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples")
 def conjugate_dominated(failures: list) -> str:
     """Closed-form conjugate cap dominates the brute-force conjugate."""
     worst = -math.inf
     gen = np.random.Generator(np.random.PCG64(12345))
+    # [-120, 120] is wide enough to contain every maximizer in range
     blocks = _conjugate_grid()
     for i in range(20):
         a = 0.1 + 9.9 * float(gen.random())
@@ -429,9 +413,3 @@ SUITES = {
     "ball": ("ball_regret_within_bound",),
     "bounds": ("conjugate_dominated",),
 }
-
-
-def run_suite(suite: str = "all") -> list:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}, expected one of {tuple(SUITES)}")
-    return [CRITERIA[name]() for name in SUITES[suite]]

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import RegretLedger
 
-DEFAULT_Q_GRID = (0.0, 1.0 / 3.0, 0.5, 1.0)
+# the exponents q over which _leash_terms takes its least penalty
+_Q_GRID = (0.0, 1.0 / 3.0, 0.5, 1.0)
 
 SIMPLIFIED_SETTINGS = ("p_half_q_zero", "p_third_q_third")
 
@@ -29,7 +30,6 @@ class BoundParams:
     k: float = 1.0         # barrier scale
     p: float = 0.5         # barrier exponent
     g0: float = 1.0        # a-priori gradient magnitude guess
-    q_grid: Sequence[float] = DEFAULT_Q_GRID
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
@@ -42,11 +42,6 @@ class BoundParams:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 < self.g0 < math.inf:
             raise ValueError(f"g0 must be positive and finite, got {self.g0}")
-        if not self.q_grid:
-            raise ValueError("q_grid must be nonempty")
-        for q in self.q_grid:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"every q must lie in [0, 1], got {q}")
 
 
 @dataclass(frozen=True)
@@ -150,19 +145,12 @@ def _leash_terms(params: BoundParams, stats: StreamStats, w_abs: float) -> float
         G * _pow(w_abs, 1.0 + (1.0 - q) / params.p)
         / _pow(params.k, (1.0 - q) / params.p)
         * (stats.sum_abs / G) ** q
-        for q in params.q_grid
+        for q in _Q_GRID
     )
     # where both powers overflow a term is inf / inf; the guarantee holds at
     # every q, so that q is left out
     penalty = min((t for t in terms if not math.isnan(t)), default=math.inf)
     return barrier + 2.0 * G * w_abs + penalty
-
-
-def leash_bound(params: BoundParams, stats: StreamStats, w_abs: float,
-                inner_bound: float) -> float:
-    """Guarantee of the Leashed wrapper around any scalar learner whose own
-    regret at (w_abs, hint max(g0, G)) is at most inner_bound."""
-    return 2.0 * inner_bound + _leash_terms(params, stats, abs(float(w_abs)))
 
 
 def full_stack_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> float:

@@ -72,17 +72,27 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _strict(cast):
+    """cast, refusing what it would change without a word: a bool (a JSON
+    true is not the number 1) and, for int, a number with a fraction."""
+    def convert(v):
+        if isinstance(v, bool) or (cast is int and isinstance(v, float) and not v.is_integer()):
+            raise ValueError(f"{v!r} is not a valid {cast.__name__}")
+        return cast(v)
+    return convert
+
+
 def _settings(args: argparse.Namespace, grid=()) -> dict:
     """Every RunSpec field from its flag, else LEASHED_<FIELD>, else the
-    config file, else its default, cast to the type of that default (D is a
-    float). The fields named in `grid` resolve to lists."""
+    config file, else its default, cast strictly to the type of that default
+    (D is a float). The fields named in `grid` resolve to lists."""
     file_cfg = _load_config(args.config)
     out = {}
     for f in dataclasses.fields(RunSpec):
         raw = next((v for v in (getattr(args, f.name, None),
                                 os.environ.get(ENV_PREFIX + f.name.upper()),
                                 file_cfg.get(f.name)) if v is not None), None)
-        cast = float if f.default is None else type(f.default)
+        cast = _strict(float if f.default is None else type(f.default))
         if f.name in grid:
             out[f.name] = [f.default] if raw is None else _parse_listish(raw, cast)
         else:
@@ -137,7 +147,7 @@ def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> O
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = RunSpec(**_settings(args))
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(spec.out)
@@ -166,16 +176,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "adversary": dataclasses.asdict(adv_cfg),
         "T": spec.T,
         "dim": spec.dim,
-        "params": {
-            "epsilon": spec.eps, "alpha": spec.alpha, "k": spec.k,
-            "p": spec.p, "g0": spec.g0,
-        },
+        "params": dataclasses.asdict(params),
         "diameter": spec.D,
-        "stats": {
-            "T": stats.T, "sum_sq": stats.sum_sq, "sum_abs": stats.sum_abs,
-            "G": stats.G, "h_T": stats.h_T, "max_ratio": stats.max_ratio,
-            "max_played_norm": ledger.max_played_norm,
-        },
+        "stats": {**dataclasses.asdict(stats), "max_played_norm": ledger.max_played_norm},
         "comparators": [
             {
                 "comparator": [float(x) for x in wc] if isinstance(wc, np.ndarray) else float(wc),
@@ -254,7 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for kind in grids["adversary"]
             for T in grids["T"]
         ]
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(base.out)

@@ -39,13 +39,10 @@ class CoinBettor(HintedLearner):
             raise ValueError(f"accumulator seed alpha must be positive and finite, got {alpha}")
         if not 0.0 < h1 < math.inf:
             raise ValueError(f"initial hint must be positive and finite, got {h1}")
-        self.epsilon = float(epsilon)
-        self.alpha = float(alpha)
         self.wealth = float(epsilon)
         self.v = 0.0
-        self.A = 4.0 * self.alpha
+        self.A = 4.0 * float(alpha)
         self.h = float(h1)
-        self.t = 0
 
     @property
     def current_hint(self) -> float:
@@ -76,7 +73,6 @@ class CoinBettor(HintedLearner):
             v = -cap
         self.v = v
         self.h = h_next
-        self.t += 1
 
 
 def ons_inner_regret(gs, vs, v_ref: float) -> float:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from leashed import CRITERIA, SUITES, acceptance, format_result, run_suite, stacks
+from leashed import CRITERIA, SUITES, acceptance, format_result, stacks
 from leashed.coin_betting import ONS_STEP, CoinBettor
 from leashed.acceptance import wealth_positive_bets_clipped
 
@@ -48,11 +48,6 @@ def test_suites_reference_known_criteria():
         assert all(n in CRITERIA for n in names)
 
 
-def test_run_suite_rejects_unknown():
-    with pytest.raises(ValueError):
-        run_suite("nope")
-
-
 class BrokenClip(CoinBettor):
     """Deliberately wrong bettor: the fraction cap is 10x too loose."""
 
@@ -70,7 +65,6 @@ class BrokenClip(CoinBettor):
         cap = 5.0 / h_next
         self.v = max(min(self.v - ONS_STEP * z / self.A, cap), -cap)
         self.h = h_next
-        self.t += 1
 
 
 def test_criterion_catches_broken_clip():
@@ -101,7 +95,7 @@ def test_runner_fails_a_criterion_past_its_gate(scratch_registry):
 
 
 def test_runner_reports_the_first_four_failures(scratch_registry):
-    @acceptance.criterion(required="anything", detail="six failures")
+    @acceptance.criterion(required="anything")
     def six_failures(failures):
         failures.extend(f"failure {i}" for i in range(6))
         return "unused summary"
@@ -109,8 +103,7 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
     result = six_failures()
     assert not result.passed
     assert result.measured == "failure 0; failure 1; failure 2; failure 3"
-    assert (result.name, result.required, result.detail) == ("six_failures", "anything",
-                                                             "six failures")
+    assert (result.name, result.required) == ("six_failures", "anything")
 
 
 def test_runner_records_a_raising_game():

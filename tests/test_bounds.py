@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leashed import (
-    DEFAULT_Q_GRID,
     SIMPLIFIED_SETTINGS,
     AdversaryConfig,
     BoundParams,
@@ -21,10 +20,10 @@ from leashed import (
     fixed_diameter_bound,
     full_stack_bound,
     hintless_bound,
-    leash_bound,
     run_game,
     simplified_bound,
 )
+from leashed.bounds import _leash_terms
 
 ZERO_STREAM = StreamStats.from_norms([], g0=1.0)
 
@@ -38,11 +37,6 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             BoundParams(**{field: bad})
-    with pytest.raises(ValueError):
-        BoundParams(q_grid=())
-    with pytest.raises(ValueError):
-        BoundParams(q_grid=(0.5, 2.0))
-    assert BoundParams().q_grid == DEFAULT_Q_GRID
 
 
 def test_stream_stats_from_norms():
@@ -112,11 +106,12 @@ def test_full_stack_bound_at_origin():
 
 
 def test_full_stack_vs_composed_bound_on_zero_stream():
-    # with no gradients the two evaluators differ by exactly 14 w h
+    # with no gradients the expanded bound exceeds the composition of the
+    # leash around the bettor, 2 * inner + leash terms, by exactly 14 w h
     params = BoundParams()
     for w in (0.5, 1.0, 7.0, 100.0):
-        composed = leash_bound(params, ZERO_STREAM, w,
-                               bettor_bound(params, ZERO_STREAM, w))
+        composed = (2.0 * bettor_bound(params, ZERO_STREAM, w)
+                    + _leash_terms(params, ZERO_STREAM, w))
         assert full_stack_bound(params, ZERO_STREAM, w) == pytest.approx(
             composed + 14.0 * w * ZERO_STREAM.h_T, rel=1e-9
         )
@@ -125,12 +120,12 @@ def test_full_stack_vs_composed_bound_on_zero_stream():
 def test_leash_bound_terms_pinned():
     # four unit gradients: barrier 2, comparator charge 2, best q is zero
     s = StreamStats.from_norms([1.0, 1.0, 1.0, 1.0], g0=1.0)
-    assert leash_bound(BoundParams(), s, 1.0, 0.0) == 5.0
-    # with only q = 1 on the grid the penalty becomes the full gradient mass
-    params = BoundParams(q_grid=(1.0,))
-    assert leash_bound(params, s, 1.0, 0.0) == 8.0
+    assert _leash_terms(BoundParams(), s, 1.0) == 5.0
+    # at comparator 10 the q = 1 arm, the full gradient mass times w = 40,
+    # is the least (q = 0, 1/3, 1/2 give 1000, about 342, 200): 2 + 20 + 40
+    assert _leash_terms(BoundParams(), s, 10.0) == 62.0
     # zero stream adds nothing
-    assert leash_bound(BoundParams(), ZERO_STREAM, 5.0, 3.0) == 6.0
+    assert _leash_terms(BoundParams(), ZERO_STREAM, 5.0) == 0.0
 
 
 def test_hintless_bound_composition():
@@ -187,7 +182,7 @@ def test_bounds_finite_at_subnormal_comparator():
 def test_leash_terms_monotone_in_comparator(stats, w1, w2):
     lo, hi = sorted((w1, w2))
     params = BoundParams()
-    assert leash_bound(params, stats, lo, 0.0) <= leash_bound(params, stats, hi, 0.0)
+    assert _leash_terms(params, stats, lo) <= _leash_terms(params, stats, hi)
 
 
 def test_conjugate_bound_validation():

@@ -145,6 +145,16 @@ def test_run_bad_settings(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # config values that int() or float() would change without a word: a
+    # bool anywhere, a fraction for an int field, an int past float range
+    for cfg in ({"T": 10.7}, {"seed": True}, {"T": 10.7, "seed": True}, {"k": True},
+                {"algo": True}, {"T": math.inf}, {"k": 10 ** 400}):
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2, cfg
+    for cfg in ({"T": 10}, {"T": 10.0}):
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 0, cfg
+        assert read_summary(tmp_path / "summary.json")["T"] == 10
 
 
 def test_run_aborts_on_contract_violation(tmp_path):
@@ -378,6 +388,11 @@ def test_sweep_bad_grids(tmp_path):
                   ["--adversary", "spike", "--magnitude", "inf"],
                   ["--adversary", "spike", "--magnitude", "1e305"]):
         assert main(["sweep", "--T", "10", "--out", str(tmp_path)] + flags) == 2, flags
+    cfg = tmp_path / "cfg.json"
+    for grids in ({"T": [100.5, 1000]}, {"k": [1, True]}, {"adversary": [True]},
+                  {"seed": True}):
+        cfg.write_text(json.dumps(grids))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2, grids
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

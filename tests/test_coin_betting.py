@@ -38,7 +38,6 @@ def test_single_update_pins_fraction():
     b.update(1.0)
     assert b.v == -ONS_STEP / 5.0
     assert b.wealth == 1.0  # the bet was zero, wealth unchanged
-    assert b.t == 1
 
 
 def test_update_clips_to_next_hint():
@@ -85,7 +84,6 @@ def test_keeps_no_per_round_history():
     b = CoinBettor(1.0, 1.0, 1.0)
     for g in (1.0, -1.0, 0.5) * 100:
         b.update(g)
-    assert b.t == 300
     # the state after any number of rounds is a handful of scalars
     assert all(isinstance(v, (int, float)) for v in vars(b).values()), vars(b)
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import leashed
 from leashed import (
     ALGOS,
     AdaGradBall,
@@ -24,6 +25,12 @@ PARAMS = BoundParams(epsilon=2.0, alpha=3.0, k=0.5, p=1.0, g0=4.0)
 STATS = StreamStats.from_norms([1.0, 2.0, 1.0], g0=4.0)
 
 
+def test_package_exports_are_intact():
+    # every exported name exists, once, so `from leashed import *` works
+    assert all(hasattr(leashed, name) for name in leashed.__all__)
+    assert len(set(leashed.__all__)) == len(leashed.__all__)
+
+
 def test_algos_roster():
     assert ALGOS == (
         "ons_hints", "hintless", "leashed", "leashed_dimfree",
@@ -34,7 +41,7 @@ def test_algos_roster():
 def test_build_learner_types_and_wiring():
     bettor = build_learner("ons_hints", PARAMS)
     assert isinstance(bettor, CoinBettor)
-    assert (bettor.epsilon, bettor.A, bettor.h) == (2.0, 12.0, 4.0)
+    assert (bettor.wealth, bettor.A, bettor.h) == (2.0, 12.0, 4.0)
     assert build_learner("ons_hints", PARAMS, hint=9.0).h == 9.0
 
     trunc = build_learner("hintless", PARAMS)
