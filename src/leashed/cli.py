@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -217,13 +218,25 @@ def _map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_criterion(name: str) -> acceptance.CriterionResult:
-    # looked up when called, so the registry in force in the worker applies
+def _run_criterion(failures: list, name: str) -> acceptance.CriterionResult:
+    # a whole criterion as one task, its failures in its result; looked up
+    # when called, so the registry in force in the worker applies
     return acceptance.CRITERIA[name]()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = _map(_run_criterion, acceptance.SUITES[args.suite], _usable_cores())
+    names = acceptance.SUITES[args.suite]
+    plans = [acceptance.CRITERIA[name].tasks() for name in names]
+    # a criterion that declares no game tasks is one task: the whole criterion
+    items = [task for name, tasks in zip(names, plans)
+             for task in (tasks if tasks is not None else [(_run_criterion, name)])]
+    # criteria list their games shortest horizon first, so the workers take
+    # the list from its end: the longest games start first and short ones
+    # fill in behind them
+    done = iter(_map(acceptance.run_task, items[::-1], _usable_cores())[::-1])
+    results = [next(done)[2] if tasks is None
+               else acceptance.CRITERIA[name](done=list(itertools.islice(done, len(tasks))))
+               for name, tasks in zip(names, plans)]
     for r in results:
         print(acceptance.format_result(r))
     n_pass = sum(r.passed for r in results)

@@ -106,6 +106,52 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
     assert (result.name, result.required) == ("six_failures", "anything")
 
 
+def _echo_game(failures, value, *lines):
+    failures.extend(lines)
+    return value
+
+
+def _sqrt_game(failures, x):
+    return math.sqrt(x)
+
+
+def test_runner_adds_the_seconds_of_tasks_run_elsewhere(scratch_registry):
+    @acceptance.criterion(required="anything", gate=1.0)
+    def two_games(failures):
+        values = yield [(_echo_game, 1.0), (_echo_game, 2.0)]
+        return f"values {values}"
+
+    assert two_games.tasks() == [(_echo_game, 1.0), (_echo_game, 2.0)]
+    here = two_games()
+    assert here.passed and here.measured == "values [1.0, 2.0]" and here.seconds < 1.0
+    # results of tasks that ran in workers, as (seconds, failures, value, error)
+    elsewhere = two_games(done=[(0.75, [], 3.0, None), (0.5, [], 4.0, None)])
+    assert not elsewhere.passed and elsewhere.seconds >= 1.25
+    assert elsewhere.measured.startswith("values [3.0, 4.0]; took ")
+
+
+def test_runner_records_what_a_body_or_task_raises(scratch_registry):
+    @acceptance.criterion(required="anything")
+    def plain(failures):
+        raise ValueError("no fraction on the grid")
+
+    @acceptance.criterion(required="anything")
+    def games(failures):
+        yield [(_echo_game, 1.0, "game 1 failed"), (_sqrt_game, -1.0), (_echo_game, 2.0)]
+        raise AssertionError("the fold runs only when every task returned")
+
+    @acceptance.criterion(required="anything")
+    def fold(failures):
+        xs = yield []  # no games: nothing to fit
+        return f"slope {np.polyfit(xs, xs, 1)[0]:g}"
+
+    assert plain.tasks() is None
+    assert plain().measured == "ValueError: no fraction on the grid"
+    assert games().measured == "game 1 failed; ValueError: math domain error"
+    result = fold()
+    assert not result.passed and result.measured.startswith("TypeError: ")
+
+
 def test_runner_records_a_raising_game():
     failures = []
     spec = stacks.RunSpec(adversary="growing", rate=2000.0, T=5)

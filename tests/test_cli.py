@@ -1,11 +1,13 @@
 """Command-line harness: runs, verification, sweeps, and settings precedence."""
 import csv
+import functools
 import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,10 +224,40 @@ def _scratch_criterion(name, outcome="pass"):
             os._exit(3)
         if outcome == "fail":
             failures.append(f"failed in {os.getpid()}")
+        if outcome == "raise":
+            raise ValueError("no fraction on the grid")
         return f"ran in {os.getpid()}"
 
     body.__name__ = name
     return acceptance.criterion(required="anything")(body)
+
+
+def _sleep_game(failures, seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _raising_game(failures):
+    raise ValueError("the game broke")
+
+
+def _exiting_game(failures):
+    os._exit(3)
+
+
+def _game_criterion(name, tasks, gate=None, raises=None):
+    """A criterion whose game tasks report their pids; raises: "plan" or
+    "fold", where its body raises."""
+    def body(failures):
+        if raises == "plan":
+            raise ValueError("no games to play")
+        pids = yield tasks
+        if raises == "fold":
+            raise ValueError("the fit needs two points")
+        return "games ran in " + " ".join(str(pid) for pid in sorted(set(pids)))
+
+    body.__name__ = name
+    return acceptance.criterion(required="anything", gate=gate)(body)
 
 
 @pytest.fixture
@@ -236,9 +268,18 @@ def scratch_suites(monkeypatch):
         _scratch_criterion(name)
     _scratch_criterion("fails", "fail")
     _scratch_criterion("exits", "exit")
+    _scratch_criterion("raises", "raise")
+    _game_criterion("games", [(_sleep_game, 0.05)] * 4, gate=0.0)
+    _game_criterion("raising_game", [(_sleep_game, 0.0), (_raising_game,)])
+    _game_criterion("plan_raises", [], raises="plan")
+    _game_criterion("fold_raises", [(_sleep_game, 0.0)] * 2, raises="fold")
+    _game_criterion("exiting_game", [(_sleep_game, 0.0), (_exiting_game,)])
     monkeypatch.setattr(acceptance, "SUITES", {
         "trio": ("third", "first", "second"), "solo": ("second",),
-        "failing": ("first", "fails", "second"), "dying": ("first", "exits", "second")})
+        "failing": ("first", "fails", "second"), "dying": ("first", "exits", "second"),
+        "games": ("games",),
+        "raising": ("first", "raises", "raising_game", "plan_raises", "fold_raises", "second"),
+        "dying_game": ("first", "exiting_game", "second")})
 
 
 def _cores(monkeypatch, n):
@@ -293,12 +334,84 @@ def test_verify_reports_a_criterion_failing_in_a_worker(scratch_suites, monkeypa
 
 def test_verify_names_a_dead_worker(scratch_suites, monkeypatch, capsys):
     _cores(monkeypatch, 2)
-    assert main(["verify", "dying"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("verify aborted: a worker process died: ")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    # a worker dies running a whole criterion, then running one game task
+    for suite in ("dying", "dying_game"):
+        assert main(["verify", suite]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verify aborted: a worker process died: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert multiprocessing.active_children() == []
+
+
+def test_verify_gates_game_tasks_on_the_sum_of_their_seconds(scratch_suites, monkeypatch,
+                                                              capsys):
+    _cores(monkeypatch, 2)
+    assert main(["verify", "games"]) == 1
+    line, tally = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL games: games ran in ") and "; took " in line
+    pids = {int(pid) for pid in line.split("games ran in ")[1].split(";")[0].split()}
+    assert os.getpid() not in pids
+    # four games of 0.05 s each on two workers: the sum, not the wall time
+    assert float(line.rsplit("[", 1)[1].rstrip("s]")) >= 4 * 0.05
+    assert tally == "0/1 criteria passed"
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_verify_records_what_a_criterion_raises(cores, scratch_suites, monkeypatch, capsys):
+    _cores(monkeypatch, cores)
+    assert main(["verify", "raising"]) == 1
+    captured = capsys.readouterr()
+    lines = [line.rsplit("; required: ", 1)[0] for line in captured.out.splitlines()]
+    assert lines[1:-2] == ["FAIL raises: ValueError: no fraction on the grid",
+                           "FAIL raising_game: ValueError: the game broke",
+                           "FAIL plan_raises: ValueError: no games to play",
+                           "FAIL fold_raises: ValueError: the fit needs two points"]
+    assert [line.split(":")[0] for line in (lines[0], lines[-2])] == ["PASS first",
+                                                                      "PASS second"]
+    assert lines[-1] == "2/6 criteria passed"
+    assert captured.err == ""
+
+
+_BALL_GAME = acceptance._ball_game
+
+
+def _logged_ball_game(log, failures, label, spec):
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _BALL_GAME(failures, label, spec)
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_every_suite_prints_the_pinned_measurements(cores, tmp_path, monkeypatch, capsys):
+    _cores(monkeypatch, cores)
+    log = tmp_path / "ball_game_pids"
+    monkeypatch.setattr(acceptance, "_ball_game", functools.partial(_logged_ball_game, log))
+    name, folds = "ball_regret_within_bound", []
+    real = acceptance.CRITERIA[name]
+
+    @functools.wraps(real)
+    def fold(*args, **kwargs):
+        folds.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(acceptance.CRITERIA, name, fold)
+    for suite in ("coin", "reductions", "ball", "bounds"):
+        names = acceptance.SUITES[suite]
+        assert main(["verify", suite]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(names) + 1
+        for n, line in zip(names, lines):
+            assert line.startswith(f"PASS {n}: {MEASURED[n]}; required: "), line
+        assert lines[-1] == f"{len(names)}/{len(names)} criteria passed"
+        assert multiprocessing.active_children() == []
+    pids = [int(pid) for pid in log.read_text(encoding="utf-8").split()]
+    assert len(pids) == 9 and folds == [os.getpid()]
+    if cores == 1:
+        assert set(pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
 
 
 def _exit_worker(spec):
