@@ -96,6 +96,10 @@ class StreamAdversary:
             self._dirs = np.random.Generator(np.random.PCG64(dirs))
             self._block = []
             self._i = 0
+        if config.kind == "spike":
+            # a spike round's gradient and every other round's, as next_grad plays them
+            self._spike = (config.scale * quantize_magnitude(config.magnitude),
+                           config.scale * quantize_magnitude(1.0))
 
     def bound(self) -> Union[float, None]:
         """A-priori cap on gradient norms, None when the stream is unbounded.
@@ -168,8 +172,7 @@ class StreamAdversary:
                 raw = math.inf
             value = c.scale * quantize_magnitude(raw)
         elif kind == "spike":
-            raw = c.magnitude if t % c.period == 0 else 1.0
-            value = c.scale * quantize_magnitude(raw)
+            value = self._spike[0] if t % c.period == 0 else self._spike[1]
         else:  # adaptive_sign
             lead = float(w[0]) if isinstance(w, np.ndarray) else float(w)
             sign = 1.0 if lead >= 0.0 else -1.0

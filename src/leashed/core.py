@@ -131,23 +131,26 @@ class RegretLedger:
             if self.dim is None:
                 self.dim = g.shape[0]
                 self.grad_sum = np.zeros_like(g)
-            self.cum_loss += float(g.dot(w))
+            self.cum_loss = cum_loss = self.cum_loss + float(g.dot(w))
         else:
             if self.dim is None:
                 self.dim = 1
-            self.cum_loss += g * w
+            self.cum_loss = cum_loss = self.cum_loss + g * w
         self.grad_sum += g
         if n is None:
-            n, pn = dual_norm(g), dual_norm(w)
+            n = dual_norm(g)
+        if pn is None:
+            pn = dual_norm(w)
         self.n_rounds += 1
         if self.rounds is not None:
-            self.rounds.append(RoundRecord(t, pn, n, self.cum_loss))
-        self.sum_norm += n
+            self.rounds.append(RoundRecord(t, pn, n, cum_loss))
+        self.sum_norm = sum_norm = self.sum_norm + n
         self.sum_sq += n * n
-        if n > self.max_norm:
-            self.max_norm = n
-        if self.max_norm > 0.0:
-            ratio = self.sum_norm / self.max_norm
+        max_norm = self.max_norm
+        if n > max_norm:
+            self.max_norm = max_norm = n
+        if max_norm > 0.0:
+            ratio = sum_norm / max_norm
             if ratio > self.max_ratio:
                 self.max_ratio = ratio
         if pn > self.max_played_norm:
@@ -201,16 +204,19 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
 
     The type of the first point sets the game: an ndarray makes it a vector
     game, anything else a scalar game. That choice, made once, picks the
-    norm, the finiteness test and the gradient check the loop uses. Each
-    norm is computed once a round, for the finiteness test and the ledger.
+    norm, the finiteness test and the gradient check the loop uses; a scalar
+    game skips the check for a gradient that is exactly a Python float, a
+    vector game checks every gradient. Each norm is computed once a round,
+    for the finiteness test and the ledger.
     """
     if T < 1:
         raise ValueError(f"number of rounds must be >= 1, got {T}")
     w = learner.play()
+    # `plain` is the gradient type that needs no check; type() is never None
     if isinstance(w, np.ndarray):
-        norm, finite, coerce = dual_norm, _finite_entries, _vector_grad
+        norm, finite, coerce, plain = dual_norm, _finite_entries, _vector_grad, None
     else:
-        norm, finite, coerce = abs, math.isfinite, _scalar_grad
+        norm, finite, coerce, plain = abs, math.isfinite, _scalar_grad, float
     ledger = RegretLedger(keep_rows)
     play, update, record = learner.play, learner.update, ledger.append
     if on_round is not None:
@@ -229,7 +235,9 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
             wealth = getattr(learner, "wealth", None)
             why = "" if wealth is None or math.isfinite(wealth) else ": its wealth left float range"
             raise GameDivergence(f"learner produced a non-finite point at round {t}{why}")
-        g = coerce(next_grad(t, w), w, t)
+        g = next_grad(t, w)
+        if type(g) is not plain:
+            g = coerce(g, w, t)
         n = norm(g)
         if check_finite and not (isfinite(n) or finite(g)):
             raise GameDivergence(f"adversary produced a non-finite gradient at round {t}")

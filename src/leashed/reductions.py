@@ -170,7 +170,13 @@ class Leashed(Learner):
     def play(self) -> float:
         w = float(self.inner.play())
         self._pending = w
-        return leash_project(w, self.B)
+        # leash_project(w, B), inline
+        B = self.B
+        if abs(w) < B:
+            return w
+        if w == 0.0:
+            return 0.0
+        return math.copysign(B, w)
 
     def update(self, g: float) -> None:
         w_inner = self._pending
@@ -191,8 +197,14 @@ class Leashed(Learner):
             next_b = self.k * (sum_abs / G) ** self.p
         else:
             next_b = B
-        g_in = g if a < old_h else truncate(g, old_h)
-        self.inner.update(surrogate_grad(g_in, w_inner, B), h)
+        # surrogate_grad(truncate(g, old_h), w_inner, B), inline; a becomes
+        # |g_in|, and with no hinge g_in + 0.0 turns -0.0 into +0.0
+        if a < old_h:
+            g_in = g
+        else:
+            g_in, a = math.copysign(old_h, g), old_h
+        hinge = math.copysign(a, w_inner) if abs(w_inner) > B else 0.0
+        self.inner.update(0.5 * (g_in + hinge), h)
         self.B = next_b
 
 

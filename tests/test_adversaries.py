@@ -88,6 +88,24 @@ def test_deterministic_kind_pins():
     assert stream(AdversaryConfig("zero"), 2) == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("dim", (1, 3))
+@pytest.mark.parametrize("scale, magnitude", ((1.0, 10.0), (0.3, 7.123456789), (1e300, 1e10)))
+def test_spike_plays_the_scaled_lattice_magnitude_every_round(dim, scale, magnitude):
+    # off the lattice, rounded by the scale, and (1e300 * 1e10) past float range
+    config = AdversaryConfig("spike", scale=scale, dim=dim, period=4, magnitude=magnitude)
+    adv = StreamAdversary(config)
+    w = 0.0 if dim == 1 else np.zeros(dim)
+    for t in range(1, 2 * config.period + 1):
+        raw = magnitude if t % config.period == 0 else 1.0
+        g = adv.next_grad(t, w)
+        if dim == 1:
+            assert type(g) is float
+        else:
+            assert not g[1:].any()
+            g = float(g[0])
+        assert g.hex() == (scale * quantize_magnitude(raw)).hex()
+
+
 def test_adaptive_sign_follows_play():
     adv = StreamAdversary(AdversaryConfig("adaptive_sign"))
     assert adv.next_grad(1, 0.0) == 1.0   # sign of zero counts as positive

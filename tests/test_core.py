@@ -277,6 +277,65 @@ def test_run_game_rejects_dimension_mismatch():
         assert str(info.value) == message
 
 
+def counted(monkeypatch, name: str) -> list:
+    """Patch core.<name> with a wrapper that logs every gradient it checks."""
+    from leashed import core
+
+    real, calls = getattr(core, name), []
+
+    def check(g, w, t):
+        calls.append(t)
+        return real(g, w, t)
+
+    monkeypatch.setattr(core, name, check)
+    return calls
+
+
+def test_run_game_checks_every_gradient_that_is_not_a_python_float(monkeypatch):
+    # a scalar game passes a float through unchecked, and checks anything else
+    checked = counted(monkeypatch, "_scalar_grad")
+    seen = []
+    grads = [1.0, np.float64(2.0), np.array([3.0]), 4.0, np.array([[5.0]])]
+    ledger = run_game(FixedPlayer([1.0] * 5), ListAdversary(grads), 5,
+                      on_round=lambda t, w, g: seen.append(g))
+    assert checked == [2, 3, 5]
+    assert [type(g) for g in seen] == [float, np.float64, float, float, float]
+    assert seen == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert ledger.cum_loss == 15.0
+    with pytest.raises(ValueError) as info:
+        run_game(FixedPlayer([0.0] * 3), ListAdversary([0.0, 1.0, np.zeros(2)]), 3)
+    assert str(info.value) == "gradient dimension 2 does not match point dimension 1 at round 3"
+
+
+def test_run_game_checks_every_gradient_of_a_vector_game(monkeypatch):
+    from leashed.stacks import RunSpec
+
+    # adagrad_ball at d = 1 plays arrays of shape (1,), and alternating hands
+    # it Python floats: each is made an array
+    checked = counted(monkeypatch, "_vector_grad")
+    _, adversary, learner = RunSpec(algo="adagrad_ball", adversary="alternating", dim=1).build()
+    seen = []
+    ledger = run_game(learner, adversary, 6, on_round=lambda t, w, g: seen.append(g))
+    assert checked == [1, 2, 3, 4, 5, 6]
+    assert all(type(g) is np.ndarray and g.shape == (1,) for g in seen)
+    assert type(ledger.cum_loss) is float
+    assert type(ledger.grad_sum) is np.ndarray and ledger.grad_sum.shape == (1,)
+    assert ledger.dim == 1
+
+
+def test_ledger_computes_whichever_norm_the_caller_leaves_out():
+    # the caller's norm is taken as given, so one that is not dual_norm shows
+    # which of the two was computed
+    only_g = RegretLedger(keep_rows=True)
+    only_g.append(1, -3.0, 2.0, n=7.0)
+    assert (only_g.rounds[0].w_norm, only_g.rounds[0].g_norm) == (3.0, 7.0)
+    assert (only_g.max_played_norm, only_g.max_norm, only_g.sum_sq) == (3.0, 7.0, 49.0)
+    only_w = RegretLedger(keep_rows=True)
+    only_w.append(1, np.array([3.0, 4.0]), np.array([0.0, -2.0]), pn=9.0)
+    assert (only_w.rounds[0].w_norm, only_w.rounds[0].g_norm) == (9.0, 2.0)
+    assert (only_w.max_played_norm, only_w.max_norm, only_w.cum_loss) == (9.0, 2.0, -8.0)
+
+
 def test_run_game_snapshots_points():
     # the ledger reads each point before the update that mutates its buffer,
     # so every row holds the point as played

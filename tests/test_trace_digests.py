@@ -252,6 +252,15 @@ SWEEP_PINS = {
         "08fc4a32c56bc77c731fd2b688abea2503d5ccfb9eb75b4f8a379dc1e234211d",
         "81c5b4858b4c832bc39565b7908a54553696ab0b9a490bf8c4cca6b4cd9c58bb",
     ),
+    # a tight leash on streams whose rounds meet the hint and stray past the
+    # barrier, pinned from the code that clipped and hinged through truncate
+    # and surrogate_grad
+    "leashed_clipped": (
+        ["--algo", "leashed", "--k", "0.25", "--p", "0.5,0.3333333333333333",
+         "--adversary", "constant,alternating,adaptive_sign,growing", "--T", "100,1000"],
+        "cea4a9ec043068a059f13cba90a78e869f95ff60eb494fd0fb1ddcec4d5b67ed",
+        "2dd1185b0b834482bec3c6e0a0cfc5228e5c067b4a9258a874ad788bf47abd1a",
+    ),
 }
 SWEEP_FILES = ("sweep.csv", "exponents.csv")
 

@@ -1,6 +1,7 @@
-"""The per-round updates of Leashed, Truncation and CoinBettor, pinned bit
-for bit to the reference helpers they stand for: truncate, surrogate_grad,
-max for the running hint and max(min(v, cap), -cap) for the fraction."""
+"""The per-round plays and updates of Leashed, Truncation and CoinBettor,
+pinned bit for bit to the reference helpers they stand for: leash_project,
+truncate, surrogate_grad, max for the running hint and max(min(v, cap), -cap)
+for the fraction."""
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from leashed import (
     Leashed,
     Truncation,
     dual_norm,
+    leash_project,
     surrogate_grad,
     truncate,
 )
@@ -84,6 +86,53 @@ def test_leashed_sends_the_surrogate_of_the_truncated_gradient(moves, g0, fixed,
         assert same(sent, surrogate_grad(truncate(g, old_h), float(inner.played[-1]), barrier))
         assert same(h_sent, max(old_h, abs(g)))
         assert same(stack.h, h_sent)
+
+
+class Scripted:
+    """Inner learner that plays a scripted point each round and ignores its
+    updates. A point is ("raw", w), played as it stands, or ("scaled", x),
+    played as x times the barrier of `stack` in force."""
+
+    def __init__(self, g0: float, points):
+        self.current_hint = g0
+        self.points = iter(points)
+        self.stack = None
+
+    def play(self) -> float:
+        kind, x = next(self.points)
+        return x * self.stack.B if kind == "scaled" else x
+
+    def update(self, g, h_next=None) -> None:
+        pass
+
+
+# at, inside and outside the barrier, and every special float
+points = st.one_of(
+    st.sampled_from([("scaled", x) for x in (1.0, -1.0, 0.5, -0.5, 2.0, -2.0)]),
+    st.floats(min_value=-4.0, max_value=4.0).map(lambda x: ("scaled", x)),
+    st.one_of(st.sampled_from(SPECIALS + (math.inf, -math.inf, math.nan)),
+              st.floats(min_value=-1e-300, max_value=1e-300), st.floats()).map(
+        lambda w: ("raw", w)),
+)
+
+
+@given(st.lists(st.tuples(points, moves), min_size=1, max_size=60), g0s,
+       st.sampled_from([None, 0.5, 5e-324]), st.sampled_from([1.0, 0.25]))
+@settings(deadline=None)
+# the barrier is 0 until the first nonzero gradient: a positive point plays
+# +0.0, and so does -0.0, which copysign(0.0, w) alone would play as -0.0
+@example(rounds=[(("raw", 0.5), ("raw", 0.0)), (("raw", -0.0), ("raw", -0.0)),
+                 (("raw", -1e-310), ("raw", 1.0)), (("scaled", -1.0), ("scaled", 1.0))],
+         g0=1.0, fixed=None, k=1.0)
+def test_leashed_plays_the_projection_onto_the_barrier(rounds, g0, fixed, k):
+    inner = Sent(Scripted(g0, [point for point, _ in rounds]))
+    stack = Leashed(inner, k=k, g0=g0, fixed_barrier=fixed)
+    inner.inner.stack = stack
+    for _, move in rounds:
+        barrier = stack.B
+        w = stack.play()
+        assert same(w, leash_project(inner.played[-1], barrier))
+        stack.update(gradient(move, stack.h))
 
 
 @given(st.lists(moves, min_size=1, max_size=60), g0s)
