@@ -1,26 +1,25 @@
 """Executable acceptance checks for every guarantee the package makes.
 
-Every criterion is a body(failures, ...) under the `criterion` runner. It
-appends one line to `failures` for each check that does not hold and
-returns the summary that PASS reports. A body that plays several
-independent games declares them as game tasks: it yields, once, a list of
-(fn, *args) tuples, where the module-level fn(failures, *args) plays one
-game, appends that game's failure lines and returns one small value. The
-body receives those values in game order and folds them into its summary.
-Each game is built from a `stacks.RunSpec` (epsilon = alpha = k = g0 = 1 and
-p = 1/2 unless the spec sets them), and a bound check scores its game
-through `RunSpec.rows`, the path `run` and `sweep` report through.
+Every criterion is a plan(*args, **kwargs) under the `criterion` runner that
+returns (tasks, fold). A game task is a (fn, *args) tuple whose module-level
+fn(failures, *args) plays one independent game, appends one line to
+`failures` for each check that does not hold and returns one small value;
+fold(failures, values) gets those values in task order and returns the
+summary that PASS reports. A check that plays no game of its own, such as a
+brute-force oracle, is a plan of one task. Each game is built from a
+`stacks.RunSpec` (epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec
+sets them), and a bound check scores its game through `RunSpec.rows`, the
+path `run` and `sweep` report through.
 
-The runner runs the body's tasks in order in this process, or takes their
-results from `verify`, which runs the tasks of a whole suite over worker
-processes. It appends each task's failure lines in game order and records an
-exception raised by a task or by the body as one failure line. A
-criterion's seconds are its own wall time plus the seconds of its tasks run
-elsewhere, so they never read less than running it in-process. The runner
+Called directly, a runner builds its plan, runs its tasks here and folds
+them; `run_suite` builds each plan of a suite once and runs all their tasks
+through the map it is given. The runner appends each task's failure lines in
+task order and records an exception raised by the plan, a task or the fold
+as one failure line. A criterion's seconds are the sum of its plan's, its
+tasks' and its fold's, so they never read less than an in-process run. It
 reports the first four failures in place of the summary, fails a criterion
-whose seconds reach its gate (adding "; took X s" when every check held),
-builds the CriterionResult and lists the criterion in CRITERIA; the verify
-command and the test suite share them.
+whose seconds reach its gate (adding "; took X s" when every check held) and
+lists the criterion in CRITERIA, which the verify command and the tests share.
 
 Measured regret is compared against the closed-form guarantees with zero
 tolerance unless a stated numerical slack is part of the check itself. A few
@@ -31,23 +30,20 @@ definite truth value because the quantities never mix opposite infinities).
 from __future__ import annotations
 
 import functools
-import inspect
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .adversaries import KINDS, SEEDED_KINDS, best_betting_fraction, random_unit_vectors
 from .bounds import StreamStats, conjugate_bound
 from .coin_betting import CoinBettor, ons_inner_regret, ons_regret_bound
-from .core import HintedLearner, Learner, RegretLedger, dual_norm, run_game
+from .core import HintedLearner, RegretLedger, dual_norm, run_game
 from .reductions import Leashed
-from .stacks import RunSpec
-
-# a body that yields its game tasks once, receives their values and returns its summary
-Games = Generator[list, list, str]
+from .stacks import RunSpec, build_learner
 
 _COMPARATORS = (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
 
@@ -88,74 +84,74 @@ def run_task(task: tuple) -> tuple:
     return time.perf_counter() - t0, failures, value, error
 
 
+def _build(plan, *args, **kwargs) -> tuple:
+    """(seconds, tasks, fold, error) of plan(*args, **kwargs), as run_task
+    reports a task; a plan that raised has no tasks and no fold."""
+    t0 = time.perf_counter()
+    try:
+        (tasks, fold), error = plan(*args, **kwargs), None
+    except Exception as exc:
+        tasks, fold, error = [], None, _raised(exc)
+    return time.perf_counter() - t0, tasks, fold, error
+
+
 def criterion(required: str, gate: Optional[float] = None):
-    """Register body(failures, *args, **kwargs) in CRITERIA under its name, run
-    as the module docstring describes; gate is the wall-clock limit in seconds.
-
-    The registered runner takes `done`, the run_task results of the body's
-    tasks when they ran elsewhere, and has `tasks(*args, **kwargs)`: the
-    body's task list, or None when it declares no tasks or raises before
-    declaring them (its runner then records the exception)."""
-    def register(body):
-        plays_tasks = inspect.isgeneratorfunction(body)
-
-        @functools.wraps(body)
-        def run(*args, done: Optional[list] = None, **kwargs) -> CriterionResult:
-            failures: list = []
-            elsewhere = 0.0
-            t0 = time.perf_counter()
-            try:
-                summary = body(failures, *args, **kwargs)
-                if plays_tasks:
-                    plan, summary = summary, ""
-                    tasks = next(plan)
-                    if done is None:
-                        done = [run_task(task) for task in tasks]
-                    else:
-                        elsewhere = math.fsum(seconds for seconds, _, _, _ in done)
-                    for _, lines, _, error in done:
-                        failures.extend(lines if error is None else [*lines, error])
-                    # a task that raised leaves nothing to fold
-                    if all(error is None for _, _, _, error in done):
-                        try:
-                            plan.send([value for _, _, value, _ in done])
-                        except StopIteration as stop:
-                            summary = stop.value
-            except Exception as exc:
-                failures.append(_raised(exc))
-                summary = ""
-            seconds = time.perf_counter() - t0 + elsewhere
+    """Register plan(*args, **kwargs) in CRITERIA under its name, run as the
+    module docstring describes, with gate its wall-clock limit in seconds.
+    The runner keeps the plan as its `plan` attribute and takes `planned` and
+    `done`, the _build and run_task results made elsewhere (run_suite)."""
+    def register(plan):
+        @functools.wraps(plan)
+        def run(*args, planned: Optional[tuple] = None, done: Optional[list] = None,
+                **kwargs) -> CriterionResult:
+            seconds, tasks, fold, error = planned or _build(plan, *args, **kwargs)
+            if done is None:
+                done = [run_task(task) for task in tasks]
+            summary = ""
+            # the fold runs here as one more task; a plan or a task that
+            # raised leaves nothing to fold
+            if error is None and all(task_error is None for *_, task_error in done):
+                done = [*done, run_task((fold, [value for _, _, value, _ in done]))]
+                summary = done[-1][2]
+            failures = [] if error is None else [error]
+            for task_seconds, lines, _, task_error in done:
+                seconds += task_seconds
+                failures.extend(lines if task_error is None else [*lines, task_error])
             slow = gate is not None and seconds >= gate
             measured = "; ".join(failures[:4]) if failures else summary
             if slow and not failures:
                 measured += f"; took {seconds:.2f}s"
-            return CriterionResult(body.__name__, not failures and not slow, measured,
+            return CriterionResult(plan.__name__, not failures and not slow, measured,
                                    required, seconds)
 
-        def tasks(*args, **kwargs) -> Optional[list]:
-            if not plays_tasks:
-                return None
-            try:
-                return next(body([], *args, **kwargs))
-            except Exception:
-                return None
-
-        run.tasks = tasks
-        CRITERIA[body.__name__] = run
+        run.plan = plan
+        CRITERIA[plan.__name__] = run
         return run
 
     return register
 
 
-def _play(failures: list, label: str, spec: RunSpec, learner: Optional[Learner] = None,
+def run_suite(names, map_tasks) -> list:
+    """The CriterionResult of each criterion named, in order; map_tasks(run_task,
+    tasks) returns the results of the tasks of every plan, in order."""
+    runners = [CRITERIA[name] for name in names]
+    plans = [_build(run.plan) for run in runners]
+    tasks = [task for _, plan_tasks, _, _ in plans for task in plan_tasks]
+    # criteria list their games shortest horizon first, so the map takes the list
+    # from its end: the longest games start first and short ones fill in behind
+    done = iter(map_tasks(run_task, tasks[::-1])[::-1])
+    return [run(planned=planned, done=list(itertools.islice(done, len(planned[1]))))
+            for run, planned in zip(runners, plans)]
+
+
+def _play(failures: list, label: str, spec: RunSpec, game: Optional[tuple] = None,
           check_finite: bool = True, on_round=None) -> Optional[RegretLedger]:
-    """The game of spec against a fresh adversary, played by learner if given
-    (a learner the criterion inspects or wraps) and else by the spec's own
-    stack: its ledger, or None with the exception recorded."""
+    """The ledger of spec.T rounds between game = (adversary, learner), built
+    from the spec when not given, or None with the exception recorded."""
     try:
-        _, adversary, built = spec.build()
-        return run_game(built if learner is None else learner, adversary, spec.T,
-                        check_finite=check_finite, on_round=on_round)
+        adversary, learner = spec.build()[1:] if game is None else game
+        return run_game(learner, adversary, spec.T, check_finite=check_finite,
+                        on_round=on_round)
     except Exception as exc:
         failures.append(f"{label}: {_raised(exc)}")
         return None
@@ -192,6 +188,11 @@ class _SentRecorder:
         self.inner.update(g, h_next)
 
 
+def _summary(template: str, pick=max, empty: float = -math.inf):
+    """The fold that returns template.format(pick([empty] + values))."""
+    return lambda failures, values: template.format(pick([empty] + values))
+
+
 def _bettor_games():
     """(label, spec) of the nine games of the bettor hinted with the stream's bound."""
     for kind in ("constant", "alternating", "seeded_uniform"):
@@ -208,9 +209,9 @@ def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = 
     return _within_bound(failures, label, spec, ledger, _COMPARATORS)
 
 
-def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> Optional[float]:
+def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float:
     """The game's wealth and cap checks, and the least wealth a bet from
-    round 2 on was placed from (None when the game raised)."""
+    round 2 on was placed from (inf when the game raised)."""
     bettor = bettor_cls(epsilon=spec.eps, alpha=spec.alpha, h1=spec.g0)
     # the least wealth a bet from round 2 on is placed from; bets over the cap
     low, bad = None, 0
@@ -223,9 +224,9 @@ def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> Optio
         if abs(bettor.v) > 0.5 / bettor.h:
             bad += 1
 
-    if _play(failures, label, spec, Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0),
-             on_round=watch) is None:
-        return None
+    leashed = Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0)
+    if _play(failures, label, spec, spec.build(leashed)[1:], on_round=watch) is None:
+        return math.inf
     # the wealth after each round: the next bet's, then the final one
     low = min(low, bettor.wealth)
     if not low > 0.0:
@@ -239,31 +240,31 @@ def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> Optio
     required="wealth > 0 and |v_t| <= 1/(2 h_t) exactly, every adversary kind, under 5 s",
     gate=5.0,
 )
-def wealth_positive_bets_clipped(failures: list, bettor_cls=CoinBettor) -> Games:
+def wealth_positive_bets_clipped(bettor_cls=CoinBettor) -> tuple:
     """Wealth stays strictly positive and every bet respects the hint cap."""
     # only the seeded kinds consume the seed; the rest rerun identically
-    lows = yield [(_wealth_game, f"{kind}/seed{seed}",
-                   RunSpec(adversary=kind, seed=seed, T=10_000), bettor_cls)
-                  for kind in KINDS for seed in (range(1, 11) if kind in SEEDED_KINDS else (1,))]
-    min_wealth = min([math.inf] + [low for low in lows if low is not None])
-    return f"{len(lows)} runs of T=10000: min wealth {min_wealth:.4g}, 0 cap violations"
+    tasks = [(_wealth_game, f"{kind}/seed{seed}", RunSpec(adversary=kind, seed=seed, T=10_000),
+              bettor_cls)
+             for kind in KINDS for seed in (range(1, 11) if kind in SEEDED_KINDS else (1,))]
+    return tasks, _summary(f"{len(tasks)} runs of T=10000: min wealth {{:.4g}}, 0 cap violations",
+                           min, math.inf)
 
 
 @criterion(required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100")
-def bettor_regret_within_bound(failures: list) -> Games:
+def bettor_regret_within_bound() -> tuple:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
     # the one-signed constant stream pushes wealth past float range near round
     # 1750; its late regrets are -inf and the comparison stays exact
-    worsts = yield [(_bound_game, label, spec, False) for label, spec in _bettor_games()]
-    return f"{9 * len(_COMPARATORS)} cells: max regret/bound = {max([-math.inf] + worsts):.4g}"
+    return ([(_bound_game, label, spec, False) for label, spec in _bettor_games()],
+            _summary(f"{9 * len(_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
 
 
 def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's betting-fraction regret check against the best fraction on
     the grid, and its regret minus the bound (-inf when the game raised)."""
-    bettor = spec.build()[2]
+    _, adversary, bettor = spec.build()
     bets = []  # (gradient, fraction wagered) of each round
-    if _play(failures, label, spec, bettor, check_finite=False,
+    if _play(failures, label, spec, (adversary, bettor), check_finite=False,
              on_round=lambda t, w, g: bets.append((float(g), bettor.v))) is None:
         return -math.inf
     gs, vs = zip(*bets)
@@ -276,20 +277,20 @@ def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
 
 
 @criterion(required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3")
-def inner_ons_within_log_bound(failures: list) -> Games:
+def inner_ons_within_log_bound() -> tuple:
     """Betting-fraction regret vs the best fixed fraction on an exhaustive grid."""
-    gaps = yield [(_log_wealth_game, label, spec) for label, spec in _bettor_games()]
-    return f"max (regret - bound) = {max([-math.inf] + gaps):.4g} over 9 runs, grid step 1e-4"
+    return ([(_log_wealth_game, label, spec) for label, spec in _bettor_games()],
+            _summary("max (regret - bound) = {:.4g} over 9 runs, grid step 1e-4"))
 
 
 def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: bool) -> float:
     """The game's truncation-overhead check at every comparator, and its
     largest finite overhead/range (-inf when there is none)."""
     worst = -math.inf
-    wrapper = spec.build()[2]
+    _, adversary, wrapper = spec.build()
     wrapper.inner = inner = _SentRecorder(wrapper.inner)
     played = []
-    ledger = _play(failures, label, spec, wrapper, check_finite=expect_finite,
+    ledger = _play(failures, label, spec, (adversary, wrapper), check_finite=expect_finite,
                    on_round=lambda t, w, g: played.append((g, w)))
     if ledger is None:
         return worst
@@ -309,29 +310,28 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
 
 
 @criterion(required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly")
-def truncation_overhead_bounded(failures: list) -> Games:
+def truncation_overhead_bounded() -> tuple:
     """Per-round truncation error, summed against any comparator, stays within range."""
     # one-signed streams at T=1e4 overflow wealth by design and are checked in
     # IEEE extended reals; the T=1500/5000 reruns keep both sides finite
     cells = (("spike", {}, 10_000, False), ("growing", {}, 10_000, False),
              ("spike", {"magnitude": 100.0}, 10_000, True), ("growing", {}, 1_500, True),
              ("spike", {}, 5_000, True))
-    worsts = yield [(_truncation_game, f"{kind}{kw or ''} T={T}",
-                     RunSpec(algo="hintless", adversary=kind, T=T, **kw), expect_finite)
-                    for kind, kw, T, expect_finite in cells]
-    return f"max overhead/range = {max([-math.inf] + worsts):.4g} across {len(cells)} runs"
+    return ([(_truncation_game, f"{kind}{kw or ''} T={T}",
+              RunSpec(algo="hintless", adversary=kind, T=T, **kw), expect_finite)
+             for kind, kw, T, expect_finite in cells],
+            _summary(f"max overhead/range = {{:.4g}} across {len(cells)} runs"))
 
 
 @criterion(
     required="regret <= composed guarantee, zero tolerance, every adversary kind, T in {1e3,1e4}, under 30 s",
     gate=30.0,
 )
-def leashed_regret_within_bound(failures: list) -> Games:
+def leashed_regret_within_bound() -> tuple:
     """Full stack regret never exceeds the composed guarantee."""
-    worsts = yield [(_bound_game, f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
-                    for kind in KINDS for T in (1000, 10_000)]
-    return (f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: "
-            f"max regret/bound = {max([-math.inf] + worsts):.4g}")
+    return ([(_bound_game, f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
+             for kind in KINDS for T in (1000, 10_000)],
+            _summary(f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
 
 
 def _regret_at_one(failures: list, label: str, spec: RunSpec) -> Optional[float]:
@@ -341,23 +341,26 @@ def _regret_at_one(failures: list, label: str, spec: RunSpec) -> Optional[float]
 
 
 @criterion(required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
-def leashed_regret_sublinear(failures: list) -> Games:
+def leashed_regret_sublinear() -> tuple:
     """Average regret shrinks with the horizon; growth exponent at most 0.55."""
     horizons = (100, 1000, 10_000, 100_000)
-    regrets = yield [(_regret_at_one, f"constant T={T}", RunSpec(adversary="constant", T=T))
-                     for T in horizons]
-    if None in regrets:
-        return ""
-    per_round = [r / T for r, T in zip(regrets, horizons)]
-    decreasing = per_round[1] < per_round[0] and per_round[2] < per_round[1]
-    # regret can be negative; the growth fit clamps at 1 so profit reads as flat
-    ys = [math.log10(max(r, 1.0)) for r in regrets]
-    slope = float(np.polyfit([math.log10(T) for T in horizons], ys, 1)[0])
-    summary = (f"regret/T = {per_round[0]:.4g}, {per_round[1]:.4g}, {per_round[2]:.4g} "
-               f"at T = 1e2, 1e3, 1e4; fitted exponent {slope:.3g}")
-    if not (decreasing and slope <= 0.55):
-        failures.append(summary)
-    return summary
+
+    def fold(failures: list, regrets: list) -> str:
+        if None in regrets:
+            return ""
+        per_round = [r / T for r, T in zip(regrets, horizons)]
+        decreasing = per_round[1] < per_round[0] and per_round[2] < per_round[1]
+        # regret can be negative; the growth fit clamps at 1 so profit reads as flat
+        ys = [math.log10(max(r, 1.0)) for r in regrets]
+        slope = float(np.polyfit([math.log10(T) for T in horizons], ys, 1)[0])
+        summary = (f"regret/T = {per_round[0]:.4g}, {per_round[1]:.4g}, {per_round[2]:.4g} "
+                   f"at T = 1e2, 1e3, 1e4; fitted exponent {slope:.3g}")
+        if not (decreasing and slope <= 0.55):
+            failures.append(summary)
+        return summary
+
+    return ([(_regret_at_one, f"constant T={T}", RunSpec(adversary="constant", T=T))
+             for T in horizons], fold)
 
 
 def _ball_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -374,22 +377,21 @@ def _ball_game(failures: list, label: str, spec: RunSpec) -> float:
 
 
 @criterion(required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4")
-def ball_regret_within_bound(failures: list) -> Games:
+def ball_regret_within_bound() -> tuple:
     """Unit-ball learner regret never exceeds its guarantee."""
-    worsts = yield [(_ball_game, f"{kind} d={d}",
-                     RunSpec(algo="adagrad_ball", adversary=kind, dim=d, seed=2, T=10_000))
-                    for d in (1, 2, 10)
-                    for kind in ("seeded_uniform", "alternating", "adaptive_sign")]
-    return f"max regret/bound = {max([-math.inf] + worsts):.4g} over 9 runs x 21 comparators"
+    return ([(_ball_game, f"{kind} d={d}",
+              RunSpec(algo="adagrad_ball", adversary=kind, dim=d, seed=2, T=10_000))
+             for d in (1, 2, 10) for kind in ("seeded_uniform", "alternating", "adaptive_sign")],
+            _summary("max regret/bound = {:.4g} over 9 runs x 21 comparators"))
 
 
 def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's lift identity check at three comparators, and its largest
     identity gap (0 when the game raised)."""
     worst = 0.0
-    lift = spec.build()[2]
+    _, adversary, lift = spec.build()
     rows = []  # (g, w, x, y) of each round, as played
-    if _play(failures, label, spec, lift,
+    if _play(failures, label, spec, (adversary, lift),
              on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy()))) is None:
         return worst
     for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(spec.dim, 3, seed=11)):
@@ -408,12 +410,12 @@ def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
 
 
 @criterion(required="regret = scalar regret at |comparator| + |comparator| * direction regret, to 1e-9 absolute")
-def lift_identity_exact(failures: list) -> Games:
+def lift_identity_exact() -> tuple:
     """Dimension-lift regret splits exactly into scalar and direction parts."""
-    gaps = yield [(_lift_game, f"{kind} d={d}",
-                   RunSpec(algo="leashed_dimfree", adversary=kind, dim=d, seed=3, T=1000))
-                  for d in (2, 10) for kind in ("seeded_uniform", "alternating")]
-    return f"max identity gap = {max([0.0] + gaps):.3g}"
+    return ([(_lift_game, f"{kind} d={d}",
+              RunSpec(algo="leashed_dimfree", adversary=kind, dim=d, seed=3, T=1000))
+             for d in (2, 10) for kind in ("seeded_uniform", "alternating")],
+            _summary("max identity gap = {:.3g}", empty=0.0))
 
 
 def _barrier_trace(stack, gs) -> list:
@@ -431,26 +433,26 @@ def _barrier_game(failures: list, kind: str, spec: RunSpec) -> None:
     stream = []
     if _play(failures, kind, spec, on_round=lambda t, w, g: stream.append(g)) is None:
         return
-    b1 = _barrier_trace(spec.build()[2], stream)
-    b2 = _barrier_trace(spec.build()[2], [1000.0 * g for g in stream])
+    b1 = _barrier_trace(build_learner(spec.algo, spec.params), stream)
+    b2 = _barrier_trace(build_learner(spec.algo, spec.params), [1000.0 * g for g in stream])
     bad = sum(1 for x, y in zip(b1, b2) if x != y)
     if bad:
         failures.append(f"{kind}: {bad} of {len(b1)} barrier values differ")
 
 
 @criterion(required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3")
-def barrier_scale_invariant(failures: list) -> Games:
+def barrier_scale_invariant() -> tuple:
     """Scaling a gradient stream by 1000 leaves the barrier trace bit-identical."""
     # generated magnitudes sit on the 2^-20 lattice, so the ledger sums and
     # maxima scale exactly and the barrier ratio divides out bit-for-bit
     T = 1000
-    yield [(_barrier_game, kind, RunSpec(adversary=kind, seed=1, T=T)) for kind in KINDS]
-    return f"all {T + 1} barrier values bit-identical for every adversary kind"
+    return ([(_barrier_game, kind, RunSpec(adversary=kind, seed=1, T=T)) for kind in KINDS],
+            lambda *_: f"all {T + 1} barrier values bit-identical for every adversary kind")
 
 
-@criterion(required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples")
-def conjugate_dominated(failures: list) -> str:
-    """Closed-form conjugate cap dominates the brute-force conjugate."""
+def _conjugate_game(failures: list) -> float:
+    """The brute-force conjugate of 20 seeded tuples checked against the
+    closed-form cap, and the largest sup - cap."""
     worst = -math.inf
     gen = np.random.Generator(np.random.PCG64(12345))
     # [-120, 120] is wide enough to contain every maximizer in range
@@ -466,7 +468,14 @@ def conjugate_dominated(failures: list) -> str:
         if not sup <= cap + 1e-6:
             failures.append(f"tuple {i} (a={a:.3g}, b={b:.3g}, c={c:.3g}, theta={theta:.3g}): "
                             f"sup {sup:.6g} > cap {cap:.6g} + 1e-6")
-    return f"max (brute-force sup - cap) = {worst:.4g} over 20 seeded tuples"
+    return worst
+
+
+@criterion(required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples")
+def conjugate_dominated() -> tuple:
+    """Closed-form conjugate cap dominates the brute-force conjugate."""
+    return [(_conjugate_game,)], _summary("max (brute-force sup - cap) = {:.4g} "
+                                          "over 20 seeded tuples")
 
 
 def _conjugate_grid() -> list:
@@ -488,10 +497,8 @@ def _conjugate_sup(a: float, b: float, c: float, theta: float, blocks: list) -> 
     return float(np.max(sups))
 
 
-@criterion(required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
-def diameter_respected(failures: list) -> str:
-    """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
-    spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000)
+def _diameter_game(failures: list, spec: RunSpec) -> str:
+    """The game's domain and bound checks, and the criterion's summary."""
     ledger = _play(failures, "growing", spec)
     if ledger is None:
         return ""
@@ -500,6 +507,13 @@ def diameter_respected(failures: list) -> str:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
     worst = _within_bound(failures, "growing", spec, ledger, (0.0, 0.3, -0.3, 1.0, -1.0))
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
+
+
+@criterion(required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
+def diameter_respected() -> tuple:
+    """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
+    spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000)
+    return [(_diameter_game, spec)], lambda failures, summaries: summaries[0]
 
 
 SUITES = {

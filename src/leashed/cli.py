@@ -1,19 +1,18 @@
 """Command-line harness: single runs with traces, acceptance checks, sweeps.
 
 A game's settings form one frozen `stacks.RunSpec`, the record `verify`
-builds its games from too. Each field resolves in precedence order:
-command-line flag, then the environment variable LEASHED_<FIELD> (e.g.
-LEASHED_T), then the JSON config file given via --config, where null counts
-as unset, then the field's default. The spec is checked by building it, so
-bad settings fail before any game runs. Trace and summary files land in the
-directory named by --out, which must already exist.
+builds its games from too. Each field resolves in precedence order: flag,
+then the environment variable LEASHED_<FIELD> (e.g. LEASHED_T), then the
+JSON file given via --config, where null counts as unset, then the field's
+default; building the spec checks it before any game runs. `verify` hands
+`acceptance.run_suite` the worker pool and prints the results it returns.
+Trace and summary files land in the existing directory named by --out.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -117,9 +116,10 @@ def _strict_json(x):
     return x
 
 
-def _comparator_label(wc) -> str:
+def _comparator_label(wc, i: int) -> str:
+    """A scalar's value; a vector's norm and index i in RunSpec.comparators_for."""
     if isinstance(wc, np.ndarray):
-        return f"|w|={dual_norm(wc):.6g}"
+        return f"|w|={dual_norm(wc):.6g}#{i}"
     return format(float(wc), ".12g")
 
 
@@ -218,25 +218,9 @@ def _map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_criterion(failures: list, name: str) -> acceptance.CriterionResult:
-    # a whole criterion as one task, its failures in its result; looked up
-    # when called, so the registry in force in the worker applies
-    return acceptance.CRITERIA[name]()
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = acceptance.SUITES[args.suite]
-    plans = [acceptance.CRITERIA[name].tasks() for name in names]
-    # a criterion that declares no game tasks is one task: the whole criterion
-    items = [task for name, tasks in zip(names, plans)
-             for task in (tasks if tasks is not None else [(_run_criterion, name)])]
-    # criteria list their games shortest horizon first, so the workers take
-    # the list from its end: the longest games start first and short ones
-    # fill in behind them
-    done = iter(_map(acceptance.run_task, items[::-1], _usable_cores())[::-1])
-    results = [next(done)[2] if tasks is None
-               else acceptance.CRITERIA[name](done=list(itertools.islice(done, len(tasks))))
-               for name, tasks in zip(names, plans)]
+    results = acceptance.run_suite(acceptance.SUITES[args.suite],
+                                   lambda fn, tasks: _map(fn, tasks, _usable_cores()))
     for r in results:
         print(acceptance.format_result(r))
     n_pass = sum(r.passed for r in results)
@@ -250,8 +234,8 @@ def _sweep_cell(spec: RunSpec) -> list:
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     return [
-        (spec.k, spec.p, spec.adversary, spec.T, _comparator_label(wc), regret, bound, ratio)
-        for wc, _, regret, bound, ratio in rows
+        (spec.k, spec.p, spec.adversary, spec.T, _comparator_label(wc, i), regret, bound, ratio)
+        for i, (wc, _, regret, bound, ratio) in enumerate(rows)
     ]
 
 

@@ -160,17 +160,19 @@ class RunSpec:
     def params(self) -> BoundParams:
         return BoundParams(epsilon=self.eps, alpha=self.alpha, k=self.k, p=self.p, g0=self.g0)
 
-    def build(self) -> tuple:
-        """(adversary config, adversary, learner) for a fresh game."""
+    def build(self, learner: Optional[Learner] = None) -> tuple:
+        """(adversary config, adversary, learner) for a fresh game; a learner
+        given plays in place of the spec's stack, which is then not built."""
         adv_cfg = AdversaryConfig(
             self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
             period=self.period, magnitude=self.magnitude, envelope=self.envelope,
         )
         adversary = StreamAdversary(adv_cfg)
-        # ons_hints is promised the stream's a-priori cap; without one (growing,
-        # zero) it falls back to g0, and an unbounded stream aborts on contract
-        hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
-        learner = build_learner(self.algo, self.params, dim=self.dim, diameter=self.D, hint=hint)
+        if learner is None:
+            # ons_hints is promised the stream's a-priori cap; without one (growing,
+            # zero) it falls back to g0, and an unbounded stream aborts on contract
+            hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
+            learner = build_learner(self.algo, self.params, self.dim, self.D, hint)
         return adv_cfg, adversary, learner
 
     def comparators_for(self, ledger: RegretLedger) -> list:

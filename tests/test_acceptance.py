@@ -3,6 +3,7 @@
 Run with -s to see the formatted lines; each test also asserts the verdict.
 """
 import math
+import time
 
 import numpy as np
 import pytest
@@ -85,25 +86,13 @@ def scratch_registry(monkeypatch):
 
 def test_runner_fails_a_criterion_past_its_gate(scratch_registry):
     @acceptance.criterion(required="anything", gate=0.0)
-    def instant(failures):
-        return "every check held"
+    def instant():
+        return [], lambda failures, values: "every check held"
 
     result = instant()
     assert scratch_registry == {"instant": instant}
     assert not result.passed
     assert result.measured.startswith("every check held; took ")
-
-
-def test_runner_reports_the_first_four_failures(scratch_registry):
-    @acceptance.criterion(required="anything")
-    def six_failures(failures):
-        failures.extend(f"failure {i}" for i in range(6))
-        return "unused summary"
-
-    result = six_failures()
-    assert not result.passed
-    assert result.measured == "failure 0; failure 1; failure 2; failure 3"
-    assert (result.name, result.required) == ("six_failures", "anything")
 
 
 def _echo_game(failures, value, *lines):
@@ -115,38 +104,69 @@ def _sqrt_game(failures, x):
     return math.sqrt(x)
 
 
+def test_runner_reports_the_first_four_failures(scratch_registry):
+    def fold(failures, values):
+        failures.extend(f"failure {i}" for i in range(3, 6))
+        return "unused summary"
+
+    @acceptance.criterion(required="anything")
+    def six_failures():
+        # the tasks' lines in task order, then the fold's
+        return [(_echo_game, 1.0, "failure 0", "failure 1"), (_echo_game, 2.0, "failure 2")], fold
+
+    result = six_failures()
+    assert not result.passed
+    assert result.measured == "failure 0; failure 1; failure 2; failure 3"
+    assert (result.name, result.required) == ("six_failures", "anything")
+
+
 def test_runner_adds_the_seconds_of_tasks_run_elsewhere(scratch_registry):
     @acceptance.criterion(required="anything", gate=1.0)
-    def two_games(failures):
-        values = yield [(_echo_game, 1.0), (_echo_game, 2.0)]
-        return f"values {values}"
+    def two_games():
+        return [(_echo_game, 1.0), (_echo_game, 2.0)], lambda failures, values: f"values {values}"
 
-    assert two_games.tasks() == [(_echo_game, 1.0), (_echo_game, 2.0)]
+    planned = acceptance._build(two_games.plan)
+    assert planned[1] == [(_echo_game, 1.0), (_echo_game, 2.0)] and planned[3] is None
     here = two_games()
     assert here.passed and here.measured == "values [1.0, 2.0]" and here.seconds < 1.0
     # results of tasks that ran in workers, as (seconds, failures, value, error)
-    elsewhere = two_games(done=[(0.75, [], 3.0, None), (0.5, [], 4.0, None)])
+    elsewhere = two_games(planned=planned, done=[(0.75, [], 3.0, None), (0.5, [], 4.0, None)])
     assert not elsewhere.passed and elsewhere.seconds >= 1.25
     assert elsewhere.measured.startswith("values [3.0, 4.0]; took ")
 
 
-def test_runner_records_what_a_body_or_task_raises(scratch_registry):
+def test_runner_counts_the_plan_build_toward_the_gate(scratch_registry):
+    @acceptance.criterion(required="anything", gate=0.04)
+    def slow_plan():
+        time.sleep(0.05)
+        return [(_echo_game, 1.0)], lambda failures, values: "every check held"
+
+    result = slow_plan()
+    assert not result.passed and result.seconds >= 0.05
+    assert result.measured.startswith("every check held; took ")
+
+
+def test_runner_records_what_a_plan_task_or_fold_raises(scratch_registry):
     @acceptance.criterion(required="anything")
-    def plain(failures):
+    def plan():
         raise ValueError("no fraction on the grid")
 
-    @acceptance.criterion(required="anything")
-    def games(failures):
-        yield [(_echo_game, 1.0, "game 1 failed"), (_sqrt_game, -1.0), (_echo_game, 2.0)]
+    def unreachable(failures, values):
         raise AssertionError("the fold runs only when every task returned")
 
     @acceptance.criterion(required="anything")
-    def fold(failures):
-        xs = yield []  # no games: nothing to fit
-        return f"slope {np.polyfit(xs, xs, 1)[0]:g}"
+    def games():
+        return [(_echo_game, 1.0, "game 1 failed"), (_sqrt_game, -1.0), (_echo_game, 2.0)], \
+            unreachable
 
-    assert plain.tasks() is None
-    assert plain().measured == "ValueError: no fraction on the grid"
+    @acceptance.criterion(required="anything")
+    def fold():
+        # no games: nothing to fit
+        return [], lambda failures, xs: f"slope {np.polyfit(xs, xs, 1)[0]:g}"
+
+    # a plan that raises has no tasks to send
+    assert acceptance._build(plan.plan)[1:] == ([], None, "ValueError: no fraction on the grid")
+    assert plan().measured == "ValueError: no fraction on the grid"
     assert games().measured == "game 1 failed; ValueError: math domain error"
     result = fold()
     assert not result.passed and result.measured.startswith("TypeError: ")

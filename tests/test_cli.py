@@ -218,18 +218,23 @@ def test_verify_prints_the_pinned_measurements(capsys):
     assert lines[-1] == f"{len(names)}/{len(names)} criteria passed"
 
 
-def _scratch_criterion(name, outcome="pass"):
-    def body(failures):
-        if outcome == "exit":
-            os._exit(3)
-        if outcome == "fail":
-            failures.append(f"failed in {os.getpid()}")
-        if outcome == "raise":
-            raise ValueError("no fraction on the grid")
-        return f"ran in {os.getpid()}"
+def _outcome_game(failures, outcome):
+    if outcome == "exit":
+        os._exit(3)
+    if outcome == "fail":
+        failures.append(f"failed in {os.getpid()}")
+    if outcome == "raise":
+        raise ValueError("no fraction on the grid")
+    return os.getpid()
 
-    body.__name__ = name
-    return acceptance.criterion(required="anything")(body)
+
+def _scratch_criterion(name, outcome="pass"):
+    """A criterion of one game task that reports the process it ran in."""
+    def plan():
+        return [(_outcome_game, outcome)], lambda failures, pids: f"ran in {pids[0]}"
+
+    plan.__name__ = name
+    return acceptance.criterion(required="anything")(plan)
 
 
 def _sleep_game(failures, seconds):
@@ -245,41 +250,52 @@ def _exiting_game(failures):
     os._exit(3)
 
 
-def _game_criterion(name, tasks, gate=None, raises=None):
+def _game_criterion(builds, name, tasks, gate=None, raises=None, plan_seconds=0.0):
     """A criterion whose game tasks report their pids; raises: "plan" or
-    "fold", where its body raises."""
-    def body(failures):
-        if raises == "plan":
-            raise ValueError("no games to play")
-        pids = yield tasks
+    "fold", where it raises. Its plan takes plan_seconds to build and
+    records the pid of each build in builds[name]."""
+    def fold(failures, pids):
         if raises == "fold":
             raise ValueError("the fit needs two points")
         return "games ran in " + " ".join(str(pid) for pid in sorted(set(pids)))
 
-    body.__name__ = name
-    return acceptance.criterion(required="anything", gate=gate)(body)
+    def plan():
+        builds.setdefault(name, []).append(os.getpid())
+        time.sleep(plan_seconds)
+        if raises == "plan":
+            raise ValueError("no games to play")
+        return tasks, fold
+
+    plan.__name__ = name
+    return acceptance.criterion(required="anything", gate=gate)(plan)
 
 
 @pytest.fixture
 def scratch_suites(monkeypatch):
-    # quick criteria that report the process they ran in, in place of the shipped ones
+    # quick criteria that report the process they ran in, in place of the shipped
+    # ones; the fixture's value maps each game criterion to the pids of its plan builds
     monkeypatch.setattr(acceptance, "CRITERIA", {})
+    builds = {}
     for name in ("first", "second", "third"):
         _scratch_criterion(name)
     _scratch_criterion("fails", "fail")
     _scratch_criterion("exits", "exit")
     _scratch_criterion("raises", "raise")
-    _game_criterion("games", [(_sleep_game, 0.05)] * 4, gate=0.0)
-    _game_criterion("raising_game", [(_sleep_game, 0.0), (_raising_game,)])
-    _game_criterion("plan_raises", [], raises="plan")
-    _game_criterion("fold_raises", [(_sleep_game, 0.0)] * 2, raises="fold")
-    _game_criterion("exiting_game", [(_sleep_game, 0.0), (_exiting_game,)])
+    _game_criterion(builds, "games", [(_sleep_game, 0.05)] * 4, gate=0.0)
+    _game_criterion(builds, "raising_game", [(_sleep_game, 0.0), (_raising_game,)])
+    _game_criterion(builds, "plan_raises", [], raises="plan")
+    _game_criterion(builds, "fold_raises", [(_sleep_game, 0.0)] * 2, raises="fold")
+    _game_criterion(builds, "exiting_game", [(_sleep_game, 0.0), (_exiting_game,)])
+    _game_criterion(builds, "slow_plan", [(_sleep_game, 0.0)] * 2, gate=0.04, plan_seconds=0.05)
+    _game_criterion(builds, "quick", [(_sleep_game, 0.0)] * 3)
     monkeypatch.setattr(acceptance, "SUITES", {
         "trio": ("third", "first", "second"), "solo": ("second",),
         "failing": ("first", "fails", "second"), "dying": ("first", "exits", "second"),
         "games": ("games",),
         "raising": ("first", "raises", "raising_game", "plan_raises", "fold_raises", "second"),
-        "dying_game": ("first", "exiting_game", "second")})
+        "dying_game": ("first", "exiting_game", "second"),
+        "planned": ("quick", "slow_plan", "games", "plan_raises", "fold_raises")})
+    return builds
 
 
 def _cores(monkeypatch, n):
@@ -334,7 +350,7 @@ def test_verify_reports_a_criterion_failing_in_a_worker(scratch_suites, monkeypa
 
 def test_verify_names_a_dead_worker(scratch_suites, monkeypatch, capsys):
     _cores(monkeypatch, 2)
-    # a worker dies running a whole criterion, then running one game task
+    # a worker dies running a criterion's only game task, then one of several
     for suite in ("dying", "dying_game"):
         assert main(["verify", suite]) == 1
         captured = capsys.readouterr()
@@ -372,6 +388,25 @@ def test_verify_records_what_a_criterion_raises(cores, scratch_suites, monkeypat
                                                                       "PASS second"]
     assert lines[-1] == "2/6 criteria passed"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_builds_each_plan_once(cores, scratch_suites, monkeypatch, capsys):
+    _cores(monkeypatch, cores)
+    assert main(["verify", "planned"]) == 1
+    capsys.readouterr()
+    names = acceptance.SUITES["planned"]
+    assert scratch_suites == {name: [os.getpid()] for name in names}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_gates_a_plan_on_its_build_time(cores, scratch_suites, monkeypatch, capsys):
+    _cores(monkeypatch, cores)
+    # two quick games under a 0.04 s gate: only the plan's 0.05 s passes it
+    assert main(["verify", "planned"]) == 1
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("FAIL slow_plan: games ran in ") and "; took " in line
+    assert float(line.rsplit("[", 1)[1].rstrip("s]")) >= 0.05
 
 
 _BALL_GAME = acceptance._ball_game
@@ -554,7 +589,27 @@ def test_sweep_ball_comparators_stay_in_the_ball(tmp_path):
     assert rows
     for r in rows:
         assert float(r["regret"]) <= float(r["bound"])
-        assert float(r["comparator"].removeprefix("|w|=")) <= 1.0
+        norm, _, index = r["comparator"].removeprefix("|w|=").partition("#")
+        assert float(norm) <= 1.0 and index.isdigit()
+
+
+@pytest.mark.parametrize("algo", ["adagrad_ball", "leashed_dimfree"])
+def test_sweep_labels_each_vector_comparator_apart(algo, tmp_path):
+    assert main(["sweep", "--algo", algo, "--dim", "3", "--T", "100,1000",
+                 "--adversary", "seeded_uniform,alternating", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = {}
+    for r in rows:
+        cells.setdefault((r["adversary"], r["T"]), []).append(r["comparator"])
+    assert len(cells) == 4
+    for labels in cells.values():
+        assert len(set(labels)) == len(labels)
+    # the same labels at every horizon, so each exponent fits one comparator
+    assert len({tuple(labels) for labels in cells.values()}) == 1
+    with open(tmp_path / "exponents.csv", newline="") as fh:
+        fits = [(r["k"], r["p"], r["adversary"], r["comparator"]) for r in csv.DictReader(fh)]
+    assert len(fits) == len(set(fits)) == len(rows) // 2
 
 
 def test_null_config_value_counts_as_unset(tmp_path):

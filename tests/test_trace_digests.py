@@ -246,11 +246,12 @@ SWEEP_PINS = {
         "d0fe6205c137fbc893ae497f9216865ea8b23d9b104028d871d26f9b244cade9",
         "35cbdaf59e8d353c65a028217322277c83a3338fec61135952ed3c29833e3795",
     ),
+    # a vector comparator's label is its norm and its index among the spec's comparators
     "leashed_dimfree": (
         ["--algo", "leashed_dimfree", "--dim", "3",
          "--adversary", "seeded_uniform,alternating", "--T", "50,300"],
-        "08fc4a32c56bc77c731fd2b688abea2503d5ccfb9eb75b4f8a379dc1e234211d",
-        "81c5b4858b4c832bc39565b7908a54553696ab0b9a490bf8c4cca6b4cd9c58bb",
+        "bd1ab0afc3e52a817bd118ae69e47c716e7821a90e4a1ebdfed6f8e23744020e",
+        "6d08e92c93986b1b605edca7561e338194c1aef24af3ac3a8f07b428084326ca",
     ),
     # a tight leash on streams whose rounds meet the hint and stray past the
     # barrier, pinned from the code that clipped and hinged through truncate
