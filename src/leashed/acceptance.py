@@ -1,25 +1,28 @@
 """Executable acceptance checks for every guarantee the package makes.
 
 Every criterion is a plan(*args, **kwargs) under the `criterion` runner that
-returns (tasks, fold). A game task is a (fn, *args) tuple whose module-level
-fn(failures, *args) plays one independent game, appends one line to
-`failures` for each check that does not hold and returns one small value;
-fold(failures, values) gets those values in task order and returns the
-summary that PASS reports. A check that plays no game of its own, such as a
-brute-force oracle, is a plan of one task. Each game is built from a
-`stacks.RunSpec` (epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec
-sets them), and a bound check scores its game through `RunSpec.rows`, the
-path `run` and `sweep` report through.
+returns (tasks, fold). A game task is a (fn, label, *args) tuple whose
+module-level fn(failures, label, *args) plays one independent game, appends
+one line to `failures` for each check that does not hold and returns one
+small value; fold(failures, values) gets those values in task order and
+returns the summary that PASS reports. A check that plays no game of its
+own, such as a brute-force oracle, is a plan of one task. A game lets what
+it raises propagate. Each game is built from a `stacks.RunSpec` (epsilon =
+alpha = k = g0 = 1 and p = 1/2 unless the spec sets them), and a bound check
+scores its game through `RunSpec.rows`, the path `run` and `sweep` report
+through.
 
 Called directly, a runner builds its plan, runs its tasks here and folds
 them; `run_suite` builds each plan of a suite once and runs all their tasks
 through the map it is given. The runner appends each task's failure lines in
 task order and records an exception raised by the plan, a task or the fold
-as one failure line. A criterion's seconds are the sum of its plan's, its
-tasks' and its fold's, so they never read less than an in-process run. It
-reports the first four failures in place of the summary, fails a criterion
-whose seconds reach its gate (adding "; took X s" when every check held) and
-lists the criterion in CRITERIA, which the verify command and the tests share.
+as one failure line, "<label>: <Type>: <message>" for a task; nothing is
+folded after a plan or a task raised. A criterion's seconds are the sum of
+its plan's, its tasks' and its fold's, so they never read less than an
+in-process run. It reports the first four failures in place of the summary,
+fails a criterion whose seconds reach its gate (adding "; took X s" when
+every check held) and lists the criterion in CRITERIA, which the verify
+command and the tests share.
 
 Measured regret is compared against the closed-form guarantees with zero
 tolerance unless a stated numerical slack is part of the check itself. A few
@@ -65,41 +68,42 @@ def format_result(r: CriterionResult) -> str:
 CRITERIA: dict = {}
 
 
-def _raised(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _timed(fn, *args, **kwargs) -> tuple:
+    """(seconds, value, error) of fn(*args, **kwargs): error is the line
+    naming the exception it raised, with value None, else None."""
+    t0 = time.perf_counter()
+    try:
+        value, error = fn(*args, **kwargs), None
+    except Exception as exc:
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    return time.perf_counter() - t0, value, error
 
 
 def run_task(task: tuple) -> tuple:
-    """(seconds, failures, value, error) of the task (fn, *args): value =
-    fn(failures, *args), which appends a line to failures for each check
-    that does not hold; error is the line naming the exception it raised,
-    else None."""
-    fn, *args = task
+    """(seconds, failures, value, error) of the task (fn, label, *args):
+    value = fn(failures, label, *args), which appends a line to failures for
+    each check that does not hold; error is "<label>: " and the line naming
+    the exception it raised, else None."""
+    fn, label, *args = task
     failures: list = []
-    t0 = time.perf_counter()
-    try:
-        value, error = fn(failures, *args), None
-    except Exception as exc:
-        value, error = None, _raised(exc)
-    return time.perf_counter() - t0, failures, value, error
+    seconds, value, error = _timed(fn, failures, label, *args)
+    return seconds, failures, value, error and f"{label}: {error}"
 
 
 def _build(plan, *args, **kwargs) -> tuple:
-    """(seconds, tasks, fold, error) of plan(*args, **kwargs), as run_task
-    reports a task; a plan that raised has no tasks and no fold."""
-    t0 = time.perf_counter()
-    try:
-        (tasks, fold), error = plan(*args, **kwargs), None
-    except Exception as exc:
-        tasks, fold, error = [], None, _raised(exc)
-    return time.perf_counter() - t0, tasks, fold, error
+    """(seconds, tasks, fold, error) of plan(*args, **kwargs), as _timed
+    reports it; a plan that raised has no tasks and no fold."""
+    seconds, built, error = _timed(plan, *args, **kwargs)
+    tasks, fold = built or ([], None)
+    return seconds, tasks, fold, error
 
 
 def criterion(required: str, gate: Optional[float] = None):
     """Register plan(*args, **kwargs) in CRITERIA under its name, run as the
     module docstring describes, with gate its wall-clock limit in seconds.
-    The runner keeps the plan as its `plan` attribute and takes `planned` and
-    `done`, the _build and run_task results made elsewhere (run_suite)."""
+    Each task is (fn, label, *args), run by run_task. The runner keeps the
+    plan as its `plan` attribute and takes `planned` and `done`, the _build
+    and run_task results made elsewhere (run_suite)."""
     def register(plan):
         @functools.wraps(plan)
         def run(*args, planned: Optional[tuple] = None, done: Optional[list] = None,
@@ -108,11 +112,13 @@ def criterion(required: str, gate: Optional[float] = None):
             if done is None:
                 done = [run_task(task) for task in tasks]
             summary = ""
-            # the fold runs here as one more task; a plan or a task that
-            # raised leaves nothing to fold
+            # the fold runs here, timed as one more task; a plan or a task
+            # that raised leaves nothing to fold
             if error is None and all(task_error is None for *_, task_error in done):
-                done = [*done, run_task((fold, [value for _, _, value, _ in done]))]
-                summary = done[-1][2]
+                lines: list = []
+                fold_seconds, summary, fold_error = _timed(
+                    fold, lines, [value for _, _, value, _ in done])
+                done = [*done, (fold_seconds, lines, summary, fold_error)]
             failures = [] if error is None else [error]
             for task_seconds, lines, _, task_error in done:
                 seconds += task_seconds
@@ -144,17 +150,10 @@ def run_suite(names, map_tasks) -> list:
             for run, planned in zip(runners, plans)]
 
 
-def _play(failures: list, label: str, spec: RunSpec, game: Optional[tuple] = None,
-          check_finite: bool = True, on_round=None) -> Optional[RegretLedger]:
-    """The ledger of spec.T rounds between game = (adversary, learner), built
-    from the spec when not given, or None with the exception recorded."""
-    try:
-        adversary, learner = spec.build()[1:] if game is None else game
-        return run_game(learner, adversary, spec.T, check_finite=check_finite,
-                        on_round=on_round)
-    except Exception as exc:
-        failures.append(f"{label}: {_raised(exc)}")
-        return None
+def _play(spec: RunSpec, check_finite: bool = True, on_round=None) -> RegretLedger:
+    """The ledger of spec.T rounds of the game the spec builds."""
+    _, adversary, learner = spec.build()
+    return run_game(learner, adversary, spec.T, check_finite=check_finite, on_round=on_round)
 
 
 def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger,
@@ -188,9 +187,9 @@ class _SentRecorder:
         self.inner.update(g, h_next)
 
 
-def _summary(template: str, pick=max, empty: float = -math.inf):
-    """The fold that returns template.format(pick([empty] + values))."""
-    return lambda failures, values: template.format(pick([empty] + values))
+def _summary(template: str, pick=max):
+    """The fold that returns template.format(pick(values))."""
+    return lambda failures, values: template.format(pick(values))
 
 
 def _bettor_games():
@@ -202,16 +201,14 @@ def _bettor_games():
 
 def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = True) -> float:
     """The game's bound check at every comparator of _COMPARATORS, and its
-    largest regret/bound (-inf when the game raised)."""
-    ledger = _play(failures, label, spec, check_finite=check_finite)
-    if ledger is None:
-        return -math.inf
+    largest regret/bound."""
+    ledger = _play(spec, check_finite=check_finite)
     return _within_bound(failures, label, spec, ledger, _COMPARATORS)
 
 
 def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float:
     """The game's wealth and cap checks, and the least wealth a bet from
-    round 2 on was placed from (inf when the game raised)."""
+    round 2 on was placed from."""
     bettor = bettor_cls(epsilon=spec.eps, alpha=spec.alpha, h1=spec.g0)
     # the least wealth a bet from round 2 on is placed from; bets over the cap
     low, bad = None, 0
@@ -224,9 +221,8 @@ def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float
         if abs(bettor.v) > 0.5 / bettor.h:
             bad += 1
 
-    leashed = Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0)
-    if _play(failures, label, spec, spec.build(leashed)[1:], on_round=watch) is None:
-        return math.inf
+    _, adversary, leashed = spec.build(Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0))
+    run_game(leashed, adversary, spec.T, on_round=watch)
     # the wealth after each round: the next bet's, then the final one
     low = min(low, bettor.wealth)
     if not low > 0.0:
@@ -247,7 +243,7 @@ def wealth_positive_bets_clipped(bettor_cls=CoinBettor) -> tuple:
               bettor_cls)
              for kind in KINDS for seed in (range(1, 11) if kind in SEEDED_KINDS else (1,))]
     return tasks, _summary(f"{len(tasks)} runs of T=10000: min wealth {{:.4g}}, 0 cap violations",
-                           min, math.inf)
+                           min)
 
 
 @criterion(required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100")
@@ -261,12 +257,11 @@ def bettor_regret_within_bound() -> tuple:
 
 def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's betting-fraction regret check against the best fraction on
-    the grid, and its regret minus the bound (-inf when the game raised)."""
+    the grid, and its regret minus the bound."""
     _, adversary, bettor = spec.build()
     bets = []  # (gradient, fraction wagered) of each round
-    if _play(failures, label, spec, (adversary, bettor), check_finite=False,
-             on_round=lambda t, w, g: bets.append((float(g), bettor.v))) is None:
-        return -math.inf
+    run_game(bettor, adversary, spec.T, check_finite=False,
+             on_round=lambda t, w, g: bets.append((float(g), bettor.v)))
     gs, vs = zip(*bets)
     v_star = best_betting_fraction(gs, bettor.h, resolution=1e-4)
     reg = ons_inner_regret(gs, vs, v_star)
@@ -290,10 +285,8 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
     _, adversary, wrapper = spec.build()
     wrapper.inner = inner = _SentRecorder(wrapper.inner)
     played = []
-    ledger = _play(failures, label, spec, (adversary, wrapper), check_finite=expect_finite,
-                   on_round=lambda t, w, g: played.append((g, w)))
-    if ledger is None:
-        return worst
+    ledger = run_game(wrapper, adversary, spec.T, check_finite=expect_finite,
+                      on_round=lambda t, w, g: played.append((g, w)))
     if expect_finite and not math.isfinite(ledger.max_played_norm):
         failures.append(f"{label}: expected a finite run, played norm overflowed")
         return worst
@@ -334,10 +327,9 @@ def leashed_regret_within_bound() -> tuple:
             _summary(f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
 
 
-def _regret_at_one(failures: list, label: str, spec: RunSpec) -> Optional[float]:
-    """The game's regret at comparator 1 (None when the game raised)."""
-    ledger = _play(failures, label, spec)
-    return None if ledger is None else ledger.regret(1.0)
+def _regret_at_one(failures: list, label: str, spec: RunSpec) -> float:
+    """The game's regret at comparator 1."""
+    return _play(spec).regret(1.0)
 
 
 @criterion(required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
@@ -346,8 +338,6 @@ def leashed_regret_sublinear() -> tuple:
     horizons = (100, 1000, 10_000, 100_000)
 
     def fold(failures: list, regrets: list) -> str:
-        if None in regrets:
-            return ""
         per_round = [r / T for r, T in zip(regrets, horizons)]
         decreasing = per_round[1] < per_round[0] and per_round[2] < per_round[1]
         # regret can be negative; the growth fit clamps at 1 so profit reads as flat
@@ -365,11 +355,8 @@ def leashed_regret_sublinear() -> tuple:
 
 def _ball_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's bound check at 20 seeded unit comparators and the unit
-    vector against the gradient sum, and its largest regret/bound (-inf when
-    the game raised)."""
-    ledger = _play(failures, label, spec)
-    if ledger is None:
-        return -math.inf
+    vector against the gradient sum, and its largest regret/bound."""
+    ledger = _play(spec)
     units = random_unit_vectors(spec.dim, 20, seed=7)
     gn = dual_norm(ledger.grad_sum)
     comps = units + [-ledger.grad_sum / gn] if gn > 0.0 else units
@@ -387,13 +374,12 @@ def ball_regret_within_bound() -> tuple:
 
 def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's lift identity check at three comparators, and its largest
-    identity gap (0 when the game raised)."""
+    identity gap."""
     worst = 0.0
     _, adversary, lift = spec.build()
     rows = []  # (g, w, x, y) of each round, as played
-    if _play(failures, label, spec, (adversary, lift),
-             on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy()))) is None:
-        return worst
+    run_game(lift, adversary, spec.T,
+             on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy())))
     for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(spec.dim, 3, seed=11)):
         wc = m * u
         n = float(np.linalg.norm(wc))
@@ -415,7 +401,7 @@ def lift_identity_exact() -> tuple:
     return ([(_lift_game, f"{kind} d={d}",
               RunSpec(algo="leashed_dimfree", adversary=kind, dim=d, seed=3, T=1000))
              for d in (2, 10) for kind in ("seeded_uniform", "alternating")],
-            _summary("max identity gap = {:.3g}", empty=0.0))
+            _summary("max identity gap = {:.3g}"))
 
 
 def _barrier_trace(stack, gs) -> list:
@@ -431,8 +417,7 @@ def _barrier_trace(stack, gs) -> list:
 def _barrier_game(failures: list, kind: str, spec: RunSpec) -> None:
     """The game's barrier trace compared with that of its stream scaled by 1000."""
     stream = []
-    if _play(failures, kind, spec, on_round=lambda t, w, g: stream.append(g)) is None:
-        return
+    _play(spec, on_round=lambda t, w, g: stream.append(g))
     b1 = _barrier_trace(build_learner(spec.algo, spec.params), stream)
     b2 = _barrier_trace(build_learner(spec.algo, spec.params), [1000.0 * g for g in stream])
     bad = sum(1 for x, y in zip(b1, b2) if x != y)
@@ -450,7 +435,7 @@ def barrier_scale_invariant() -> tuple:
             lambda *_: f"all {T + 1} barrier values bit-identical for every adversary kind")
 
 
-def _conjugate_game(failures: list) -> float:
+def _conjugate_game(failures: list, label: str) -> float:
     """The brute-force conjugate of 20 seeded tuples checked against the
     closed-form cap, and the largest sup - cap."""
     worst = -math.inf
@@ -474,8 +459,8 @@ def _conjugate_game(failures: list) -> float:
 @criterion(required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples")
 def conjugate_dominated() -> tuple:
     """Closed-form conjugate cap dominates the brute-force conjugate."""
-    return [(_conjugate_game,)], _summary("max (brute-force sup - cap) = {:.4g} "
-                                          "over 20 seeded tuples")
+    return [(_conjugate_game, "seeded tuples")], _summary(
+        "max (brute-force sup - cap) = {:.4g} over 20 seeded tuples")
 
 
 def _conjugate_grid() -> list:
@@ -497,15 +482,13 @@ def _conjugate_sup(a: float, b: float, c: float, theta: float, blocks: list) -> 
     return float(np.max(sups))
 
 
-def _diameter_game(failures: list, spec: RunSpec) -> str:
+def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
     """The game's domain and bound checks, and the criterion's summary."""
-    ledger = _play(failures, "growing", spec)
-    if ledger is None:
-        return ""
+    ledger = _play(spec)
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
-    worst = _within_bound(failures, "growing", spec, ledger, (0.0, 0.3, -0.3, 1.0, -1.0))
+    worst = _within_bound(failures, label, spec, ledger, (0.0, 0.3, -0.3, 1.0, -1.0))
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
 
@@ -513,7 +496,7 @@ def _diameter_game(failures: list, spec: RunSpec) -> str:
 def diameter_respected() -> tuple:
     """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
     spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000)
-    return [(_diameter_game, spec)], lambda failures, summaries: summaries[0]
+    return [(_diameter_game, "growing", spec)], lambda failures, summaries: summaries[0]
 
 
 SUITES = {

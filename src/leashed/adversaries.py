@@ -72,6 +72,8 @@ class AdversaryConfig:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.period < 1:
             raise ValueError(f"spike period must be >= 1, got {self.period}")
         # magnitude and envelope are snapped onto the lattice, which needs x * 2**20 finite

@@ -6,7 +6,9 @@ then the environment variable LEASHED_<FIELD> (e.g. LEASHED_T), then the
 JSON file given via --config, where null counts as unset, then the field's
 default; building the spec checks it before any game runs. `verify` hands
 `acceptance.run_suite` the worker pool and prints the results it returns.
-Trace and summary files land in the existing directory named by --out.
+Trace and summary files land in the existing directory named by --out. A
+game that diverges or breaks a learner's contract ends the command in
+`main`, which prints "<command> aborted: <message>" and returns 1.
 """
 from __future__ import annotations
 
@@ -157,12 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     adv_cfg, adversary, learner = spec.build()
     recorder = TraceRecorder(learner)
-    try:
-        ledger = run_game(recorder, adversary, spec.T, keep_rows=True)
-    except (GameDivergence, ValueError) as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 1
-
+    ledger = run_game(recorder, adversary, spec.T, keep_rows=True)
     trace_path = out_dir / "trace.csv"
     bad_round = _write_trace(trace_path, ledger, recorder)
     if bad_round is not None:
@@ -261,12 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not out_dir.is_dir():
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
-    try:
-        chunks = _map(_sweep_cell, cells, base.jobs)
-    except (GameDivergence, ValueError) as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
-        return 1
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _map(_sweep_cell, cells, base.jobs) for row in chunk]
 
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
@@ -358,4 +350,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenProcessPool as exc:  # a worker was killed, for example for memory
         print(f"{args.command} aborted: a worker process died: {exc}", file=sys.stderr)
-        return 1
+    except (GameDivergence, ValueError) as exc:  # a game broke its contract or diverged
+        print(f"{args.command} aborted: {exc}", file=sys.stderr)
+    return 1

@@ -259,8 +259,9 @@ def _scalar_grad(g, w, t: int):
                 f"gradient dimension {g.size} does not match point dimension 1 "
                 f"at round {t}"
             )
-        g = float(g.reshape(-1)[0])
-    return g
+        return float(g.reshape(-1)[0])
+    # a numpy scalar or an int leaves as the Python float the game hands out
+    return float(g) if isinstance(g, (int, np.integer, np.floating)) else g
 
 
 def _vector_grad(g, w: np.ndarray, t: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 Run with -s to see the formatted lines; each test also asserts the verdict.
 """
 import math
+import pickle
 import time
 
 import numpy as np
@@ -95,12 +96,12 @@ def test_runner_fails_a_criterion_past_its_gate(scratch_registry):
     assert result.measured.startswith("every check held; took ")
 
 
-def _echo_game(failures, value, *lines):
+def _echo_game(failures, label, value, *lines):
     failures.extend(lines)
     return value
 
 
-def _sqrt_game(failures, x):
+def _sqrt_game(failures, label, x):
     return math.sqrt(x)
 
 
@@ -112,7 +113,8 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
     @acceptance.criterion(required="anything")
     def six_failures():
         # the tasks' lines in task order, then the fold's
-        return [(_echo_game, 1.0, "failure 0", "failure 1"), (_echo_game, 2.0, "failure 2")], fold
+        return [(_echo_game, "one", 1.0, "failure 0", "failure 1"),
+                (_echo_game, "two", 2.0, "failure 2")], fold
 
     result = six_failures()
     assert not result.passed
@@ -123,10 +125,12 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
 def test_runner_adds_the_seconds_of_tasks_run_elsewhere(scratch_registry):
     @acceptance.criterion(required="anything", gate=1.0)
     def two_games():
-        return [(_echo_game, 1.0), (_echo_game, 2.0)], lambda failures, values: f"values {values}"
+        return ([(_echo_game, "one", 1.0), (_echo_game, "two", 2.0)],
+                lambda failures, values: f"values {values}")
 
     planned = acceptance._build(two_games.plan)
-    assert planned[1] == [(_echo_game, 1.0), (_echo_game, 2.0)] and planned[3] is None
+    assert planned[1] == [(_echo_game, "one", 1.0), (_echo_game, "two", 2.0)]
+    assert planned[3] is None
     here = two_games()
     assert here.passed and here.measured == "values [1.0, 2.0]" and here.seconds < 1.0
     # results of tasks that ran in workers, as (seconds, failures, value, error)
@@ -139,7 +143,7 @@ def test_runner_counts_the_plan_build_toward_the_gate(scratch_registry):
     @acceptance.criterion(required="anything", gate=0.04)
     def slow_plan():
         time.sleep(0.05)
-        return [(_echo_game, 1.0)], lambda failures, values: "every check held"
+        return [(_echo_game, "one", 1.0)], lambda failures, values: "every check held"
 
     result = slow_plan()
     assert not result.passed and result.seconds >= 0.05
@@ -156,8 +160,8 @@ def test_runner_records_what_a_plan_task_or_fold_raises(scratch_registry):
 
     @acceptance.criterion(required="anything")
     def games():
-        return [(_echo_game, 1.0, "game 1 failed"), (_sqrt_game, -1.0), (_echo_game, 2.0)], \
-            unreachable
+        return [(_echo_game, "one", 1.0, "game 1 failed"), (_sqrt_game, "root", -1.0),
+                (_echo_game, "two", 2.0)], unreachable
 
     @acceptance.criterion(required="anything")
     def fold():
@@ -167,18 +171,29 @@ def test_runner_records_what_a_plan_task_or_fold_raises(scratch_registry):
     # a plan that raises has no tasks to send
     assert acceptance._build(plan.plan)[1:] == ([], None, "ValueError: no fraction on the grid")
     assert plan().measured == "ValueError: no fraction on the grid"
-    assert games().measured == "game 1 failed; ValueError: math domain error"
+    # the raising task's line, labelled, follows the earlier tasks' lines
+    assert games().measured == "game 1 failed; root: ValueError: math domain error"
     result = fold()
     assert not result.passed and result.measured.startswith("TypeError: ")
 
 
 def test_runner_records_a_raising_game():
-    failures = []
     spec = stacks.RunSpec(adversary="growing", rate=2000.0, T=5)
-    assert acceptance._play(failures, "growing", spec) is None
-    assert failures == [
-        "growing: GameDivergence: adversary produced a non-finite gradient at round 2"
-    ]
+    _, failures, value, error = acceptance.run_task((acceptance._bound_game, "growing", spec))
+    assert (failures, value) == ([], None)
+    assert error == "growing: GameDivergence: adversary produced a non-finite gradient at round 2"
+
+
+@pytest.mark.parametrize("name", list(CRITERIA), ids=list(CRITERIA))
+def test_every_game_task_is_labelled_and_picklable(name):
+    # the worker pool sends each task to a process, and run_task names a
+    # raising task by its label
+    _, tasks, fold, error = acceptance._build(CRITERIA[name].plan)
+    assert error is None and tasks
+    for task in tasks:
+        fn, label, *_ = task
+        assert callable(fn) and isinstance(label, str)
+        pickle.dumps(task)
 
 
 @pytest.mark.parametrize("name", BOUND_CRITERIA)

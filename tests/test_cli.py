@@ -159,10 +159,13 @@ def test_run_bad_settings(tmp_path):
         assert read_summary(tmp_path / "summary.json")["T"] == 10
 
 
-def test_run_aborts_on_contract_violation(tmp_path):
+def test_run_aborts_on_contract_violation(tmp_path, capsys):
     # the growing stream eventually exceeds any fixed hint
     assert main(["run", "--algo", "ons_hints", "--adversary", "growing",
                  "--T", "100", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: gradient magnitude ")
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
 def test_run_aborts_on_divergence(tmp_path, capsys):
@@ -218,7 +221,7 @@ def test_verify_prints_the_pinned_measurements(capsys):
     assert lines[-1] == f"{len(names)}/{len(names)} criteria passed"
 
 
-def _outcome_game(failures, outcome):
+def _outcome_game(failures, label, outcome):
     if outcome == "exit":
         os._exit(3)
     if outcome == "fail":
@@ -231,22 +234,22 @@ def _outcome_game(failures, outcome):
 def _scratch_criterion(name, outcome="pass"):
     """A criterion of one game task that reports the process it ran in."""
     def plan():
-        return [(_outcome_game, outcome)], lambda failures, pids: f"ran in {pids[0]}"
+        return [(_outcome_game, "only game", outcome)], lambda failures, pids: f"ran in {pids[0]}"
 
     plan.__name__ = name
     return acceptance.criterion(required="anything")(plan)
 
 
-def _sleep_game(failures, seconds):
+def _sleep_game(failures, label, seconds):
     time.sleep(seconds)
     return os.getpid()
 
 
-def _raising_game(failures):
+def _raising_game(failures, label):
     raise ValueError("the game broke")
 
 
-def _exiting_game(failures):
+def _exiting_game(failures, label):
     os._exit(3)
 
 
@@ -281,13 +284,14 @@ def scratch_suites(monkeypatch):
     _scratch_criterion("fails", "fail")
     _scratch_criterion("exits", "exit")
     _scratch_criterion("raises", "raise")
-    _game_criterion(builds, "games", [(_sleep_game, 0.05)] * 4, gate=0.0)
-    _game_criterion(builds, "raising_game", [(_sleep_game, 0.0), (_raising_game,)])
+    nap = (_sleep_game, "nap", 0.0)
+    _game_criterion(builds, "games", [(_sleep_game, "nap", 0.05)] * 4, gate=0.0)
+    _game_criterion(builds, "raising_game", [nap, (_raising_game, "broken")])
     _game_criterion(builds, "plan_raises", [], raises="plan")
-    _game_criterion(builds, "fold_raises", [(_sleep_game, 0.0)] * 2, raises="fold")
-    _game_criterion(builds, "exiting_game", [(_sleep_game, 0.0), (_exiting_game,)])
-    _game_criterion(builds, "slow_plan", [(_sleep_game, 0.0)] * 2, gate=0.04, plan_seconds=0.05)
-    _game_criterion(builds, "quick", [(_sleep_game, 0.0)] * 3)
+    _game_criterion(builds, "fold_raises", [nap] * 2, raises="fold")
+    _game_criterion(builds, "exiting_game", [nap, (_exiting_game, "exit")])
+    _game_criterion(builds, "slow_plan", [nap] * 2, gate=0.04, plan_seconds=0.05)
+    _game_criterion(builds, "quick", [nap] * 3)
     monkeypatch.setattr(acceptance, "SUITES", {
         "trio": ("third", "first", "second"), "solo": ("second",),
         "failing": ("first", "fails", "second"), "dying": ("first", "exits", "second"),
@@ -380,8 +384,9 @@ def test_verify_records_what_a_criterion_raises(cores, scratch_suites, monkeypat
     assert main(["verify", "raising"]) == 1
     captured = capsys.readouterr()
     lines = [line.rsplit("; required: ", 1)[0] for line in captured.out.splitlines()]
-    assert lines[1:-2] == ["FAIL raises: ValueError: no fraction on the grid",
-                           "FAIL raising_game: ValueError: the game broke",
+    # a raising task's line names the task; a raising plan or fold's does not
+    assert lines[1:-2] == ["FAIL raises: only game: ValueError: no fraction on the grid",
+                           "FAIL raising_game: broken: ValueError: the game broke",
                            "FAIL plan_raises: ValueError: no games to play",
                            "FAIL fold_raises: ValueError: the fit needs two points"]
     assert [line.split(":")[0] for line in (lines[0], lines[-2])] == ["PASS first",
@@ -543,12 +548,27 @@ def test_sweep_bad_grids(tmp_path):
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2, grids
 
 
+@pytest.mark.parametrize("command, algo", [("run", "leashed_dimfree"), ("sweep", "adagrad_ball")])
+def test_negative_seed_is_rejected_before_any_game(command, algo, tmp_path, monkeypatch, capsys):
+    # the constant stream takes no seed; the comparator draws would refuse it
+    # only after the game
+    def no_game(*args, **kwargs):
+        raise AssertionError("a rejected seed started a game")
+
+    monkeypatch.setattr(cli, "run_game", no_game)
+    assert main([command, "--algo", algo, "--dim", "3", "--adversary", "constant",
+                 "--seed", "-1", "--T", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "bad configuration: seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_overflowing_stream_aborts_the_game(command, tmp_path, capsys):
     # 2.0 ** 2000 is past float range: the gradient of round 2 is infinite
     assert main([command, "--adversary", "growing", "--rate", "2000", "--T", "5",
                  "--out", str(tmp_path)]) == 1
-    assert "adversary produced a non-finite gradient at round 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"{command} aborted: adversary produced a non-finite "
+                                       "gradient at round 2\n")
 
 
 def test_summary_is_strict_json(tmp_path):
