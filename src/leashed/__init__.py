@@ -19,7 +19,6 @@ from .adversaries import (
     quantize_magnitude,
 )
 from .bounds import (
-    SIMPLIFIED_SETTINGS,
     BoundParams,
     StreamStats,
     bettor_bound,
@@ -27,7 +26,6 @@ from .bounds import (
     fixed_diameter_bound,
     full_stack_bound,
     hintless_bound,
-    simplified_bound,
 )
 from .coin_betting import (
     ONS_STEP,
@@ -77,7 +75,6 @@ __all__ = [
     "ONS_STEP",
     "RegretLedger",
     "RoundRecord",
-    "SIMPLIFIED_SETTINGS",
     "SUITES",
     "StreamAdversary",
     "StreamStats",
@@ -100,7 +97,6 @@ __all__ = [
     "project_unit_ball",
     "quantize_magnitude",
     "run_game",
-    "simplified_bound",
     "stack_bound",
     "surrogate_grad",
     "surrogate_loss",

@@ -8,9 +8,9 @@ small value; fold(failures, values) gets those values in task order and
 returns the summary that PASS reports. A check that plays no game of its
 own, such as a brute-force oracle, is a plan of one task. A game lets what
 it raises propagate. Each game is built from a `stacks.RunSpec` (epsilon =
-alpha = k = g0 = 1 and p = 1/2 unless the spec sets them), and a bound check
-scores its game through `RunSpec.rows`, the path `run` and `sweep` report
-through.
+alpha = k = g0 = 1 and p = 1/2 unless the spec sets them) and played through
+`run_game`; a bound check scores it through `RunSpec.rows`, as `run` and
+`sweep` do, a scalar stack's at the comparators `run` reports for the spec.
 
 Called directly, a runner builds its plan, runs its tasks here and folds
 them; `run_suite` builds each plan of a suite once and runs all their tasks
@@ -37,18 +37,18 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .adversaries import KINDS, SEEDED_KINDS, best_betting_fraction, random_unit_vectors
+from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_fraction,
+                          random_unit_vectors)
 from .bounds import StreamStats, conjugate_bound
 from .coin_betting import CoinBettor, ons_inner_regret, ons_regret_bound
 from .core import HintedLearner, RegretLedger, dual_norm, run_game
 from .reductions import Leashed
-from .stacks import RunSpec, build_learner
-
-_COMPARATORS = (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
+from .stacks import RunSpec, build_learner, growth_exponent
 
 
 @dataclass
@@ -150,10 +150,10 @@ def run_suite(names, map_tasks) -> list:
             for run, planned in zip(runners, plans)]
 
 
-def _play(spec: RunSpec, check_finite: bool = True, on_round=None) -> RegretLedger:
+def _play(spec: RunSpec, check_finite: bool = True) -> RegretLedger:
     """The ledger of spec.T rounds of the game the spec builds."""
     _, adversary, learner = spec.build()
-    return run_game(learner, adversary, spec.T, check_finite=check_finite, on_round=on_round)
+    return run_game(learner, adversary, spec.T, check_finite=check_finite)
 
 
 def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger,
@@ -200,10 +200,10 @@ def _bettor_games():
 
 
 def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = True) -> float:
-    """The game's bound check at every comparator of _COMPARATORS, and its
-    largest regret/bound."""
+    """The game's bound check at every comparator `run` reports for the spec,
+    and its largest regret/bound."""
     ledger = _play(spec, check_finite=check_finite)
-    return _within_bound(failures, label, spec, ledger, _COMPARATORS)
+    return _within_bound(failures, label, spec, ledger, spec.comparators_for(ledger))
 
 
 def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float:
@@ -252,7 +252,7 @@ def bettor_regret_within_bound() -> tuple:
     # the one-signed constant stream pushes wealth past float range near round
     # 1750; its late regrets are -inf and the comparison stays exact
     return ([(_bound_game, label, spec, False) for label, spec in _bettor_games()],
-            _summary(f"{9 * len(_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
+            _summary(f"{9 * len(SCALAR_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
 
 
 def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -265,7 +265,7 @@ def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
     gs, vs = zip(*bets)
     v_star = best_betting_fraction(gs, bettor.h, resolution=1e-4)
     reg = ons_inner_regret(gs, vs, v_star)
-    cap = ons_regret_bound(1.0, bettor.h, math.fsum(g * g for g in gs))
+    cap = ons_regret_bound(spec.alpha, bettor.h, math.fsum(g * g for g in gs))
     if not reg <= cap + 1e-3:
         failures.append(f"{label}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
     return reg - cap
@@ -292,7 +292,7 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
         return worst
     # exactly-zero truncation error charges nothing
     rows = [(g, sent, w) for (g, w), sent in zip(played, inner.sent) if g - sent != 0.0]
-    for wc in _COMPARATORS:
+    for wc in SCALAR_COMPARATORS:
         lhs = math.fsum((g - sent) * (w - wc) for g, sent, w in rows)
         rhs = ledger.max_norm * (ledger.max_played_norm + abs(wc))
         if not lhs <= rhs:
@@ -324,7 +324,8 @@ def leashed_regret_within_bound() -> tuple:
     """Full stack regret never exceeds the composed guarantee."""
     return ([(_bound_game, f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
              for kind in KINDS for T in (1000, 10_000)],
-            _summary(f"{len(KINDS) * 2 * len(_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
+            _summary(f"{len(KINDS) * 2 * len(SCALAR_COMPARATORS)} cells: "
+                     "max regret/bound = {:.4g}"))
 
 
 def _regret_at_one(failures: list, label: str, spec: RunSpec) -> float:
@@ -340,9 +341,7 @@ def leashed_regret_sublinear() -> tuple:
     def fold(failures: list, regrets: list) -> str:
         per_round = [r / T for r, T in zip(regrets, horizons)]
         decreasing = per_round[1] < per_round[0] and per_round[2] < per_round[1]
-        # regret can be negative; the growth fit clamps at 1 so profit reads as flat
-        ys = [math.log10(max(r, 1.0)) for r in regrets]
-        slope = float(np.polyfit([math.log10(T) for T in horizons], ys, 1)[0])
+        slope = growth_exponent(horizons, regrets)
         summary = (f"regret/T = {per_round[0]:.4g}, {per_round[1]:.4g}, {per_round[2]:.4g} "
                    f"at T = 1e2, 1e3, 1e4; fitted exponent {slope:.3g}")
         if not (decreasing and slope <= 0.55):
@@ -382,7 +381,7 @@ def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
              on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy())))
     for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(spec.dim, 3, seed=11)):
         wc = m * u
-        n = float(np.linalg.norm(wc))
+        n = dual_norm(wc)
         un = wc / n
         lhs = math.fsum(float(g @ (w - wc)) for g, w, _, _ in rows)
         # s_t = <g_t, y_t>, the loss the lift hands its scalar learner
@@ -404,22 +403,23 @@ def lift_identity_exact() -> tuple:
             _summary("max identity gap = {:.3g}"))
 
 
-def _barrier_trace(stack, gs) -> list:
-    out = []
-    for g in gs:
-        stack.play()
-        out.append(stack.B)  # barrier in force for this round's projection
-        stack.update(g)
-    out.append(stack.B)
-    return out
-
-
 def _barrier_game(failures: list, kind: str, spec: RunSpec) -> None:
     """The game's barrier trace compared with that of its stream scaled by 1000."""
-    stream = []
-    _play(spec, on_round=lambda t, w, g: stream.append(g))
-    b1 = _barrier_trace(build_learner(spec.algo, spec.params), stream)
-    b2 = _barrier_trace(build_learner(spec.algo, spec.params), [1000.0 * g for g in stream])
+    _, adversary, learner = spec.build()
+    b1, scaled = [], []
+
+    def record(t, w, g):
+        b1.append(learner.B)  # barrier in force for this round's projection
+        scaled.append(1000.0 * g)
+
+    run_game(learner, adversary, spec.T, on_round=record)
+    b1.append(learner.B)
+    # replay the recorded stream, not a rescaled adversary: adaptive_sign reads the point
+    rescaled = build_learner(spec.algo, spec.params)
+    b2 = []
+    run_game(rescaled, SimpleNamespace(next_grad=lambda t, w: scaled[t - 1]), spec.T,
+             on_round=lambda t, w, g: b2.append(rescaled.B))
+    b2.append(rescaled.B)
     bad = sum(1 for x, y in zip(b1, b2) if x != y)
     if bad:
         failures.append(f"{kind}: {bad} of {len(b1)} barrier values differ")
@@ -488,14 +488,15 @@ def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
-    worst = _within_bound(failures, label, spec, ledger, (0.0, 0.3, -0.3, 1.0, -1.0))
+    worst = _within_bound(failures, label, spec, ledger, spec.comparators_for(ledger))
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
 
 @criterion(required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
 def diameter_respected() -> tuple:
     """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
-    spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000)
+    spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000,
+                   comparators="0,0.3,-0.3,1,-1")
     return [(_diameter_game, "growing", spec)], lambda failures, summaries: summaries[0]
 
 

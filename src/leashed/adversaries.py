@@ -34,6 +34,9 @@ KINDS = (
 
 SEEDED_KINDS = ("seeded_uniform", "seeded_signs")
 
+# comparator_sweep's one-dimensional comparators; the positive ones are its magnitudes
+SCALAR_COMPARATORS = (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
+
 _GRID = float(2 ** 20)
 # from here on x * 2**20 overflows; every float this large is an integer
 _LATTICE_TOP = 2.0 ** 1004
@@ -252,20 +255,18 @@ def _betting_losses(grid: np.ndarray, gs: np.ndarray) -> np.ndarray:
 
 
 def comparator_sweep(ledger: RegretLedger, seed: int = 0) -> list:
-    """Standard comparator set for bound reports.
+    """Standard comparator set for bound reports, scored by `run`, `sweep`
+    and `verify`'s bettor and leashed bound checks.
 
-    One-dimensional games get the fixed scalars 0, +/-0.1, +/-1, +/-10,
+    One-dimensional games get SCALAR_COMPARATORS: 0, +/-0.1, +/-1, +/-10,
     +/-100. Higher dimensions get the zero vector plus those magnitudes
     along +/- the normalized gradient sum (first axis when the sum is zero)
     and along four seeded random unit directions per magnitude.
     """
-    magnitudes = (0.1, 1.0, 10.0, 100.0)
     d = ledger.dim
     if d is None or d == 1:
-        out = [0.0]
-        for m in magnitudes:
-            out.extend((m, -m))
-        return out
+        return list(SCALAR_COMPARATORS)
+    magnitudes = SCALAR_COMPARATORS[1::2]
     lead = _unit_rows(np.array(ledger.grad_sum, dtype=float, ndmin=2))[0]
     dirs = random_unit_vectors(d, _N_RANDOM, seed)
     out = [np.zeros(d)]

@@ -18,8 +18,6 @@ from .core import RegretLedger
 # the exponents q over which _leash_terms takes its least penalty
 _Q_GRID = (0.0, 1.0 / 3.0, 0.5, 1.0)
 
-SIMPLIFIED_SETTINGS = ("p_half_q_zero", "p_third_q_third")
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -216,17 +214,3 @@ def conjugate_bound(a: float, b: float, c: float, theta: float) -> float:
     arm2 = t * math.sqrt((2.0 * c / b) * math.log1p(2.0 * c * t * t / (a * a * b))) - a
     return max(arm1, arm2)
 
-
-def simplified_bound(setting: str, stats: StreamStats, w_abs: float,
-                     k: float = 1.0) -> float:
-    """Constant-free growth templates for exponent reporting.
-
-    Not rigorous upper bounds; use the evaluators above for verification.
-    """
-    w = abs(float(w_abs))
-    T, G = stats.T, stats.G
-    if setting == "p_half_q_zero":
-        return (w + k) * G * math.sqrt(T) + G * w + G * w ** 3 / k ** 2
-    if setting == "p_third_q_third":
-        return w * G * math.sqrt(T) + G * w + (w ** 3 / k ** 2 + k) * G * T ** (1.0 / 3.0)
-    raise ValueError(f"unknown setting {setting!r}, expected one of {SIMPLIFIED_SETTINGS}")

@@ -29,7 +29,7 @@ import numpy as np
 from .adversaries import KINDS
 from .bounds import StreamStats, bettor_bound
 from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
-from .stacks import ALGOS, RunSpec, _parse_listish
+from .stacks import ALGOS, RunSpec, _parse_listish, growth_exponent
 from . import acceptance
 
 ENV_PREFIX = "LEASHED_"
@@ -87,10 +87,15 @@ def _strict(cast):
 def _settings(args: argparse.Namespace, grid=()) -> dict:
     """Every RunSpec field from its flag, else LEASHED_<FIELD>, else the
     config file, else its default, cast strictly to the type of that default
-    (D is a float). The fields named in `grid` resolve to lists."""
+    (D is a float). The fields named in `grid` resolve to lists. A config
+    key that names no field is a ValueError."""
     file_cfg = _load_config(args.config)
+    fields = dataclasses.fields(RunSpec)
+    unknown = sorted(set(file_cfg) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"config file names no setting: {', '.join(unknown)}")
     out = {}
-    for f in dataclasses.fields(RunSpec):
+    for f in fields:
         raw = next((v for v in (getattr(args, f.name, None),
                                 os.environ.get(ENV_PREFIX + f.name.upper()),
                                 file_cfg.get(f.name)) if v is not None), None)
@@ -282,9 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 pts = sorted(pts)
                 if len({t for t, _ in pts}) < 2:
                     continue
-                xs = [math.log10(t) for t, _ in pts]
-                ys = [math.log10(max(r, 1.0)) for _, r in pts]
-                slope = float(np.polyfit(xs, ys, 1)[0])
+                slope = growth_exponent([t for t, _ in pts], [r for _, r in pts])
                 writer.writerow((_fmt(k), _fmt(p), kind, label, _fmt(slope)))
         written.append(exp_path.name)
     print("wrote " + " and ".join(written))

@@ -6,6 +6,8 @@ import dataclasses
 import math
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .adversaries import AdversaryConfig, StreamAdversary, comparator_sweep
 from .bounds import (
     BoundParams,
@@ -105,6 +107,14 @@ def stack_bound(
     if algo == "adagrad_ball":
         return ball_regret_bound(stats.sum_sq)
     raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
+
+
+def growth_exponent(horizons, regrets) -> float:
+    """Least-squares slope of log10(max(regret, 1)) against log10(T). Regret
+    can be negative; the clamp at 1 makes profit read as flat growth."""
+    xs = [math.log10(T) for T in horizons]
+    ys = [math.log10(max(r, 1.0)) for r in regrets]
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def _parse_listish(raw, cast) -> list:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from leashed import CRITERIA, SUITES, acceptance, format_result, stacks
+from leashed import CRITERIA, KINDS, SUITES, acceptance, format_result, reductions, stacks
 from leashed.coin_betting import ONS_STEP, CoinBettor
 from leashed.acceptance import wealth_positive_bets_clipped
 
@@ -75,6 +75,23 @@ def test_criterion_catches_broken_clip():
     result = wealth_positive_bets_clipped(bettor_cls=BrokenClip)
     assert not result.passed
     assert "bet outside" in result.measured, result.measured
+
+
+def test_barrier_criterion_catches_a_barrier_one_ulp_off(monkeypatch):
+    # only the stream scaled by 1000 carries gradients of 1000 or more, from
+    # round 1 on for the first four kinds, so every barrier after the first moves
+    real = reductions.Leashed.update
+
+    def update(self, g):
+        real(self, g)
+        if abs(g) >= 1000.0:
+            self.B = math.nextafter(self.B, math.inf)
+
+    monkeypatch.setattr(reductions.Leashed, "update", update)
+    result = CRITERIA["barrier_scale_invariant"]()
+    assert not result.passed
+    assert result.measured == "; ".join(f"{kind}: 1000 of 1001 barrier values differ"
+                                        for kind in KINDS[:4])
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leashed import (
-    SIMPLIFIED_SETTINGS,
     AdversaryConfig,
     BoundParams,
     RegretLedger,
@@ -21,7 +20,6 @@ from leashed import (
     full_stack_bound,
     hintless_bound,
     run_game,
-    simplified_bound,
 )
 from leashed.bounds import _leash_terms
 
@@ -244,19 +242,3 @@ def test_conjugate_bound_at_subnormal_theta():
             assert math.isfinite(cap)
             assert brute_conjugate(a, b, c, theta, lo=-120.0, hi=120.0) <= cap + 1e-6
 
-
-def test_simplified_bounds():
-    s100 = StreamStats(T=100, sum_sq=100.0, sum_abs=100.0, G=1.0,
-                       h_T=1.0, max_ratio=100.0)
-    s1000 = StreamStats(T=1000, sum_sq=1000.0, sum_abs=1000.0, G=1.0,
-                        h_T=1.0, max_ratio=1000.0)
-    assert simplified_bound("p_half_q_zero", s100, 0.0, k=1.0) == 10.0
-    assert simplified_bound("p_third_q_third", s1000, 1.0, k=1.0) == pytest.approx(
-        math.sqrt(1000.0) + 21.0, rel=1e-15
-    )
-    assert simplified_bound("p_third_q_third", s1000, 0.0, k=1.0) == pytest.approx(
-        10.0, rel=1e-15
-    )
-    with pytest.raises(ValueError):
-        simplified_bound("nope", s100, 0.0)
-    assert set(SIMPLIFIED_SETTINGS) == {"p_half_q_zero", "p_third_q_third"}

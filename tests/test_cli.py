@@ -148,15 +148,37 @@ def test_run_bad_settings(tmp_path):
     bad.write_text("[1, 2]")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     # config values that int() or float() would change without a word: a
-    # bool anywhere, a fraction for an int field, an int past float range
+    # bool anywhere, a fraction for an int field, an int past float range;
+    # and keys that name no setting, which would play the default
     for cfg in ({"T": 10.7}, {"seed": True}, {"T": 10.7, "seed": True}, {"k": True},
-                {"algo": True}, {"T": math.inf}, {"k": 10 ** 400}):
+                {"algo": True}, {"T": math.inf}, {"k": 10 ** 400}, {"Tt": 5, "kk": 3},
+                {"epsilon": 2}):
         bad.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2, cfg
     for cfg in ({"T": 10}, {"T": 10.0}):
         bad.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 0, cfg
         assert read_summary(tmp_path / "summary.json")["T"] == 10
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_config_key_is_rejected_before_any_game(command, tmp_path, monkeypatch, capsys):
+    # a misspelt key, or summary.json's "epsilon" for the setting eps, would
+    # otherwise play the default instead
+    def no_game(*args, **kwargs):
+        raise AssertionError("an unknown config key started a game")
+
+    monkeypatch.setattr(cli, "run_game", no_game)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    for keys, named in (({"Tt": 5, "kk": 3}, "Tt, kk"), ({"epsilon": 2}, "epsilon"),
+                        ({"T": 10, "epsilon": 2}, "epsilon")):
+        cfg.write_text(json.dumps(keys))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, keys
+        err = capsys.readouterr().err
+        assert err == f"bad configuration: config file names no setting: {named}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_run_aborts_on_contract_violation(tmp_path, capsys):
@@ -209,16 +231,6 @@ def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
     assert exc.value.code == 2
-
-
-def test_verify_prints_the_pinned_measurements(capsys):
-    names = acceptance.SUITES["reductions"]
-    assert main(["verify", "reductions"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(": ")[0] for line in lines[:-1]] == [f"PASS {n}" for n in names]
-    for name, line in zip(names, lines):
-        assert line.startswith(f"PASS {name}: {MEASURED[name]}; required: "), line
-    assert lines[-1] == f"{len(names)}/{len(names)} criteria passed"
 
 
 def _outcome_game(failures, label, outcome):
@@ -543,7 +555,7 @@ def test_sweep_bad_grids(tmp_path):
         assert main(["sweep", "--T", "10", "--out", str(tmp_path)] + flags) == 2, flags
     cfg = tmp_path / "cfg.json"
     for grids in ({"T": [100.5, 1000]}, {"k": [1, True]}, {"adversary": [True]},
-                  {"seed": True}):
+                  {"seed": True}, {"Tt": [5, 10]}, {"epsilon": 2}):
         cfg.write_text(json.dumps(grids))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2, grids
 

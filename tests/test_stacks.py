@@ -1,4 +1,6 @@
 """Named stack assembly and guarantee dispatch."""
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from leashed import (
     hintless_bound,
     stack_bound,
 )
+from leashed.stacks import growth_exponent
 
 PARAMS = BoundParams(epsilon=2.0, alpha=3.0, k=0.5, p=1.0, g0=4.0)
 STATS = StreamStats.from_norms([1.0, 2.0, 1.0], g0=4.0)
@@ -107,3 +110,11 @@ def test_built_stacks_play_one_round():
         learner = build_learner(algo, PARAMS, dim=dim, diameter=1.0)
         learner.play()
         learner.update(grads[dim])
+
+
+def test_growth_exponent_fits_a_power_law_and_clamps_profit():
+    horizons = (100, 1000, 10_000, 100_000)
+    assert growth_exponent(horizons, [3.0 * T ** 0.5 for T in horizons]) == pytest.approx(0.5)
+    assert growth_exponent(horizons[:2], [T ** 1.5 for T in horizons[:2]]) == pytest.approx(1.5)
+    # regret at or below 1, profit included, reads as flat growth
+    assert growth_exponent(horizons, [1.0, 0.5, -22.06 * 1000, -math.inf]) == 0.0
