@@ -1,15 +1,15 @@
 """Executable acceptance checks for every guarantee the package makes.
 
-Every criterion is a plan(*args, **kwargs) under the `criterion` runner that
-returns (tasks, fold). A game task is a (fn, label, *args) tuple whose
+Every criterion is a plan() under the `criterion` runner that returns
+(tasks, fold). A game task is a (fn, label, *args) tuple whose
 module-level fn(failures, label, *args) plays one independent game, appends
 one line to `failures` for each check that does not hold and returns one
 small value; fold(failures, values) gets those values in task order and
 returns the summary that PASS reports. A check that plays no game of its
 own, such as a brute-force oracle, is a plan of one task. A game lets what
-it raises propagate. Each game is built from a `stacks.RunSpec` (epsilon =
-alpha = k = g0 = 1 and p = 1/2 unless the spec sets them) and played through
-`run_game`; a bound check scores it through `RunSpec.rows`, as `run` and
+it raises propagate. Each game is the pair `stacks.RunSpec.build` makes
+(epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec sets them),
+played through `run_game`; a bound check scores it through `RunSpec.rows`, as `run` and
 `sweep` do, a scalar stack's at the comparators `run` reports for the spec.
 
 Called directly, a runner builds its plan, runs its tasks here and folds
@@ -45,10 +45,9 @@ import numpy as np
 from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_fraction,
                           random_unit_vectors)
 from .bounds import StreamStats, conjugate_bound
-from .coin_betting import CoinBettor, ons_inner_regret, ons_regret_bound
+from .coin_betting import ons_inner_regret, ons_regret_bound
 from .core import HintedLearner, RegretLedger, dual_norm, run_game
-from .reductions import Leashed
-from .stacks import RunSpec, build_learner, growth_exponent
+from .stacks import RunSpec, build_learner, comparator_label, growth_exponent
 
 
 @dataclass
@@ -90,25 +89,24 @@ def run_task(task: tuple) -> tuple:
     return seconds, failures, value, error and f"{label}: {error}"
 
 
-def _build(plan, *args, **kwargs) -> tuple:
-    """(seconds, tasks, fold, error) of plan(*args, **kwargs), as _timed
-    reports it; a plan that raised has no tasks and no fold."""
-    seconds, built, error = _timed(plan, *args, **kwargs)
+def _build(plan) -> tuple:
+    """(seconds, tasks, fold, error) of plan(), as _timed reports it; a plan
+    that raised has no tasks and no fold."""
+    seconds, built, error = _timed(plan)
     tasks, fold = built or ([], None)
     return seconds, tasks, fold, error
 
 
 def criterion(required: str, gate: Optional[float] = None):
-    """Register plan(*args, **kwargs) in CRITERIA under its name, run as the
-    module docstring describes, with gate its wall-clock limit in seconds.
+    """Register plan() in CRITERIA under its name, run as the module
+    docstring describes, with gate its wall-clock limit in seconds.
     Each task is (fn, label, *args), run by run_task. The runner keeps the
     plan as its `plan` attribute and takes `planned` and `done`, the _build
     and run_task results made elsewhere (run_suite)."""
     def register(plan):
         @functools.wraps(plan)
-        def run(*args, planned: Optional[tuple] = None, done: Optional[list] = None,
-                **kwargs) -> CriterionResult:
-            seconds, tasks, fold, error = planned or _build(plan, *args, **kwargs)
+        def run(planned: Optional[tuple] = None, done: Optional[list] = None) -> CriterionResult:
+            seconds, tasks, fold, error = planned or _build(plan)
             if done is None:
                 done = [run_task(task) for task in tasks]
             summary = ""
@@ -152,7 +150,7 @@ def run_suite(names, map_tasks) -> list:
 
 def _play(spec: RunSpec, check_finite: bool = True) -> RegretLedger:
     """The ledger of spec.T rounds of the game the spec builds."""
-    _, adversary, learner = spec.build()
+    adversary, learner = spec.build()
     return run_game(learner, adversary, spec.T, check_finite=check_finite)
 
 
@@ -165,8 +163,8 @@ def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedge
     worst = -math.inf
     for i, (wc, _, r, b, ratio) in enumerate(spec.rows(ledger, stats, comparators)):
         if not r <= b:
-            name = f"{wc:g}" if np.ndim(wc) == 0 else f"#{i}"
-            failures.append(f"{label} comparator {name}: regret {r:.6g} > bound {b:.6g}")
+            failures.append(f"{label} comparator {comparator_label(wc, i)}: "
+                            f"regret {r:.6g} > bound {b:.6g}")
         elif math.isfinite(r) and ratio is not None:
             worst = max(worst, ratio)
     return worst
@@ -206,10 +204,11 @@ def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = 
     return _within_bound(failures, label, spec, ledger, spec.comparators_for(ledger))
 
 
-def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float:
-    """The game's wealth and cap checks, and the least wealth a bet from
-    round 2 on was placed from."""
-    bettor = bettor_cls(epsilon=spec.eps, alpha=spec.alpha, h1=spec.g0)
+def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
+    """The leashed game's wealth and cap checks on its bettor, and the least
+    wealth a bet from round 2 on was placed from."""
+    adversary, leashed = spec.build()
+    bettor = leashed.inner
     # the least wealth a bet from round 2 on is placed from; bets over the cap
     low, bad = None, 0
 
@@ -221,7 +220,6 @@ def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float
         if abs(bettor.v) > 0.5 / bettor.h:
             bad += 1
 
-    _, adversary, leashed = spec.build(Leashed(bettor, k=spec.k, p=spec.p, g0=spec.g0))
     run_game(leashed, adversary, spec.T, on_round=watch)
     # the wealth after each round: the next bet's, then the final one
     low = min(low, bettor.wealth)
@@ -236,11 +234,10 @@ def _wealth_game(failures: list, label: str, spec: RunSpec, bettor_cls) -> float
     required="wealth > 0 and |v_t| <= 1/(2 h_t) exactly, every adversary kind, under 5 s",
     gate=5.0,
 )
-def wealth_positive_bets_clipped(bettor_cls=CoinBettor) -> tuple:
+def wealth_positive_bets_clipped() -> tuple:
     """Wealth stays strictly positive and every bet respects the hint cap."""
     # only the seeded kinds consume the seed; the rest rerun identically
-    tasks = [(_wealth_game, f"{kind}/seed{seed}", RunSpec(adversary=kind, seed=seed, T=10_000),
-              bettor_cls)
+    tasks = [(_wealth_game, f"{kind}/seed{seed}", RunSpec(adversary=kind, seed=seed, T=10_000))
              for kind in KINDS for seed in (range(1, 11) if kind in SEEDED_KINDS else (1,))]
     return tasks, _summary(f"{len(tasks)} runs of T=10000: min wealth {{:.4g}}, 0 cap violations",
                            min)
@@ -258,7 +255,7 @@ def bettor_regret_within_bound() -> tuple:
 def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's betting-fraction regret check against the best fraction on
     the grid, and its regret minus the bound."""
-    _, adversary, bettor = spec.build()
+    adversary, bettor = spec.build()
     bets = []  # (gradient, fraction wagered) of each round
     run_game(bettor, adversary, spec.T, check_finite=False,
              on_round=lambda t, w, g: bets.append((float(g), bettor.v)))
@@ -282,7 +279,7 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
     """The game's truncation-overhead check at every comparator, and its
     largest finite overhead/range (-inf when there is none)."""
     worst = -math.inf
-    _, adversary, wrapper = spec.build()
+    adversary, wrapper = spec.build()
     wrapper.inner = inner = _SentRecorder(wrapper.inner)
     played = []
     ledger = run_game(wrapper, adversary, spec.T, check_finite=expect_finite,
@@ -375,7 +372,7 @@ def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's lift identity check at three comparators, and its largest
     identity gap."""
     worst = 0.0
-    _, adversary, lift = spec.build()
+    adversary, lift = spec.build()
     rows = []  # (g, w, x, y) of each round, as played
     run_game(lift, adversary, spec.T,
              on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy())))
@@ -405,7 +402,7 @@ def lift_identity_exact() -> tuple:
 
 def _barrier_game(failures: list, kind: str, spec: RunSpec) -> None:
     """The game's barrier trace compared with that of its stream scaled by 1000."""
-    _, adversary, learner = spec.build()
+    adversary, learner = spec.build()
     b1, scaled = [], []
 
     def record(t, w, g):

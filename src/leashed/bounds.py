@@ -105,24 +105,28 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def _bettor_terms(params: BoundParams, stats: StreamStats, w: float, c: float) -> tuple:
+    """(ln x, square-root arm) of the coin bettor's guarantee at comparator
+    magnitude w > 0, where the arm's log argument carries a / (c h^2)."""
+    eps, a = params.epsilon, params.alpha
+    h, s = stats.h_T, stats.sum_sq
+    ln_x = (math.log(16.0) + math.log(w) + math.log(h) - math.log(eps)
+            + a / (4.0 * h * h) + 4.5 * math.log1p(s / a))
+    if s == 0.0:
+        return ln_x, 0.0
+    ln_arg = (math.log(4.0) + 10.0 * math.log(s) + a / (c * h * h)
+              + 2.0 * (math.log(w) - math.log(eps)))
+    return ln_x, 2.0 * math.sqrt(s * _softplus(ln_arg))
+
+
 def bettor_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> float:
     """Regret guarantee of the hint-consuming coin bettor at comparator
     magnitude w_abs. Equals epsilon exactly at the origin."""
     w = abs(float(w_abs))
-    eps, a = params.epsilon, params.alpha
-    h, s = stats.h_T, stats.sum_sq
     if w == 0.0:
-        return eps
-    ln_x = (math.log(16.0) + math.log(w) + math.log(h) - math.log(eps)
-            + a / (4.0 * h * h) + 4.5 * math.log1p(s / a))
-    arm1 = 8.0 * h * (ln_x - 1.0)
-    if s == 0.0:
-        arm2 = 0.0
-    else:
-        ln_arg = (math.log(4.0) + 10.0 * math.log(s) + a / (2.0 * h * h)
-                  + 2.0 * (math.log(w) - math.log(eps)))
-        arm2 = 2.0 * math.sqrt(s * _softplus(ln_arg))
-    return eps + w * max(arm1, arm2)
+        return params.epsilon
+    ln_x, arm2 = _bettor_terms(params, stats, w, 2.0)
+    return params.epsilon + w * max(8.0 * stats.h_T * (ln_x - 1.0), arm2)
 
 
 def _pow(x: float, y: float) -> float:
@@ -155,22 +159,13 @@ def full_stack_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> f
     """End-to-end guarantee of the Leashed coin bettor with fabricated
     hints, fully expanded."""
     w = abs(float(w_abs))
-    eps, a = params.epsilon, params.alpha
-    h, s = stats.h_T, stats.sum_sq
     if w == 0.0:
         comparator_part = 0.0
     else:
-        ln_x = (math.log(16.0) + math.log(w) + math.log(h) - math.log(eps)
-                + a / (4.0 * h * h) + 4.5 * math.log1p(s / a))
-        arm1 = 8.0 * h * ln_x - h
-        if s == 0.0:
-            arm2 = 0.0
-        else:
-            ln_arg = (math.log(4.0) + 10.0 * math.log(s) + a / (4.0 * h * h)
-                      + 2.0 * (math.log(w) - math.log(eps)))
-            arm2 = 2.0 * math.sqrt(s * _softplus(ln_arg))
-        comparator_part = 2.0 * w * max(arm1, arm2)
-    return 2.0 * eps + comparator_part + _leash_terms(params, stats, w)
+        h = stats.h_T
+        ln_x, arm2 = _bettor_terms(params, stats, w, 4.0)
+        comparator_part = 2.0 * w * max(8.0 * h * ln_x - h, arm2)
+    return 2.0 * params.epsilon + comparator_part + _leash_terms(params, stats, w)
 
 
 def hintless_bound(params: BoundParams, stats: StreamStats, w_abs: float,

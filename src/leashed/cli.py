@@ -1,14 +1,17 @@
 """Command-line harness: single runs with traces, acceptance checks, sweeps.
 
 A game's settings form one frozen `stacks.RunSpec`, the record `verify`
-builds its games from too. Each field resolves in precedence order: flag,
-then the environment variable LEASHED_<FIELD> (e.g. LEASHED_T), then the
-JSON file given via --config, where null counts as unset, then the field's
-default; building the spec checks it before any game runs. `verify` hands
-`acceptance.run_suite` the worker pool and prints the results it returns.
-Trace and summary files land in the existing directory named by --out. A
-game that diverges or breaks a learner's contract ends the command in
-`main`, which prints "<command> aborted: <message>" and returns 1.
+builds its games from too. Each field is a flag --<field> with the help
+text the field carries (sweep's grid fields take comma-separated lists;
+`run` has no --jobs) and resolves in precedence order: flag, then the
+environment variable LEASHED_<FIELD> (e.g. LEASHED_T), then the JSON file
+given via --config, where null counts as unset, then the field's default.
+`_settings` is the one cast and building the spec the one check, both
+before any game runs. `verify` hands `acceptance.run_suite` the worker pool
+and prints the results it returns. Trace and summary files land in the
+existing directory named by --out. A game that diverges or breaks a
+learner's contract ends the command in `main`, which prints
+"<command> aborted: <message>" and returns 1.
 """
 from __future__ import annotations
 
@@ -26,10 +29,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .adversaries import KINDS
 from .bounds import StreamStats, bettor_bound
-from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
-from .stacks import ALGOS, RunSpec, _parse_listish, growth_exponent
+from .core import GameDivergence, Learner, RegretLedger, run_game
+from .stacks import RunSpec, _parse_listish, comparator_label, growth_exponent
 from . import acceptance
 
 ENV_PREFIX = "LEASHED_"
@@ -88,7 +90,8 @@ def _settings(args: argparse.Namespace, grid=()) -> dict:
     """Every RunSpec field from its flag, else LEASHED_<FIELD>, else the
     config file, else its default, cast strictly to the type of that default
     (D is a float). The fields named in `grid` resolve to lists. A config
-    key that names no field is a ValueError."""
+    key that names no field, or a value that does not cast, is a ValueError;
+    the latter's message starts with the field's name."""
     file_cfg = _load_config(args.config)
     fields = dataclasses.fields(RunSpec)
     unknown = sorted(set(file_cfg) - {f.name for f in fields})
@@ -100,10 +103,13 @@ def _settings(args: argparse.Namespace, grid=()) -> dict:
                                 os.environ.get(ENV_PREFIX + f.name.upper()),
                                 file_cfg.get(f.name)) if v is not None), None)
         cast = _strict(float if f.default is None else type(f.default))
-        if f.name in grid:
-            out[f.name] = [f.default] if raw is None else _parse_listish(raw, cast)
-        else:
-            out[f.name] = f.default if raw is None else cast(raw)
+        try:
+            if f.name in grid:
+                out[f.name] = [f.default] if raw is None else _parse_listish(raw, cast)
+            else:
+                out[f.name] = f.default if raw is None else cast(raw)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"{f.name}: {exc}") from None
     return out
 
 
@@ -121,13 +127,6 @@ def _strict_json(x):
     if isinstance(x, float) and not math.isfinite(x):
         return _fmt(x)
     return x
-
-
-def _comparator_label(wc, i: int) -> str:
-    """A scalar's value; a vector's norm and index i in RunSpec.comparators_for."""
-    if isinstance(wc, np.ndarray):
-        return f"|w|={dual_norm(wc):.6g}#{i}"
-    return format(float(wc), ".12g")
 
 
 def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
@@ -162,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not out_dir.is_dir():
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
-    adv_cfg, adversary, learner = spec.build()
+    adversary, learner = spec.build()
     recorder = TraceRecorder(learner)
     ledger = run_game(recorder, adversary, spec.T, keep_rows=True)
     trace_path = out_dir / "trace.csv"
@@ -176,7 +175,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     summary = {
         "algo": spec.algo,
-        "adversary": dataclasses.asdict(adv_cfg),
+        "adversary": dataclasses.asdict(adversary.config),
         "T": spec.T,
         "dim": spec.dim,
         "params": dataclasses.asdict(params),
@@ -231,12 +230,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(spec: RunSpec) -> list:
-    _, adversary, learner = spec.build()
+    adversary, learner = spec.build()
     ledger = run_game(learner, adversary, spec.T)
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     return [
-        (spec.k, spec.p, spec.adversary, spec.T, _comparator_label(wc, i), regret, bound, ratio)
+        (spec.k, spec.p, spec.adversary, spec.T, comparator_label(wc, i), regret, bound, ratio)
         for i, (wc, _, regret, bound, ratio) in enumerate(rows)
     ]
 
@@ -301,35 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, listy: bool) -> None:
-        if listy:
-            p.add_argument("--k", help="comma-separated barrier scales")
-            p.add_argument("--p", help="comma-separated barrier exponents")
-            p.add_argument("--adversary", help="comma-separated adversary kinds")
-            p.add_argument("--T", help="comma-separated horizons")
-        else:
-            p.add_argument("--k", type=float, help="barrier scale")
-            p.add_argument("--p", type=float, help="barrier exponent in (0, 1]")
-            p.add_argument("--adversary", choices=KINDS, help="gradient stream kind")
-            p.add_argument("--T", type=int, help="number of rounds")
-        p.add_argument("--algo", choices=ALGOS, help="learner stack")
-        p.add_argument("--dim", type=int, help="game dimension")
-        p.add_argument("--eps", type=float, help="initial wealth")
-        p.add_argument("--alpha", type=float, help="curvature seed for the betting update")
-        p.add_argument("--g0", type=float, help="initial magnitude guess")
-        p.add_argument("--D", type=float, help="diameter for the fixed_diameter stack")
-        p.add_argument("--seed", type=int, help="seed for adversaries and comparators")
-        p.add_argument("--comparators", help='"auto" or comma-separated scalars')
-        p.add_argument("--out", help="existing output directory")
-        p.add_argument("--scale", type=float, help="gradient scale")
-        p.add_argument("--rate", type=float, help="growth rate for the growing kind")
-        p.add_argument("--period", type=int, help="spike period")
-        p.add_argument("--magnitude", type=float, help="spike magnitude")
-        p.add_argument("--envelope", type=float, help="magnitude cap for seeded kinds")
+    def add_settings(p: argparse.ArgumentParser, skip=(), grid=()) -> None:
+        """A --<field> flag per RunSpec field not in skip, those in grid
+        taking comma-separated lists, and --config."""
+        for f in dataclasses.fields(RunSpec):
+            if f.name not in skip:
+                help_text = f.metadata["help"]
+                p.add_argument(f"--{f.name}", help=(f"comma-separated grid; {help_text}"
+                                                    if f.name in grid else help_text))
         p.add_argument("--config", help="JSON file with default settings")
 
     run_p = sub.add_parser("run", help="play one game; write trace.csv and summary.json")
-    add_common(run_p, listy=False)
+    add_settings(run_p, skip=("jobs",))
     run_p.set_defaults(func=cmd_run)
 
     verify_p = sub.add_parser("verify", help="run acceptance criteria")
@@ -340,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(func=cmd_verify)
 
     sweep_p = sub.add_parser("sweep", help="grid of games; write sweep.csv and exponents.csv")
-    add_common(sweep_p, listy=True)
-    sweep_p.add_argument("--jobs", type=int, help="parallel worker processes")
+    add_settings(sweep_p, grid=GRID_KEYS)
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 

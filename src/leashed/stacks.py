@@ -1,5 +1,7 @@
 """Assembly of named learner stacks, their matching guarantees, and the
-RunSpec record that `run`, `sweep` and `verify` build and score games from."""
+RunSpec record that `run`, `sweep` and `verify` build and score games from.
+RunSpec's fields are the one list of settings: the command line makes one
+flag per field, with the help text the field carries."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,7 +10,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .adversaries import AdversaryConfig, StreamAdversary, comparator_sweep
+from .adversaries import KINDS, AdversaryConfig, StreamAdversary, comparator_sweep
 from .bounds import (
     BoundParams,
     StreamStats,
@@ -124,6 +126,18 @@ def _parse_listish(raw, cast) -> list:
     return [cast(p) for p in parts]
 
 
+def _setting(default, text: str):
+    """A RunSpec field with its default and the help text of its flag."""
+    return dataclasses.field(default=default, metadata={"help": text})
+
+
+def comparator_label(wc, i: int) -> str:
+    """A scalar's value; a vector's norm and index i in RunSpec.comparators_for."""
+    if isinstance(wc, np.ndarray):
+        return f"|w|={dual_norm(wc):.6g}#{i}"
+    return format(float(wc), ".12g")
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """Every setting of one game: the stack, the stream and its horizon, the
@@ -131,25 +145,25 @@ class RunSpec:
     sweep's worker count. Building a spec checks it, so bad settings fail
     before any game runs."""
 
-    algo: str = "leashed"
-    adversary: str = "constant"
-    T: int = 1000
-    dim: int = 1
-    k: float = 1.0
-    p: float = 0.5
-    eps: float = 1.0
-    alpha: float = 1.0
-    g0: float = 1.0
-    D: Optional[float] = None
-    seed: int = 0
-    comparators: str = "auto"  # "auto" or comma-separated scalars
-    out: str = "."
-    scale: float = 1.0
-    rate: float = 0.5
-    period: int = 10
-    magnitude: float = 10.0
-    envelope: float = 1.0
-    jobs: int = 1
+    algo: str = _setting("leashed", "learner stack: " + ", ".join(ALGOS))
+    adversary: str = _setting("constant", "gradient stream kind: " + ", ".join(KINDS))
+    T: int = _setting(1000, "number of rounds")
+    dim: int = _setting(1, "game dimension")
+    k: float = _setting(1.0, "barrier scale")
+    p: float = _setting(0.5, "barrier exponent in (0, 1]")
+    eps: float = _setting(1.0, "initial wealth")
+    alpha: float = _setting(1.0, "curvature seed for the betting update")
+    g0: float = _setting(1.0, "initial magnitude guess")
+    D: Optional[float] = _setting(None, "diameter for the fixed_diameter stack")
+    seed: int = _setting(0, "seed for adversaries and comparators")
+    comparators: str = _setting("auto", '"auto" or comma-separated scalars')
+    out: str = _setting(".", "existing output directory")
+    scale: float = _setting(1.0, "gradient scale")
+    rate: float = _setting(0.5, "growth rate for the growing kind")
+    period: int = _setting(10, "spike period")
+    magnitude: float = _setting(10.0, "spike magnitude")
+    envelope: float = _setting(1.0, "magnitude cap for seeded kinds")
+    jobs: int = _setting(1, "parallel worker processes")
 
     def __post_init__(self):
         if self.T < 1:
@@ -170,20 +184,16 @@ class RunSpec:
     def params(self) -> BoundParams:
         return BoundParams(epsilon=self.eps, alpha=self.alpha, k=self.k, p=self.p, g0=self.g0)
 
-    def build(self, learner: Optional[Learner] = None) -> tuple:
-        """(adversary config, adversary, learner) for a fresh game; a learner
-        given plays in place of the spec's stack, which is then not built."""
-        adv_cfg = AdversaryConfig(
+    def build(self) -> tuple:
+        """(adversary, learner) of a fresh game."""
+        adversary = StreamAdversary(AdversaryConfig(
             self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
             period=self.period, magnitude=self.magnitude, envelope=self.envelope,
-        )
-        adversary = StreamAdversary(adv_cfg)
-        if learner is None:
-            # ons_hints is promised the stream's a-priori cap; without one (growing,
-            # zero) it falls back to g0, and an unbounded stream aborts on contract
-            hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
-            learner = build_learner(self.algo, self.params, self.dim, self.D, hint)
-        return adv_cfg, adversary, learner
+        ))
+        # ons_hints is promised the stream's a-priori cap; without one (growing,
+        # zero) it falls back to g0, and an unbounded stream aborts on contract
+        hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
+        return adversary, build_learner(self.algo, self.params, self.dim, self.D, hint)
 
     def comparators_for(self, ledger: RegretLedger) -> list:
         """The explicit scalars; else, for adagrad_ball, whose bound holds only

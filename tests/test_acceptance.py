@@ -69,10 +69,11 @@ class BrokenClip(CoinBettor):
         self.h = h_next
 
 
-def test_criterion_catches_broken_clip():
+def test_criterion_catches_broken_clip(monkeypatch):
     # sanity check that the first criterion has teeth: it must name the
     # loose cap, not fail for some other reason
-    result = wealth_positive_bets_clipped(bettor_cls=BrokenClip)
+    monkeypatch.setattr(stacks, "CoinBettor", BrokenClip)
+    result = wealth_positive_bets_clipped()
     assert not result.passed
     assert "bet outside" in result.measured, result.measured
 
@@ -220,6 +221,9 @@ def test_bound_criteria_have_teeth(name, monkeypatch):
     result = CRITERIA[name]()
     assert not result.passed
     assert "> bound -inf" in result.measured
+    if name == "ball_regret_within_bound":
+        # a vector comparator is named as sweep.csv names it
+        assert result.measured.startswith("seeded_uniform d=1 comparator |w|=1#0: regret ")
 
 
 def full_width_sup(a, b, c, theta):

@@ -1,5 +1,7 @@
 """Command-line harness: runs, verification, sweeps, and settings precedence."""
+import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -118,13 +120,65 @@ def test_run_missing_out_dir(tmp_path):
     assert main(["run", "--out", str(tmp_path / "nope")]) == 1
 
 
-def test_run_rejects_unknown_names():
+def _no_game(*args, **kwargs):
+    raise AssertionError("rejected settings started a game")
+
+
+def test_run_rejects_unknown_names(tmp_path, monkeypatch, capsys):
+    # RunSpec is the one check of a name: the flag takes any string
+    monkeypatch.setattr(cli, "run_game", _no_game)
+    for flag, line in (("--algo", "unknown algorithm 'bogus'"),
+                       ("--adversary", "unknown adversary kind 'bogus'")):
+        assert main(["run", flag, "bogus", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad configuration: {line}, expected one of (")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_setting_is_a_flag_with_help():
+    parser = cli.build_parser()
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    names = [f.name for f in dataclasses.fields(stacks.RunSpec)]
+    for command, expected in (("run", [n for n in names if n != "jobs"]), ("sweep", names)):
+        flags = [a for a in commands[command]._actions if a.dest in names]
+        assert [a.dest for a in flags] == expected
+        for a in flags:
+            # _settings is the one cast and RunSpec the one check
+            assert a.option_strings == [f"--{a.dest}"] and a.help
+            assert a.type is None and a.choices is None
+        grids = [a.dest for a in flags if a.help.startswith("comma-separated grid; ")]
+        assert grids == ([] if command == "run" else [n for n in names if n in cli.GRID_KEYS])
+
+
+def test_run_has_no_jobs_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--algo", "bogus"])
+        main(["run", "--jobs", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--adversary", "bogus"])
-    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_value_that_does_not_cast_names_its_setting(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_game", _no_game)
+    out = tmp_path / "out"
+    out.mkdir()
+    not_int = "invalid literal for int() with base 10:"
+    assert main(["run", "--T", "1.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad configuration: T: {not_int} '1.5'\n"
+    assert main(["sweep", "--T", "10,1.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad configuration: T: {not_int} '1.5'\n"
+    monkeypatch.setenv("LEASHED_SEED", "x")
+    assert main(["run", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad configuration: seed: {not_int} 'x'\n"
+    monkeypatch.delenv("LEASHED_SEED")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": [1, 2]}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad configuration: k: float() argument ") and err.endswith(" not 'list'\n")
+    assert list(out.iterdir()) == []
 
 
 def test_run_bad_settings(tmp_path):

@@ -313,7 +313,7 @@ def test_run_game_checks_every_gradient_of_a_vector_game(monkeypatch):
     # adagrad_ball at d = 1 plays arrays of shape (1,), and alternating hands
     # it Python floats: each is made an array
     checked = counted(monkeypatch, "_vector_grad")
-    _, adversary, learner = RunSpec(algo="adagrad_ball", adversary="alternating", dim=1).build()
+    adversary, learner = RunSpec(algo="adagrad_ball", adversary="alternating", dim=1).build()
     seen = []
     ledger = run_game(learner, adversary, 6, on_round=lambda t, w, g: seen.append(g))
     assert checked == [1, 2, 3, 4, 5, 6]
