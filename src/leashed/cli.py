@@ -9,9 +9,10 @@ given via --config, where null counts as unset, then the field's default.
 `_settings` is the one cast and building the spec the one check, both
 before any game runs. `verify` hands `acceptance.run_suite` the worker pool
 and prints the results it returns. Trace and summary files land in the
-existing directory named by --out. A game that diverges or breaks a
-learner's contract ends the command in `main`, which prints
-"<command> aborted: <message>" and returns 1.
+existing directory named by --out. A setting's value may start with "-"
+(`--comparators -1,2`). A game that diverges, breaks a learner's contract
+or leaves a non-finite value for trace.csv ends the command in `main`,
+which prints "<command> aborted: <message>" and returns 1.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -130,25 +133,36 @@ def _strict_json(x):
 
 
 def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
-    """Stream trace.csv a row per round, in the bytes csv.writer writes:
-    floats in %.17g, a column the learner reports as None left empty, CRLF
-    line ends. The norms and cum_loss are the ledger's, the other columns
-    the recorder's. Stops at the first round holding a non-finite value and
-    returns that round; returns None once every row is written."""
-    extras = (recorder.hints, recorder.barriers, recorder.wealths)
-    known = [col for col in extras if col[0] is not None]
-    fields = ["%.17g" if col[0] is not None else "" for col in extras]
-    row_fmt = ",".join(["%d", "%.17g", "%.17g", *fields, "%.17g"]) + "\r\n"
-    isfinite = math.isfinite
+    """Write trace.csv in the bytes csv.writer writes: floats in %.17g, a
+    column the learner reports as None left empty, CRLF line ends. The norms
+    and cum_loss are the ledger's, the other columns the recorder's. A
+    column that holds one nonzero finite value in every round goes into the
+    row template as text (not 0.0, which == does not tell from -0.0), and
+    the rows are formatted and written with no Python loop. Stops before the
+    first round holding a non-finite value and returns that round; returns
+    None once every row is written."""
+    rows = ledger.rounds
+    t, w_norm, g_norm, cum_loss = (list(map(attrgetter(name), rows))
+                                   for name in ("t", "w_norm", "g_norm", "cum_loss"))
+    values = (w_norm, g_norm, recorder.hints, recorder.barriers, recorder.wealths, cum_loss)
+    n = len(rows)
+    for col in values:
+        if col[0] is not None and not all(map(math.isfinite, col)):
+            n = min(n, list(map(math.isfinite, col)).index(False))
+    fields, varying = ["%d"], [t]
+    for col in values:
+        if col[0] is None:
+            fields.append("")
+        elif col[0] and math.isfinite(col[0]) and col.count(col[0]) == len(col):
+            fields.append("%.17g" % col[0])
+        else:
+            fields.append("%.17g")
+            varying.append(col)
+    row_fmt = ",".join(fields) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write = fh.write
-        write(",".join(TRACE_COLUMNS) + "\r\n")
-        for r, *values in zip(ledger.rounds, *known):
-            row = (r.t, r.w_norm, r.g_norm, *values, r.cum_loss)
-            if not all(map(isfinite, row)):
-                return r.t
-            write(row_fmt % row)
-    return None
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(map(row_fmt.__mod__, islice(zip(*varying), n)))
+    return None if n == len(rows) else rows[n].t
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -167,8 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_path = out_dir / "trace.csv"
     bad_round = _write_trace(trace_path, ledger, recorder)
     if bad_round is not None:
-        print(f"non-finite trace value at round {bad_round}", file=sys.stderr)
-        return 1
+        raise GameDivergence(f"non-finite trace value at round {bad_round}")
 
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     params = spec.params
@@ -327,9 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv: list) -> list:
+    """argv with each setting's flag joined to a following word that starts
+    with one "-" (--comparators -1,2 -> --comparators=-1,2): argparse reads
+    such a word as an option unless it is a plain number."""
+    flags = {f"--{f.name}" for f in dataclasses.fields(RunSpec)}
+    out = []
+    for word in argv:
+        if out and out[-1] in flags and word.startswith("-") and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except BrokenProcessPool as exc:  # a worker was killed, for example for memory

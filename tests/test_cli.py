@@ -3,6 +3,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import multiprocessing
@@ -13,10 +14,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import leashed
-from leashed import (BoundParams, StreamStats, acceptance, bettor_bound, cli, full_stack_bound,
-                     stacks)
+from leashed import (BoundParams, RegretLedger, RoundRecord, StreamStats, acceptance,
+                     bettor_bound, cli, full_stack_bound, stacks)
 from leashed.cli import TRACE_COLUMNS, main
 from test_acceptance import MEASURED
 
@@ -77,6 +80,82 @@ def test_trace_floats_round_trip(tmp_path):
                 assert format(float(row[col]), ".17g") == row[col]
 
 
+# the trace columns the ledger fills, which are never None
+LEDGER_COLUMNS = ("w_norm", "g_norm", "cum_loss")
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+def write_columns(path, columns):
+    """cli._write_trace over a game whose trace columns (all but t) are
+    `columns`, a dict from column name to its list of values."""
+    ledger = RegretLedger(keep_rows=True)
+    ledger.rounds = [RoundRecord(t, *row) for t, row in
+                     enumerate(zip(*(columns[name] for name in LEDGER_COLUMNS)), 1)]
+    recorder = cli.TraceRecorder(None)
+    recorder.hints, recorder.barriers, recorder.wealths = (
+        columns["hint"], columns["barrier"], columns["wealth"])
+    return cli._write_trace(path, ledger, recorder)
+
+
+def reference_trace(columns, n_rows):
+    """The header and the first n_rows rows as csv.writer writes them, a row
+    at a time, with every value through cli._fmt."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    rows = zip(*(columns[name] for name in TRACE_COLUMNS[1:]))
+    for t, row in zip(range(1, n_rows + 1), rows):
+        writer.writerow([t, *map(cli._fmt, row)])
+    return buf.getvalue().encode()
+
+
+@st.composite
+def trace_columns(draw, max_rows=30):
+    """Columns of one game: each varies, holds one value in every round, mixes
+    0.0 and -0.0 (which == does not tell apart) or, for the recorder's
+    columns, is None throughout."""
+    n = draw(st.integers(1, max_rows))
+    columns = {}
+    for name in TRACE_COLUMNS[1:]:
+        kinds = [st.lists(finite_floats, min_size=n, max_size=n),
+                 finite_floats.map(lambda x: [x] * n),
+                 st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n)]
+        if name not in LEDGER_COLUMNS:
+            kinds.append(st.just([None] * n))
+        columns[name] = draw(st.one_of(kinds))
+    return columns
+
+
+@given(trace_columns())
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_trace_writer_writes_the_bytes_of_a_row_at_a_time_csv_writer(tmp_path, columns):
+    path = tmp_path / "trace.csv"
+    assert write_columns(path, columns) is None
+    assert path.read_bytes() == reference_trace(columns, len(columns["w_norm"]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", TRACE_COLUMNS[1:])
+@given(data=st.data())
+@settings(deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_trace_writer_stops_before_the_first_non_finite_round(tmp_path, name, bad, data):
+    columns = data.draw(trace_columns(), label="columns")
+    n = len(columns["w_norm"])
+    k = data.draw(st.integers(1, n), label="k")
+    if columns[name][0] is None:
+        columns[name] = [0.5] * n
+    columns[name] = columns[name][:k - 1] + [bad] + columns[name][k:]
+    # a later non-finite value in another column does not move the round
+    other = "cum_loss" if name != "cum_loss" else "w_norm"
+    columns[other] = columns[other][:k] + [math.nan] * (n - k)
+    path = tmp_path / "trace.csv"
+    assert write_columns(path, columns) == k
+    assert path.read_bytes() == reference_trace(columns, k - 1)
+
+
 def test_summary_bounds_recomputable_from_trace(tmp_path):
     assert main(["run", "--algo", "leashed", "--adversary", "constant",
                  "--T", "300", "--out", str(tmp_path)]) == 0
@@ -114,6 +193,29 @@ def test_run_fixed_diameter_uses_flag(tmp_path):
     rows = read_trace(tmp_path / "trace.csv")
     assert max(float(r["w_norm"]) for r in rows) <= 0.5
     assert read_summary(tmp_path / "summary.json")["diameter"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_comparator_list_may_start_with_a_negative_value(command, tmp_path, capsys):
+    for flags in (["--comparators=-1,2"], ["--comparators", "-1,2"]):
+        assert main([command, "--adversary", "constant", "--T", "20",
+                     "--out", str(tmp_path)] + flags) == 0, flags
+        if command == "run":
+            scored = [row["comparator"] for row in read_summary(tmp_path / "summary.json")
+                      ["comparators"]]
+        else:
+            scored = [float(row["comparator"]) for row in read_trace(tmp_path / "sweep.csv")]
+        assert scored == [-1.0, 2.0], flags
+    capsys.readouterr()
+    for flags in (["--comparators", "-1,x"], ["--comparators=-1,x"], ["--comparators", "-inf,1"],
+                  ["--comparators", "-1,nan"], ["--comparators", "-"], ["--comparators", ","],
+                  ["--comparators", "-1,2", "--dim", "2", "--algo", "leashed_dimfree"]):
+        assert main([command, "--T", "20", "--out", str(tmp_path)] + flags) == 2, flags
+        assert capsys.readouterr().err.startswith("bad configuration: "), flags
+    # a flag after a flag still lacks its value
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--comparators", "--T", "20", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_run_missing_out_dir(tmp_path):

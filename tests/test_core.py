@@ -404,8 +404,16 @@ def test_run_keeps_a_spike_past_float_range_finite_until_the_trace(tmp_path, cap
     # trace writer names the round
     from leashed.cli import main
 
+    argv = ["run", "--algo", "adagrad_ball", "--dim", "2", "--adversary", "spike",
+            "--magnitude", "1e200"]
+    spiked, before = tmp_path / "spiked", tmp_path / "before"
+    spiked.mkdir(); before.mkdir()
     with np.errstate(over="ignore"):
-        rc = main(["run", "--algo", "adagrad_ball", "--dim", "2", "--adversary", "spike",
-                   "--magnitude", "1e200", "--T", "20", "--out", str(tmp_path)])
+        rc = main(argv + ["--T", "20", "--out", str(spiked)])
     assert rc == 1
-    assert "non-finite trace value at round 10" in capsys.readouterr().err
+    assert capsys.readouterr().err == "run aborted: non-finite trace value at round 10\n"
+    # the trace holds the header and rows 1-9: the whole trace of a 9-round game
+    assert main(argv + ["--T", "9", "--out", str(before)]) == 0
+    trace = (spiked / "trace.csv").read_bytes()
+    assert trace.count(b"\r\n") == 10
+    assert trace == (before / "trace.csv").read_bytes()
