@@ -46,7 +46,7 @@ from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_
                           random_unit_vectors)
 from .bounds import StreamStats, conjugate_bound
 from .coin_betting import ons_inner_regret, ons_regret_bound
-from .core import HintedLearner, RegretLedger, dual_norm, run_game
+from .core import HintedLearner, RegretLedger, dual_norm, row_dots, run_game
 from .stacks import RunSpec, build_learner, comparator_label, growth_exponent
 
 
@@ -376,14 +376,16 @@ def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
     rows = []  # (g, w, x, y) of each round, as played
     run_game(lift, adversary, spec.T,
              on_round=lambda t, w, g: rows.append((g, w, lift.x, lift.y.copy())))
+    g, w, x, y = (np.array(col) for col in zip(*rows))
+    # s_t = <g_t, y_t>, the loss the lift hands its scalar learner
+    s = row_dots(g, y)
     for m, u in zip((0.5, 3.0, 50.0), random_unit_vectors(spec.dim, 3, seed=11)):
         wc = m * u
         n = dual_norm(wc)
         un = wc / n
-        lhs = math.fsum(float(g @ (w - wc)) for g, w, _, _ in rows)
-        # s_t = <g_t, y_t>, the loss the lift hands its scalar learner
-        scalar_part = math.fsum(float(g @ y) * (x1 - n) for g, _, x1, y in rows)
-        direction_part = math.fsum(float(g @ (y - un)) for g, _, _, y in rows)
+        lhs = math.fsum(row_dots(g, w - wc).tolist())
+        scalar_part = math.fsum((s * (x - n)).tolist())
+        direction_part = math.fsum(row_dots(g, y - un).tolist())
         gap = abs(lhs - (scalar_part + n * direction_part))
         worst = max(worst, gap)
         if gap > 1e-9:

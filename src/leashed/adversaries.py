@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import RegretLedger, Vector
+from .core import RegretLedger, Vector, row_dots
 
 KINDS = (
     "constant",
@@ -43,9 +43,10 @@ _LATTICE_TOP = 2.0 ** 1004
 # seeded random directions per magnitude in comparator_sweep
 _N_RANDOM = 4
 # rounds per block of a scalar seeded stream; entries per block of a vector
-# one (max(1, _VECTOR_BLOCK // d) rows), so its memory does not grow with d
+# one (max(1, _VECTOR_BLOCK // d) rows, 256 KB), so its memory does not grow
+# with d up to d = _VECTOR_BLOCK; past that a block is one row of d entries
 _SCALAR_BLOCK = 1024
-_VECTOR_BLOCK = 8192
+_VECTOR_BLOCK = 32768
 
 
 def quantize_magnitude(x: float) -> float:
@@ -204,9 +205,8 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """dual_norm of every row: each row's x . x is one ddot, as in
-    dual_norm (einsum sums in another order)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).reshape(-1))
+    """dual_norm of every row, bit for bit."""
+    return np.sqrt(row_dots(x, x))
 
 
 def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float:

@@ -120,16 +120,34 @@ def _fmt(x: Union[float, None]) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _strict_json(x):
-    """x with every non-finite float replaced by its %.17g spelling ("inf",
-    "-inf", "nan"), which float() reads back."""
-    if isinstance(x, dict):
-        return {key: _strict_json(v) for key, v in x.items()}
-    if isinstance(x, list):
-        return [_strict_json(v) for v in x]
-    if isinstance(x, float) and not math.isfinite(x):
-        return _fmt(x)
-    return x
+def _json_chunks(x, pad: str = "\n"):
+    """The text json.dump(x, fh, indent=2) writes, in pieces, for x made of
+    dicts with str keys, lists, tuples and scalars, except that a non-finite
+    float is written as the string of its %.17g spelling ("inf", "-inf",
+    "nan"), which float() reads back, so the text is strict JSON. A list of
+    finite floats, such as a comparator, is one piece, formatted in one join."""
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        sep = "{" + inner
+        for key, v in x.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield pad + "}"
+    elif isinstance(x, (list, tuple)) and x:
+        if all(type(v) is float for v in x) and all(map(math.isfinite, x)):
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, x)) + pad + "]"
+            return
+        sep = "[" + inner
+        for v in x:
+            yield sep
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield pad + "]"
+    elif isinstance(x, float):
+        yield float.__repr__(x) if math.isfinite(x) else json.dumps(_fmt(x))
+    else:
+        yield json.dumps(x)
 
 
 def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
@@ -196,7 +214,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "stats": {**dataclasses.asdict(stats), "max_played_norm": ledger.max_played_norm},
         "comparators": [
             {
-                "comparator": [float(x) for x in wc] if isinstance(wc, np.ndarray) else float(wc),
+                "comparator": wc.tolist() if isinstance(wc, np.ndarray) else float(wc),
                 "comparator_norm": w_abs,
                 "regret": regret,
                 "bettor_bound": bettor_bound(params, stats, w_abs),
@@ -208,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(_strict_json(summary), fh, indent=2, allow_nan=False)
+        fh.writelines(_json_chunks(summary))
         fh.write("\n")
     print(f"wrote {trace_path.name} and {summary_path.name}")
     return 0

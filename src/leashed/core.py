@@ -32,6 +32,12 @@ def dual_norm(g: Vector) -> float:
     return abs(g)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for every row i of two (n, d) arrays, each one ddot, so
+    bit for bit what a[i].dot(b[i]) computes (einsum sums in another order)."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
 _FLOAT64 = np.dtype(float)
 
 
@@ -206,8 +212,9 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     game, anything else a scalar game. That choice, made once, picks the
     norm, the finiteness test and the gradient check the loop uses; a scalar
     game skips the check for a gradient that is exactly a Python float, a
-    vector game checks every gradient. Each norm is computed once a round,
-    for the finiteness test and the ledger.
+    vector game checks every gradient and casts one that is not a float64
+    array to float64. Each norm is computed once a round, for the finiteness
+    test and the ledger.
     """
     if T < 1:
         raise ValueError(f"number of rounds must be >= 1, got {T}")
@@ -265,7 +272,9 @@ def _scalar_grad(g, w, t: int):
 
 
 def _vector_grad(g, w: np.ndarray, t: int) -> np.ndarray:
-    if not isinstance(g, np.ndarray):
+    # cast once, as as_gradient does, so the ledger, on_round and the learner
+    # all see the same float64 gradient
+    if not (type(g) is np.ndarray and g.dtype is _FLOAT64):
         g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.shape != w.shape:
         raise ValueError(

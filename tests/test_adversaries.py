@@ -220,10 +220,24 @@ def assert_same_stream(config, T):
     return ref
 
 
+# (entries per vector block, dimensions played at it): the shipped size, with
+# the scalar stream; 8,192; and a size that divides none of its dimensions,
+# one of which is past it, so that block is a single row. Each size's
+# dimensions have few enough rows a block that the one-at-a-time reference
+# reaches the third boundary quickly.
+BLOCK_SIZES = (
+    (adversaries._VECTOR_BLOCK, (1, 10, 1000)),
+    (8192, (3, 10, 1000)),
+    (1001, (2, 3, 10, 1000, 1500)),
+)
+
+
+@pytest.mark.parametrize("block, dims", BLOCK_SIZES, ids=[str(b) for b, _ in BLOCK_SIZES])
 @pytest.mark.parametrize("kind", adversaries.SEEDED_KINDS)
-def test_blocks_draw_the_one_at_a_time_stream(kind):
+def test_blocks_draw_the_one_at_a_time_stream(kind, block, dims, monkeypatch):
+    monkeypatch.setattr(adversaries, "_VECTOR_BLOCK", block)
     shaved = 0
-    for d in (1, 2, 3, 10, 1000):
+    for d in dims:
         config = AdversaryConfig(kind, dim=d, seed=7, envelope=3.5, scale=0.75)
         # past the third block boundary
         shaved += assert_same_stream(config, 3 * rows_per_block(d) + 5).shaved

@@ -156,6 +156,40 @@ def test_trace_writer_stops_before_the_first_non_finite_round(tmp_path, name, ba
     assert path.read_bytes() == reference_trace(columns, k - 1)
 
 
+def strict_json_text(x) -> str:
+    """json.dump(x, indent=2) with every non-finite float replaced by its
+    %.17g spelling first."""
+    def strict(x):
+        if isinstance(x, dict):
+            return {key: strict(v) for key, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(v) for v in x]
+        if isinstance(x, float) and not math.isfinite(x):
+            return format(x, ".17g")
+        return x
+
+    buf = io.StringIO()
+    json.dump(strict(x), buf, indent=2, allow_nan=False)
+    return buf.getvalue()
+
+
+any_floats = finite_floats | st.sampled_from((math.inf, -math.inf, math.nan))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | any_floats | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      # a comparator: finite floats, one of them maybe not
+                      | st.lists(finite_floats, min_size=1)
+                      | st.lists(any_floats, min_size=1)),
+    max_leaves=40)
+
+
+@given(json_values)
+@settings(deadline=None)
+def test_summary_writer_writes_the_text_of_json_dump(x):
+    assert "".join(cli._json_chunks(x)) == strict_json_text(x)
+
+
 def test_summary_bounds_recomputable_from_trace(tmp_path):
     assert main(["run", "--algo", "leashed", "--adversary", "constant",
                  "--T", "300", "--out", str(tmp_path)]) == 0

@@ -323,6 +323,28 @@ def test_run_game_checks_every_gradient_of_a_vector_game(monkeypatch):
     assert ledger.dim == 1
 
 
+def test_a_vector_game_plays_a_float32_stream_as_its_float64_cast():
+    from leashed import AdaGradBall
+
+    def play(g):
+        seen = []
+        ledger = run_game(AdaGradBall(2), ListAdversary([g] * 3), 3, keep_rows=True,
+                          on_round=lambda t, w, g: seen.append(g))
+        return ledger, seen
+
+    g32 = np.array([0.1, 0.2], dtype=np.float32)
+    got, got_seen = play(g32)
+    want, want_seen = play(g32.astype(float))
+    assert got.grad_sum.dtype == np.float64
+    assert got.grad_sum.tobytes() == want.grad_sum.tobytes()
+    assert [g.dtype for g in got_seen] == [np.float64] * 3
+    assert [g.tobytes() for g in got_seen] == [g.tobytes() for g in want_seen]
+    assert got.rounds == want.rounds
+    for field in ("cum_loss", "sum_norm", "sum_sq", "max_norm", "max_ratio", "max_played_norm"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.regret(np.ones(2)) == want.regret(np.ones(2))
+
+
 def test_ledger_computes_whichever_norm_the_caller_leaves_out():
     # the caller's norm is taken as given, so one that is not dual_norm shows
     # which of the two was computed

@@ -3,10 +3,10 @@
 Every pairing of a stack with an adversary kind runs through `cli.main` at
 T = 300 with seed 0 (the vector stacks in 3 dimensions, fixed_diameter with
 --D 1), and the sha256 of its trace.csv and summary.json must equal the pin.
-A pairing that exits nonzero is pinned by its exit code instead. Two small
-`sweep --jobs 1` grids, one scalar and one vector, pin sweep.csv and
-exponents.csv the same way, and two longer runs pin seeded streams past the
-first block of draws.
+A pairing that exits nonzero is pinned by its exit code instead. Three small
+`sweep --jobs 1` grids, two scalar and one vector, pin sweep.csv and
+exponents.csv the same way, and three longer runs pin seeded streams, two of
+them past the first block of draws.
 
 The pins were generated from the code before the per-round path was
 rewritten for speed. To regenerate them, print the table from the commit
@@ -221,9 +221,13 @@ PINS = {
     ),
 }
 
-# (run arguments, sha256 of trace.csv, sha256 of summary.json), each at seed 0:
-# games long enough to draw their seeded streams in more than one block,
-# pinned from the code that drew one round at a time
+# (run arguments, sha256 of trace.csv, sha256 of summary.json), each at seed 0,
+# of seeded streams longer than the 300 rounds above. The scalar game crosses
+# four of its 1,024-round blocks and the d = 1000 one three of its 32-row
+# blocks; the d = 3 game fits in one 10,922-row block. The first two were
+# pinned from the code that drew one round at a time, the d = 1000 one from
+# the code that drew 8,192-entry (8-row) blocks, so each also shows that the
+# block size leaves the stream unchanged.
 LONG_PINS = {
     "leashed/seeded_uniform": (
         ["--algo", "leashed", "--adversary", "seeded_uniform", "--T", "5000"],
@@ -235,6 +239,12 @@ LONG_PINS = {
          "--T", "3000"],
         "9ee8d83f681a136c2b4783adbe4a9d83160357628e2ac30dd698aa89c98d0091",
         "d57b19800eaccd5e60e71067defaa876d2e96e4a2748f83f7d2b971bc1caba94",
+    ),
+    "leashed_dimfree/seeded_uniform/d1000": (
+        ["--algo", "leashed_dimfree", "--adversary", "seeded_uniform", "--dim", "1000",
+         "--T", "100"],
+        "cc914e1e4d23d378722332dec310086792d8870d3f6bd7bd14b8f12dadf2b0ef",
+        "9ec631e62befde7f22fa31d2381988cb8ef2ef7216e63921a325b4e4bd37872f",
     ),
 }
 
