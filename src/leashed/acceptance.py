@@ -47,7 +47,7 @@ from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_
 from .bounds import StreamStats, conjugate_bound
 from .coin_betting import ons_inner_regret, ons_regret_bound
 from .core import HintedLearner, RegretLedger, dual_norm, row_dots, run_game
-from .stacks import RunSpec, build_learner, comparator_label, growth_exponent
+from .stacks import RunSpec, comparator_label, growth_exponent
 
 
 @dataclass
@@ -414,7 +414,7 @@ def _barrier_game(failures: list, kind: str, spec: RunSpec) -> None:
     run_game(learner, adversary, spec.T, on_round=record)
     b1.append(learner.B)
     # replay the recorded stream, not a rescaled adversary: adaptive_sign reads the point
-    rescaled = build_learner(spec.algo, spec.params)
+    rescaled = spec.build()[1]
     b2 = []
     run_game(rescaled, SimpleNamespace(next_grad=lambda t, w: scaled[t - 1]), spec.T,
              on_round=lambda t, w, g: b2.append(rescaled.B))

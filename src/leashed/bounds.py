@@ -15,9 +15,6 @@ from typing import Iterable
 
 from .core import RegretLedger
 
-# the exponents q over which _leash_terms takes its least penalty
-_Q_GRID = (0.0, 1.0 / 3.0, 0.5, 1.0)
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -138,20 +135,18 @@ def _pow(x: float, y: float) -> float:
 
 
 def _leash_terms(params: BoundParams, stats: StreamStats, w_abs: float) -> float:
-    """Barrier cost plus comparator terms added by the Leashed wrapper."""
+    """Barrier cost plus comparator terms added by the Leashed wrapper. The
+    penalty G |u| a^(1-q) R^q, a = (|u|/k)^(1/p) and R = sum |g| / G, holds at
+    every q in [0, 1] and is log-linear in q: q = 0 or q = 1 gives the least."""
     G = stats.G
     if G == 0.0:
         return 0.0
     barrier = G * params.k * stats.max_ratio ** params.p
-    terms = (
-        G * _pow(w_abs, 1.0 + (1.0 - q) / params.p)
-        / _pow(params.k, (1.0 - q) / params.p)
-        * (stats.sum_abs / G) ** q
-        for q in _Q_GRID
-    )
-    # where both powers overflow a term is inf / inf; the guarantee holds at
-    # every q, so that q is left out
-    penalty = min((t for t in terms if not math.isnan(t)), default=math.inf)
+    at_1 = G * w_abs * (stats.sum_abs / G)
+    scale = _pow(params.k, 1.0 / params.p)
+    # k^(1/p) underflowed to zero, or inf / inf: q = 1 stands alone
+    at_0 = G * _pow(w_abs, 1.0 + 1.0 / params.p) / scale if scale > 0.0 else math.nan
+    penalty = at_1 if math.isnan(at_0) else min(at_0, at_1)
     return barrier + 2.0 * G * w_abs + penalty
 
 

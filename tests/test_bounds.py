@@ -21,7 +21,7 @@ from leashed import (
     hintless_bound,
     run_game,
 )
-from leashed.bounds import _leash_terms
+from leashed.bounds import _leash_terms, _pow
 
 ZERO_STREAM = StreamStats.from_norms([], g0=1.0)
 
@@ -181,6 +181,55 @@ def test_leash_terms_monotone_in_comparator(stats, w1, w2):
     lo, hi = sorted((w1, w2))
     params = BoundParams()
     assert _leash_terms(params, stats, lo) <= _leash_terms(params, stats, hi)
+
+
+def grid_penalty(params, stats, w, q):
+    """The leash penalty at exponent q, G |u| a^(1-q) R^q with
+    a = (|u|/k)^(1/p) and R = sum |g| / G, in the operations of a q grid."""
+    G, p = stats.G, params.p
+    scale = _pow(params.k, (1.0 - q) / p)
+    if scale == 0.0:
+        return math.nan  # k^((1-q)/p) underflows: the term is left out
+    return G * _pow(w, 1.0 + (1.0 - q) / p) / scale * (stats.sum_abs / G) ** q
+
+
+@given(G=st.floats(min_value=1e-3, max_value=1e3), R=st.floats(min_value=1.0, max_value=1e4),
+       k=st.floats(min_value=1e-2, max_value=1e2),
+       p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       w=st.floats(min_value=0.0, max_value=1e4))
+@settings(deadline=None, max_examples=300)
+# both q = 0 powers overflow: the term is inf / inf
+@example(G=1.0, R=1.0, k=100.0, p=0.01, w=1e4)
+# k^(1/p) underflows to zero
+@example(G=1.0, R=1.0, k=1.0 / 32.0, p=1.0 / 256.0, w=0.0)
+@example(G=1.0, R=10.0, k=1e-5, p=0.01, w=1.0)
+# a = (|u|/k)^(1/p) = R, where q = 1/2 rounds below both endpoints
+@example(G=1.0, R=1000.0, k=0.1, p=1.0, w=100.0)
+def test_leash_penalty_is_the_least_of_its_endpoint_terms(G, R, k, p, w):
+    params = BoundParams(k=k, p=p)
+    stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, h_T=max(1.0, G), max_ratio=R)
+    at_0, at_1 = (grid_penalty(params, stats, w, q) for q in (0.0, 1.0))
+    least = at_1 if math.isnan(at_0) else min(at_0, at_1)
+    barrier = G * k * R ** p
+    assert _leash_terms(params, stats, w) == barrier + 2.0 * G * w + least
+    # log-linear in q: no interior q is lower, up to rounding. The rounding of
+    # a power grows with its exponent, and past 2^+-128 it outgrows the slack
+    # (past the float range the q = 0 term is not the least at all)
+    if not all(2.0 ** -128 < x < 2.0 ** 128 for x in (_pow(w, 1.0 + 1.0 / p), _pow(k, 1.0 / p))):
+        return
+    for q in (i / 16.0 for i in range(17)):
+        term = grid_penalty(params, stats, w, q)
+        assert least <= term * (1.0 + 2.0 ** -45), (q, least, term)
+
+
+def test_leash_penalty_at_a_tie_of_its_endpoints():
+    # a = (|u|/k)^(1/p) = R = 1000: both endpoints give 1e5, and q = 1/2
+    # rounds one ulp lower; the penalty is the endpoint value
+    params = BoundParams(k=0.1, p=1.0)
+    stats = StreamStats(T=1000, sum_sq=1000.0, sum_abs=1000.0, G=1.0, h_T=1.0,
+                        max_ratio=1000.0)
+    assert grid_penalty(params, stats, 100.0, 0.5) < 1e5
+    assert _leash_terms(params, stats, 100.0) == 100.0 + 200.0 + 1e5
 
 
 def test_conjugate_bound_validation():

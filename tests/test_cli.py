@@ -803,6 +803,14 @@ def test_run_huge_comparator_has_a_finite_bound(tmp_path):
         assert math.isfinite(row["stack_bound"]) and row["regret"] <= row["stack_bound"]
 
 
+def test_run_small_barrier_has_a_finite_bound(tmp_path):
+    # k^(1/p) = 1e-500 underflows to zero in the leash penalty's q = 0 term
+    assert main(["run", "--k", "1e-5", "--p", "0.01", "--T", "100", "--out", str(tmp_path)]) == 0
+    rows = read_summary(tmp_path / "summary.json")["comparators"]
+    assert rows and all(math.isfinite(row["stack_bound"]) and row["regret"] <= row["stack_bound"]
+                        for row in rows)
+
+
 def test_sweep_ball_comparators_stay_in_the_ball(tmp_path):
     assert main(["sweep", "--algo", "adagrad_ball", "--dim", "10", "--T", "2000",
                  "--adversary", "seeded_uniform", "--out", str(tmp_path)]) == 0
