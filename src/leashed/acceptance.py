@@ -289,11 +289,12 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
         return worst
     # exactly-zero truncation error charges nothing
     rows = [(g, sent, w) for (g, w), sent in zip(played, inner.sent) if g - sent != 0.0]
-    for wc in SCALAR_COMPARATORS:
+    for i, wc in enumerate(SCALAR_COMPARATORS):
         lhs = math.fsum((g - sent) * (w - wc) for g, sent, w in rows)
         rhs = ledger.max_norm * (ledger.max_played_norm + abs(wc))
         if not lhs <= rhs:
-            failures.append(f"{label} comparator {wc:g}: overhead {lhs} > {rhs}")
+            failures.append(f"{label} comparator {comparator_label(wc, i)}: "
+                            f"overhead {lhs} > {rhs}")
         elif math.isfinite(lhs) and math.isfinite(rhs) and rhs > 0.0:
             worst = max(worst, lhs / rhs)
     return worst

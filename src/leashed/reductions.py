@@ -111,7 +111,7 @@ class Truncation(Learner):
         self.h = h
 
 
-class Leashed(Learner):
+class Leashed(Truncation):
     """Barrier-constrained scalar learner with fabricated hints.
 
     The inner learner runs unconstrained; its proposals are projected onto
@@ -121,7 +121,8 @@ class Leashed(Learner):
     learner is charged the subgradient of a hinged surrogate evaluated at
     its unprojected proposal, which vanishes once the proposal strays
     outside the barrier, so runaway wealth is impossible. Raw gradients are
-    truncated to the fabricated hint exactly as in Truncation.
+    truncated to the fabricated hint exactly as in Truncation, whose checks,
+    hint state and introspection it reuses; play and update are its own.
 
     A fixed_barrier pins B_t to a constant diameter instead and disables
     barrier growth.
@@ -139,16 +140,11 @@ class Leashed(Learner):
             raise ValueError(f"barrier scale k must be positive and finite, got {k}")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"barrier exponent p must lie in (0, 1], got {p}")
-        if not 0.0 < g0 < math.inf:
-            raise ValueError(f"initial magnitude guess must be positive and finite, got {g0}")
         if fixed_barrier is not None and not 0.0 < fixed_barrier < math.inf:
             raise ValueError(f"fixed barrier must be positive and finite, got {fixed_barrier}")
-        if inner.current_hint != g0:
-            raise ValueError("inner learner must start with its hint equal to g0")
-        self.inner = inner
+        super().__init__(inner, g0)
         self.k = float(k)
         self.p = float(p)
-        self.h = float(g0)
         self.fixed_barrier = fixed_barrier
         self.B = float(fixed_barrier) if fixed_barrier is not None else 0.0
         self.G = 0.0
@@ -156,16 +152,8 @@ class Leashed(Learner):
         self._pending: Union[float, None] = None
 
     @property
-    def current_hint(self) -> float:
-        return self.h
-
-    @property
     def barrier(self) -> float:
         return self.B
-
-    @property
-    def wealth(self) -> Union[float, None]:
-        return getattr(self.inner, "wealth", None)
 
     def play(self) -> float:
         w = float(self.inner.play())

@@ -45,14 +45,12 @@ def build_learner(
 ) -> Learner:
     """Construct the named stack.
 
-    hint seeds the bettor's initial magnitude promise for ons_hints; the
-    wrapped stacks always start from params.g0 and learn the rest. diameter
-    is required by fixed_diameter and ignored elsewhere.
+    hint seeds the bettor's initial magnitude promise for ons_hints; every
+    other stack ignores it and starts from params.g0. diameter is required
+    by fixed_diameter and ignored elsewhere.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
     if algo in _SCALAR_ONLY and dim != 1:
         raise ValueError(f"{algo} plays a one-dimensional game, got dim={dim}")
 
@@ -190,9 +188,9 @@ class RunSpec:
             self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
             period=self.period, magnitude=self.magnitude, envelope=self.envelope,
         ))
-        # ons_hints is promised the stream's a-priori cap; without one (growing,
-        # zero) it falls back to g0, and an unbounded stream aborts on contract
-        hint = (adversary.bound() or None) if self.algo == "ons_hints" else None
+        # only ons_hints takes the stream's a-priori cap; without one (growing,
+        # zero) it starts from g0, and an unbounded stream aborts on contract
+        hint = adversary.bound() or None
         return adversary, build_learner(self.algo, self.params, self.dim, self.D, hint)
 
     def comparators_for(self, ledger: RegretLedger) -> list:

@@ -95,6 +95,21 @@ def test_barrier_criterion_catches_a_barrier_one_ulp_off(monkeypatch):
                                         for kind in KINDS[:4])
 
 
+def test_truncation_criterion_catches_a_wrapper_that_sends_zero(monkeypatch):
+    # the hint still rises to every magnitude seen, but the gradient sent is
+    # 0, so the whole gradient counts as truncation error; Leashed has its own
+    # update, so only the hintless stack is broken
+    def update(self, g):
+        self.h = max(self.h, abs(g))
+        self.inner.update(0.0, self.h)
+
+    monkeypatch.setattr(reductions.Truncation, "update", update)
+    result = CRITERIA["truncation_overhead_bounded"]()
+    assert not result.passed
+    assert result.measured.startswith(
+        "spike T=10000 comparator -0.1: overhead 1900.0 > 1.0"), result.measured
+
+
 @pytest.fixture
 def scratch_registry(monkeypatch):
     # criteria defined by a test register here, not in the shipped CRITERIA

@@ -177,6 +177,14 @@ def test_leashed_validation():
         Leashed(CoinBettor(1.0, 1.0, 2.0), g0=1.0)
 
 
+def test_leashed_is_a_truncation_with_its_own_round():
+    # falling through to Truncation's round would drop the barrier and the surrogate
+    assert issubclass(Leashed, Truncation)
+    assert {"play", "update", "barrier"} <= vars(Leashed).keys()
+    stack = fresh_stack()
+    assert (stack.current_hint, stack.wealth) == (1.0, stack.inner.wealth)
+
+
 def test_leashed_update_requires_play():
     stack = fresh_stack()
     with pytest.raises(RuntimeError):

@@ -73,8 +73,20 @@ def test_build_learner_validation():
         build_learner("leashed", PARAMS, dim=2)  # scalar stacks refuse dim > 1
     with pytest.raises(ValueError):
         build_learner("fixed_diameter", PARAMS)  # needs a diameter
-    with pytest.raises(ValueError):
-        build_learner("leashed", PARAMS, dim=0)
+    # dim 0 is refused by the pieces each stack is built from
+    for algo in ("leashed", "adagrad_ball", "leashed_dimfree"):
+        with pytest.raises(ValueError):
+            build_learner(algo, PARAMS, dim=0)
+
+
+@pytest.mark.parametrize("algo", [a for a in ALGOS if a != "ons_hints"])
+def test_build_learner_ignores_the_hint_outside_ons_hints(algo):
+    kw = {"dim": 3} if algo in ("leashed_dimfree", "adagrad_ball") else {}
+    if algo == "fixed_diameter":
+        kw["diameter"] = 2.5
+    plain = build_learner(algo, PARAMS, **kw)
+    hinted = build_learner(algo, PARAMS, hint=9.0, **kw)
+    assert hinted.current_hint == plain.current_hint
 
 
 def test_stack_bound_dispatch():
