@@ -137,17 +137,14 @@ def _pow(x: float, y: float) -> float:
 def _leash_terms(params: BoundParams, stats: StreamStats, w_abs: float) -> float:
     """Barrier cost plus comparator terms added by the Leashed wrapper. The
     penalty G |u| a^(1-q) R^q, a = (|u|/k)^(1/p) and R = sum |g| / G, holds at
-    every q in [0, 1] and is log-linear in q: q = 0 or q = 1 gives the least."""
+    every q in [0, 1] and is log-linear in q: q = 0 or q = 1 gives the least,
+    G |u| min(a, R)."""
     G = stats.G
     if G == 0.0:
         return 0.0
     barrier = G * params.k * stats.max_ratio ** params.p
-    at_1 = G * w_abs * (stats.sum_abs / G)
-    scale = _pow(params.k, 1.0 / params.p)
-    # k^(1/p) underflowed to zero, or inf / inf: q = 1 stands alone
-    at_0 = G * _pow(w_abs, 1.0 + 1.0 / params.p) / scale if scale > 0.0 else math.nan
-    penalty = at_1 if math.isnan(at_0) else min(at_0, at_1)
-    return barrier + 2.0 * G * w_abs + penalty
+    a = _pow(w_abs / params.k, 1.0 / params.p)
+    return barrier + 2.0 * G * w_abs + G * w_abs * min(a, stats.sum_abs / G)
 
 
 def full_stack_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> float:

@@ -170,7 +170,10 @@ class RunSpec:
             raise ValueError(f"number of worker processes must be >= 1, got {self.jobs}")
         self.build()  # the library checks what it is built from
         if self.comparators != "auto":
-            given = _parse_listish(self.comparators, float)
+            try:
+                given = _parse_listish(self.comparators, float)
+            except ValueError as exc:
+                raise ValueError(f"comparators: {exc}") from None
             if not given:
                 raise ValueError("empty comparator list")
             if not all(math.isfinite(w) for w in given):

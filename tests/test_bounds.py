@@ -1,5 +1,7 @@
 """Closed-form guarantee evaluators."""
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -154,7 +156,8 @@ stats_strategy = st.builds(
 @settings(deadline=None)
 # 16 w h underflows to zero at a subnormal comparator and a small hint
 @example(stats=StreamStats.from_norms([], g0=1.0 / 32.0), w=5e-324)
-# w ** (1 + 1/p) overflows in the leash penalty at q = 0
+# the leash penalty's q = 0 term G w (w/k)^(1/p) overflows, and at 1e300
+# (w/k)^(1/p) itself: the q = 1 term is charged
 @example(stats=StreamStats.from_norms([1.0, 2.0], g0=1.0), w=1e120)
 @example(stats=StreamStats.from_norms([1.0, 2.0], g0=1.0), w=1e300)
 def test_bounds_are_positive(stats, w):
@@ -186,11 +189,9 @@ def test_leash_terms_monotone_in_comparator(stats, w1, w2):
 def grid_penalty(params, stats, w, q):
     """The leash penalty at exponent q, G |u| a^(1-q) R^q with
     a = (|u|/k)^(1/p) and R = sum |g| / G, in the operations of a q grid."""
-    G, p = stats.G, params.p
-    scale = _pow(params.k, (1.0 - q) / p)
-    if scale == 0.0:
-        return math.nan  # k^((1-q)/p) underflows: the term is left out
-    return G * _pow(w, 1.0 + (1.0 - q) / p) / scale * (stats.sum_abs / G) ** q
+    G = stats.G
+    a = _pow(w / params.k, 1.0 / params.p)
+    return G * w * _pow(a, 1.0 - q) * (stats.sum_abs / G) ** q
 
 
 @given(G=st.floats(min_value=1e-3, max_value=1e3), R=st.floats(min_value=1.0, max_value=1e4),
@@ -198,28 +199,76 @@ def grid_penalty(params, stats, w, q):
        p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
        w=st.floats(min_value=0.0, max_value=1e4))
 @settings(deadline=None, max_examples=300)
-# both q = 0 powers overflow: the term is inf / inf
+# a = (|u|/k)^(1/p) is 1e200
 @example(G=1.0, R=1.0, k=100.0, p=0.01, w=1e4)
-# k^(1/p) underflows to zero
+# a = 0 at |u| = 0, however small p is
 @example(G=1.0, R=1.0, k=1.0 / 32.0, p=1.0 / 256.0, w=0.0)
+# a overflows: the q = 0 term is inf and q = 1 is charged
 @example(G=1.0, R=10.0, k=1e-5, p=0.01, w=1.0)
 # a = (|u|/k)^(1/p) = R, where q = 1/2 rounds below both endpoints
 @example(G=1.0, R=1000.0, k=0.1, p=1.0, w=100.0)
 def test_leash_penalty_is_the_least_of_its_endpoint_terms(G, R, k, p, w):
     params = BoundParams(k=k, p=p)
     stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, h_T=max(1.0, G), max_ratio=R)
-    at_0, at_1 = (grid_penalty(params, stats, w, q) for q in (0.0, 1.0))
-    least = at_1 if math.isnan(at_0) else min(at_0, at_1)
+    least = min(grid_penalty(params, stats, w, q) for q in (0.0, 1.0))
     barrier = G * k * R ** p
     assert _leash_terms(params, stats, w) == barrier + 2.0 * G * w + least
-    # log-linear in q: no interior q is lower, up to rounding. The rounding of
-    # a power grows with its exponent, and past 2^+-128 it outgrows the slack
-    # (past the float range the q = 0 term is not the least at all)
-    if not all(2.0 ** -128 < x < 2.0 ** 128 for x in (_pow(w, 1.0 + 1.0 / p), _pow(k, 1.0 / p))):
-        return
+    # log-linear in q: no interior q is lower, up to rounding. Every term
+    # shares the floats G w, a and R, and from these a term's exact value is
+    # at least the least's. A term rounds by two powers (2u each, u = 2^-53)
+    # and two products (u each), the least by one product: 7u < 2^-49. Near
+    # a tie of a and R (both >= 1) no value is subnormal, and a term past the
+    # float range is inf, so no input is skipped
     for q in (i / 16.0 for i in range(17)):
         term = grid_penalty(params, stats, w, q)
-        assert least <= term * (1.0 + 2.0 ** -45), (q, least, term)
+        assert least <= term * (1.0 + 2.0 ** -49), (q, least, term)
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def reference_leash_terms(params, stats, w):
+    """barrier + 2 G |u| + G |u| min(a, R) from the same floats, in 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=60, Emax=decimal.MAX_EMAX,
+                                              Emin=decimal.MIN_EMIN)) as ctx:
+        ctx.traps[decimal.Overflow] = False  # a past MAX_EMAX reads Infinity
+        G, k, p, w = (Decimal(x) for x in (stats.G, params.k, params.p, w))
+        a = (w / k) ** (1 / p)
+        R = Decimal(stats.sum_abs) / G
+        return G * k * Decimal(stats.max_ratio) ** p + 2 * G * w + G * w * min(a, R)
+
+
+@given(G=st.floats(min_value=1e-3, max_value=1e3), R=st.floats(min_value=1.0, max_value=1e4),
+       k=st.floats(min_value=1e-2, max_value=1e2),
+       p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       w=st.floats(min_value=0.0, max_value=1e4))
+@settings(deadline=None, max_examples=300)
+# |u|^(1+1/p) and k^(1/p) are subnormal, a = (|u|/k)^(1/p) is not
+@example(G=1.0, R=1e6, k=0.1, p=1.0 / 315.0, w=0.1)
+@example(G=1.0, R=1e6, k=0.5, p=1.0 / 1060.0, w=0.49)
+# k^(1/p) underflows to zero, and the q = 0 term, 1.9e-60, is the least
+@example(G=1.0, R=10.0, k=0.079, p=0.0034, w=0.05)
+def test_leash_penalty_matches_a_high_precision_reference(G, R, k, p, w):
+    params = BoundParams(k=k, p=p)
+    stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, h_T=max(1.0, G), max_ratio=R)
+    got = _leash_terms(params, stats, w)
+    ref = reference_leash_terms(params, stats, w)
+    # The float 1/p and |u|/k are each within u of the exact ones, so
+    # ln a = ln(|u|/k) / p moves by up to drift = (1 + |ln(|u|/k)|) u / p,
+    # and a by a factor within e^drift. The powers (2u each), the products
+    # and the sums (u each) add at most 8u to the sum of positive terms
+    x = w / k
+    drift = (1.0 + abs(math.log(x))) * U / p if x > 0.0 else 0.0
+    tol = 8.0 * U + (math.expm1(drift) if drift < 709.0 else math.inf)
+    assert abs(Decimal(got) - ref) <= Decimal(tol) * ref, (got, ref)
+
+
+def test_leash_penalty_where_G_u_underflows():
+    # G |u| rounds to zero while a = (|u|/k)^(1/p) overflows: the penalty is
+    # G |u| min(a, R) = 0, not 0 * inf
+    params = BoundParams(k=1e-20, p=0.01)
+    stats = StreamStats(T=1, sum_sq=0.0, sum_abs=5e-324, G=5e-324, h_T=1.0, max_ratio=1.0)
+    assert _leash_terms(params, stats, 1e-10) == 0.0
 
 
 def test_leash_penalty_at_a_tie_of_its_endpoints():

@@ -317,6 +317,22 @@ def test_a_value_that_does_not_cast_names_its_setting(tmp_path, monkeypatch, cap
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_bad_comparator_list_names_its_setting(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_game", _no_game)
+    out = tmp_path / "out"
+    out.mkdir()
+    not_float = "could not convert string to float:"
+    assert main([command, "--comparators", "1,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad configuration: comparators: {not_float} 'x'\n"
+    # the list is a string setting: a JSON list reaches it as its text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"comparators": [-1, 2]}))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"bad configuration: comparators: {not_float} '[-1'\n"
+    assert list(out.iterdir()) == []
+
+
 def test_run_bad_settings(tmp_path):
     assert main(["run", "--k", "-1", "--out", str(tmp_path)]) == 2
     assert main(["run", "--dim", "2", "--algo", "leashed", "--out", str(tmp_path)]) == 2
