@@ -9,8 +9,9 @@ returns the summary that PASS reports. A check that plays no game of its
 own, such as a brute-force oracle, is a plan of one task. A game lets what
 it raises propagate. Each game is the pair `stacks.RunSpec.build` makes
 (epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec sets them),
-played through `run_game`; a bound check scores it through `RunSpec.rows`, as `run` and
-`sweep` do, a scalar stack's at the comparators `run` reports for the spec.
+played by `RunSpec.play`, or by `run_game` where a check watches its rounds;
+a bound check scores it through `RunSpec.rows`, as `run` and `sweep` do, a
+scalar stack's at the comparators `run` reports for the spec.
 
 Called directly, a runner builds its plan, runs its tasks here and folds
 them; `run_suite` builds each plan of a suite once and runs all their tasks
@@ -44,7 +45,7 @@ import numpy as np
 
 from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_fraction,
                           random_unit_vectors)
-from .bounds import StreamStats, conjugate_bound
+from .bounds import conjugate_bound
 from .coin_betting import ons_inner_regret, ons_regret_bound
 from .core import HintedLearner, RegretLedger, dual_norm, row_dots, run_game
 from .stacks import RunSpec, comparator_label, growth_exponent
@@ -148,20 +149,14 @@ def run_suite(names, map_tasks) -> list:
             for run, planned in zip(runners, plans)]
 
 
-def _play(spec: RunSpec, check_finite: bool = True) -> RegretLedger:
-    """The ledger of spec.T rounds of the game the spec builds."""
-    adversary, learner = spec.build()
-    return run_game(learner, adversary, spec.T, check_finite=check_finite)
-
-
 def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger,
-                  comparators) -> float:
-    """Check regret <= the spec's stack bound at every comparator, one failure
-    per violation; returns the largest regret/bound over finite regrets under
-    positive bounds (-inf when there is none)."""
-    stats = StreamStats.from_ledger(ledger, g0=spec.g0)
+                  comparators=None) -> float:
+    """Check regret <= the spec's stack bound at every comparator (by default
+    those `run` reports for the spec), one failure per violation; returns the
+    largest regret/bound over finite regrets under positive bounds (-inf when
+    there is none)."""
     worst = -math.inf
-    for i, (wc, _, r, b, ratio) in enumerate(spec.rows(ledger, stats, comparators)):
+    for i, (wc, _, r, b, ratio) in enumerate(spec.rows(ledger, comparators)):
         if not r <= b:
             failures.append(f"{label} comparator {comparator_label(wc, i)}: "
                             f"regret {r:.6g} > bound {b:.6g}")
@@ -200,8 +195,7 @@ def _bettor_games():
 def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = True) -> float:
     """The game's bound check at every comparator `run` reports for the spec,
     and its largest regret/bound."""
-    ledger = _play(spec, check_finite=check_finite)
-    return _within_bound(failures, label, spec, ledger, spec.comparators_for(ledger))
+    return _within_bound(failures, label, spec, spec.play(check_finite))
 
 
 def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -328,7 +322,7 @@ def leashed_regret_within_bound() -> tuple:
 
 def _regret_at_one(failures: list, label: str, spec: RunSpec) -> float:
     """The game's regret at comparator 1."""
-    return _play(spec).regret(1.0)
+    return spec.play().regret(1.0)
 
 
 @criterion(required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
@@ -353,7 +347,7 @@ def leashed_regret_sublinear() -> tuple:
 def _ball_game(failures: list, label: str, spec: RunSpec) -> float:
     """The game's bound check at 20 seeded unit comparators and the unit
     vector against the gradient sum, and its largest regret/bound."""
-    ledger = _play(spec)
+    ledger = spec.play()
     units = random_unit_vectors(spec.dim, 20, seed=7)
     gn = dual_norm(ledger.grad_sum)
     comps = units + [-ledger.grad_sum / gn] if gn > 0.0 else units
@@ -484,11 +478,11 @@ def _conjugate_sup(a: float, b: float, c: float, theta: float, blocks: list) -> 
 
 def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
     """The game's domain and bound checks, and the criterion's summary."""
-    ledger = _play(spec)
+    ledger = spec.play()
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
-    worst = _within_bound(failures, label, spec, ledger, spec.comparators_for(ledger))
+    worst = _within_bound(failures, label, spec, ledger)
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
 

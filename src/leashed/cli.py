@@ -92,7 +92,8 @@ def _strict(cast):
 def _settings(args: argparse.Namespace, grid=()) -> dict:
     """Every RunSpec field from its flag, else LEASHED_<FIELD>, else the
     config file, else its default, cast strictly to the type of that default
-    (D is a float). The fields named in `grid` resolve to lists. A config
+    (D is a float). The fields named in `grid` resolve to lists; so does a
+    config file's JSON list of comparators, cast as the grids are. A config
     key that names no field, or a value that does not cast, is a ValueError;
     the latter's message starts with the field's name."""
     file_cfg = _load_config(args.config)
@@ -109,6 +110,8 @@ def _settings(args: argparse.Namespace, grid=()) -> dict:
         try:
             if f.name in grid:
                 out[f.name] = [f.default] if raw is None else _parse_listish(raw, cast)
+            elif f.name == "comparators" and isinstance(raw, list):
+                out[f.name] = tuple(_parse_listish(raw, _strict(float)))
             else:
                 out[f.name] = f.default if raw is None else cast(raw)
         except (OverflowError, TypeError, ValueError) as exc:
@@ -203,7 +206,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     stats = StreamStats.from_ledger(ledger, g0=spec.g0)
     params = spec.params
-    rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     summary = {
         "algo": spec.algo,
         "adversary": dataclasses.asdict(adversary.config),
@@ -221,7 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "stack_bound": bound,
                 "ratio": ratio,
             }
-            for wc, w_abs, regret, bound, ratio in rows
+            for wc, w_abs, regret, bound, ratio in spec.rows(ledger)
         ],
     }
     summary_path = out_dir / "summary.json"
@@ -261,13 +263,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(spec: RunSpec) -> list:
-    adversary, learner = spec.build()
-    ledger = run_game(learner, adversary, spec.T)
-    stats = StreamStats.from_ledger(ledger, g0=spec.g0)
-    rows = spec.rows(ledger, stats, spec.comparators_for(ledger))
     return [
         (spec.k, spec.p, spec.adversary, spec.T, comparator_label(wc, i), regret, bound, ratio)
-        for i, (wc, _, regret, bound, ratio) in enumerate(rows)
+        for i, (wc, _, regret, bound, ratio) in enumerate(spec.rows(spec.play()))
     ]
 
 

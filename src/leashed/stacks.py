@@ -20,7 +20,7 @@ from .bounds import (
     hintless_bound,
 )
 from .coin_betting import CoinBettor
-from .core import Learner, RegretLedger, dual_norm
+from .core import Learner, RegretLedger, dual_norm, run_game
 from .reductions import DimFreeLift, Leashed, Truncation, fixed_diameter
 from .unit_ball import AdaGradBall, ball_regret_bound
 
@@ -130,7 +130,7 @@ def _setting(default, text: str):
 
 
 def comparator_label(wc, i: int) -> str:
-    """A scalar's value; a vector's norm and index i in RunSpec.comparators_for."""
+    """A scalar's value; a vector's norm and index i in RunSpec.rows' comparators."""
     if isinstance(wc, np.ndarray):
         return f"|w|={dual_norm(wc):.6g}#{i}"
     return format(float(wc), ".12g")
@@ -180,6 +180,9 @@ class RunSpec:
                 raise ValueError(f"comparators must be finite, got {self.comparators!r}")
             if self.dim != 1:
                 raise ValueError("explicit comparators are scalars; use auto for dim > 1")
+            if self.algo == "adagrad_ball" and not all(abs(w) <= 1.0 for w in given):
+                raise ValueError("adagrad_ball's bound holds only in the unit ball: "
+                                 f"comparators must satisfy |u| <= 1, got {self.comparators!r}")
 
     @property
     def params(self) -> BoundParams:
@@ -196,21 +199,28 @@ class RunSpec:
         hint = adversary.bound() or None
         return adversary, build_learner(self.algo, self.params, self.dim, self.D, hint)
 
-    def comparators_for(self, ledger: RegretLedger) -> list:
-        """The explicit scalars; else, for adagrad_ball, whose bound holds only
-        inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
-        if self.comparators != "auto":
-            return _parse_listish(self.comparators, float)
-        if self.algo != "adagrad_ball":
-            return comparator_sweep(ledger, seed=self.seed)
-        if self.dim == 1:
-            return [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
-        return [w for w in comparator_sweep(ledger, seed=self.seed)
-                if dual_norm(w) <= 1.0 + 1e-12]
+    def play(self, check_finite: bool = True) -> RegretLedger:
+        """The ledger of spec.T rounds of the game build() makes."""
+        adversary, learner = self.build()
+        return run_game(learner, adversary, self.T, check_finite=check_finite)
 
-    def rows(self, ledger: RegretLedger, stats: StreamStats, comparators) -> Iterator[tuple]:
+    def rows(self, ledger: RegretLedger, comparators=None) -> Iterator[tuple]:
         """(comparator, its norm, regret, stack bound, regret / bound) per
-        comparator; the ratio is None where the bound is not positive."""
+        comparator, scored on the ledger's stream statistics; the ratio is
+        None where the bound is not positive. The comparators default to the
+        explicit scalars; else, for adagrad_ball, whose bound holds only
+        inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
+        stats = StreamStats.from_ledger(ledger, g0=self.g0)
+        if comparators is None:
+            if self.comparators != "auto":
+                comparators = _parse_listish(self.comparators, float)
+            elif self.algo != "adagrad_ball":
+                comparators = comparator_sweep(ledger, seed=self.seed)
+            elif self.dim == 1:
+                comparators = [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
+            else:
+                comparators = [w for w in comparator_sweep(ledger, seed=self.seed)
+                               if dual_norm(w) <= 1.0 + 1e-12]
         params = self.params
         for wc in comparators:
             w_abs = dual_norm(wc)

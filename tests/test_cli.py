@@ -231,7 +231,9 @@ def test_run_fixed_diameter_uses_flag(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_comparator_list_may_start_with_a_negative_value(command, tmp_path, capsys):
-    for flags in (["--comparators=-1,2"], ["--comparators", "-1,2"]):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"comparators": [-1, 2]}))
+    for flags in (["--comparators=-1,2"], ["--comparators", "-1,2"], ["--config", str(cfg)]):
         assert main([command, "--adversary", "constant", "--T", "20",
                      "--out", str(tmp_path)] + flags) == 0, flags
         if command == "run":
@@ -260,9 +262,16 @@ def _no_game(*args, **kwargs):
     raise AssertionError("rejected settings started a game")
 
 
+def _forbid_games(monkeypatch, no_game=_no_game) -> None:
+    """Make every game raise: run plays through cli.run_game, sweep's cells
+    through RunSpec.play, which calls stacks.run_game."""
+    monkeypatch.setattr(cli, "run_game", no_game)
+    monkeypatch.setattr(stacks, "run_game", no_game)
+
+
 def test_run_rejects_unknown_names(tmp_path, monkeypatch, capsys):
     # RunSpec is the one check of a name: the flag takes any string
-    monkeypatch.setattr(cli, "run_game", _no_game)
+    _forbid_games(monkeypatch)
     for flag, line in (("--algo", "unknown algorithm 'bogus'"),
                        ("--adversary", "unknown adversary kind 'bogus'")):
         assert main(["run", flag, "bogus", "--out", str(tmp_path)]) == 2
@@ -297,7 +306,7 @@ def test_run_has_no_jobs_flag(tmp_path, capsys):
 
 
 def test_a_value_that_does_not_cast_names_its_setting(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_game", _no_game)
+    _forbid_games(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
     not_int = "invalid literal for int() with base 10:"
@@ -319,18 +328,39 @@ def test_a_value_that_does_not_cast_names_its_setting(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_bad_comparator_list_names_its_setting(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_game", _no_game)
+    _forbid_games(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
     not_float = "could not convert string to float:"
     assert main([command, "--comparators", "1,x", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"bad configuration: comparators: {not_float} 'x'\n"
-    # the list is a string setting: a JSON list reaches it as its text
+    # a JSON list is cast entry by entry, strictly: a JSON true is not 1
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"comparators": [-1, 2]}))
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"bad configuration: comparators: {not_float} '[-1'\n"
+    for entries, message in (([-1, "x"], f"comparators: {not_float} 'x'"),
+                             ([True], "comparators: True is not a valid float"),
+                             ([[1]], "comparators: float() argument must be a string or a "
+                                     "real number, not 'list'"),
+                             ([], "empty comparator list")):
+        cfg.write_text(json.dumps({"comparators": entries}))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, entries
+        assert capsys.readouterr().err == f"bad configuration: {message}\n", entries
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_adagrad_ball_comparators_stay_in_the_unit_ball(command, tmp_path, monkeypatch, capsys):
+    # its bound holds only for |u| <= 1: 100 and -100 would score regret 4951
+    # against a bound of 20 on the constant stream at T = 50
+    base = [command, "--algo", "adagrad_ball", "--adversary", "constant", "--T", "50",
+            "--out", str(tmp_path)]
+    assert main(base + ["--comparators", "1,-1,0.5,0"]) == 0
+    capsys.readouterr()
+    _forbid_games(monkeypatch)
+    for comparators in ("100,-100", "0.5,1.0000000000000002", "-1.5"):
+        assert main(base + ["--comparators", comparators]) == 2, comparators
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration: adagrad_ball's bound holds only in the unit "
+                              "ball: comparators must satisfy |u| <= 1, got "), comparators
 
 
 def test_run_bad_settings(tmp_path):
@@ -374,7 +404,7 @@ def test_unknown_config_key_is_rejected_before_any_game(command, tmp_path, monke
     def no_game(*args, **kwargs):
         raise AssertionError("an unknown config key started a game")
 
-    monkeypatch.setattr(cli, "run_game", no_game)
+    _forbid_games(monkeypatch, no_game)
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
     out.mkdir()
@@ -773,7 +803,7 @@ def test_negative_seed_is_rejected_before_any_game(command, algo, tmp_path, monk
     def no_game(*args, **kwargs):
         raise AssertionError("a rejected seed started a game")
 
-    monkeypatch.setattr(cli, "run_game", no_game)
+    _forbid_games(monkeypatch, no_game)
     assert main([command, "--algo", algo, "--dim", "3", "--adversary", "constant",
                  "--seed", "-1", "--T", "10", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "bad configuration: seed must be >= 0, got -1\n"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leashed
 from leashed import (
@@ -112,6 +114,28 @@ def test_stack_bound_missing_arguments():
         stack_bound("fixed_diameter", PARAMS, STATS, 1.0)
     with pytest.raises(ValueError):
         stack_bound("bogus", PARAMS, STATS, 1.0)
+
+
+def _positive(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+@given(algo=st.sampled_from(ALGOS),
+       params=st.builds(BoundParams, epsilon=_positive(1e-3, 1e3), alpha=_positive(1e-3, 1e3),
+                        k=_positive(1e-3, 1e3), p=_positive(1e-2, 1.0), g0=_positive(1e-3, 1e3)),
+       norms=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50),
+       w1=st.floats(min_value=0.0, max_value=1e12), w2=st.floats(min_value=0.0, max_value=1e12),
+       max_played=st.floats(min_value=0.0, max_value=1e6), diameter=_positive(1e-3, 1e3))
+@settings(deadline=None, max_examples=300)
+def test_every_stack_bound_is_nondecreasing_in_the_comparator_norm(algo, params, norms, w1, w2,
+                                                                    max_played, diameter):
+    # worst regret at norm r is affine in r, so a scan that brackets the worst
+    # comparator between grid norms needs each bound not to fall as |u| grows
+    stats = StreamStats.from_norms(norms, g0=params.g0)
+    lo, hi = sorted((w1, w2))
+    at_lo, at_hi = (stack_bound(algo, params, stats, w, diameter=diameter, max_played=max_played)
+                    for w in (lo, hi))
+    assert at_lo <= at_hi
 
 
 def test_built_stacks_play_one_round():
