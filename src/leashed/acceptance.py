@@ -22,8 +22,8 @@ folded after a plan or a task raised. A criterion's seconds are the sum of
 its plan's, its tasks' and its fold's, so they never read less than an
 in-process run. It reports the first four failures in place of the summary,
 fails a criterion whose seconds reach its gate (adding "; took X s" when
-every check held) and lists the criterion in CRITERIA, which the verify
-command and the tests share.
+every check held) and lists the criterion in CRITERIA and in SUITES under
+"all" and its suite, which the verify command and the tests share.
 
 Measured regret is compared against the closed-form guarantees with zero
 tolerance unless a stated numerical slack is part of the check itself. A few
@@ -66,6 +66,8 @@ def format_result(r: CriterionResult) -> str:
 
 
 CRITERIA: dict = {}
+# criterion names by suite, "all" first, each in registration order
+SUITES: dict = {}
 
 
 def _timed(fn, *args, **kwargs) -> tuple:
@@ -98,9 +100,10 @@ def _build(plan) -> tuple:
     return seconds, tasks, fold, error
 
 
-def criterion(required: str, gate: Optional[float] = None):
-    """Register plan() in CRITERIA under its name, run as the module
-    docstring describes, with gate its wall-clock limit in seconds.
+def criterion(suite: str, required: str, gate: Optional[float] = None):
+    """Register plan() in CRITERIA under its name, and that name in SUITES
+    under "all" and suite, run as the module docstring describes, with gate
+    its wall-clock limit in seconds.
     Each task is (fn, label, *args), run by run_task. The runner keeps the
     plan as its `plan` attribute and takes `planned` and `done`, the _build
     and run_task results made elsewhere (run_suite)."""
@@ -131,6 +134,8 @@ def criterion(required: str, gate: Optional[float] = None):
 
         run.plan = plan
         CRITERIA[plan.__name__] = run
+        for group in ("all", suite):
+            SUITES[group] = (*SUITES.get(group, ()), plan.__name__)
         return run
 
     return register
@@ -225,6 +230,7 @@ def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
 
 
 @criterion(
+    "coin",
     required="wealth > 0 and |v_t| <= 1/(2 h_t) exactly, every adversary kind, under 5 s",
     gate=5.0,
 )
@@ -237,7 +243,7 @@ def wealth_positive_bets_clipped() -> tuple:
                            min)
 
 
-@criterion(required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100")
+@criterion("coin", required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100")
 def bettor_regret_within_bound() -> tuple:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
     # the one-signed constant stream pushes wealth past float range near round
@@ -262,7 +268,7 @@ def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
     return reg - cap
 
 
-@criterion(required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3")
+@criterion("coin", required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3")
 def inner_ons_within_log_bound() -> tuple:
     """Betting-fraction regret vs the best fixed fraction on an exhaustive grid."""
     return ([(_log_wealth_game, label, spec) for label, spec in _bettor_games()],
@@ -294,7 +300,7 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
     return worst
 
 
-@criterion(required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly")
+@criterion("reductions", required="sum (g - g_sent)(w - comparator) <= max|g| * (max|w| + |comparator|), exactly")
 def truncation_overhead_bounded() -> tuple:
     """Per-round truncation error, summed against any comparator, stays within range."""
     # one-signed streams at T=1e4 overflow wealth by design and are checked in
@@ -309,6 +315,7 @@ def truncation_overhead_bounded() -> tuple:
 
 
 @criterion(
+    "reductions",
     required="regret <= composed guarantee, zero tolerance, every adversary kind, T in {1e3,1e4}, under 30 s",
     gate=30.0,
 )
@@ -325,7 +332,7 @@ def _regret_at_one(failures: list, label: str, spec: RunSpec) -> float:
     return spec.play().regret(1.0)
 
 
-@criterion(required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
+@criterion("reductions", required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
 def leashed_regret_sublinear() -> tuple:
     """Average regret shrinks with the horizon; growth exponent at most 0.55."""
     horizons = (100, 1000, 10_000, 100_000)
@@ -354,7 +361,7 @@ def _ball_game(failures: list, label: str, spec: RunSpec) -> float:
     return _within_bound(failures, label, spec, ledger, comps)
 
 
-@criterion(required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4")
+@criterion("ball", required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4")
 def ball_regret_within_bound() -> tuple:
     """Unit-ball learner regret never exceeds its guarantee."""
     return ([(_ball_game, f"{kind} d={d}",
@@ -388,7 +395,7 @@ def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
     return worst
 
 
-@criterion(required="regret = scalar regret at |comparator| + |comparator| * direction regret, to 1e-9 absolute")
+@criterion("reductions", required="regret = scalar regret at |comparator| + |comparator| * direction regret, to 1e-9 absolute")
 def lift_identity_exact() -> tuple:
     """Dimension-lift regret splits exactly into scalar and direction parts."""
     return ([(_lift_game, f"{kind} d={d}",
@@ -419,7 +426,7 @@ def _barrier_game(failures: list, kind: str, spec: RunSpec) -> None:
         failures.append(f"{kind}: {bad} of {len(b1)} barrier values differ")
 
 
-@criterion(required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3")
+@criterion("reductions", required="barrier traces for {g_t} and {1000 g_t} bit-identical, all adversary kinds, T = 1e3")
 def barrier_scale_invariant() -> tuple:
     """Scaling a gradient stream by 1000 leaves the barrier trace bit-identical."""
     # generated magnitudes sit on the 2^-20 lattice, so the ledger sums and
@@ -450,7 +457,7 @@ def _conjugate_game(failures: list, label: str) -> float:
     return worst
 
 
-@criterion(required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples")
+@criterion("bounds", required="sup_x (theta x - f(x)) on a half-million-point grid <= closed form + 1e-6, 20 seeded tuples")
 def conjugate_dominated() -> tuple:
     """Closed-form conjugate cap dominates the brute-force conjugate."""
     return [(_conjugate_game, "seeded tuples")], _summary(
@@ -486,21 +493,10 @@ def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
 
-@criterion(required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
+@criterion("reductions", required="max played point <= 1 exactly on the growing stream, T = 1e4; regret within the fixed-diameter guarantee")
 def diameter_respected() -> tuple:
     """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
     spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000,
                    comparators="0,0.3,-0.3,1,-1")
     return [(_diameter_game, "growing", spec)], lambda failures, summaries: summaries[0]
 
-
-SUITES = {
-    "all": tuple(CRITERIA),
-    "coin": ("wealth_positive_bets_clipped", "bettor_regret_within_bound",
-             "inner_ons_within_log_bound"),
-    "reductions": ("truncation_overhead_bounded", "leashed_regret_within_bound",
-                   "leashed_regret_sublinear", "lift_identity_exact", "barrier_scale_invariant",
-                   "diameter_respected"),
-    "ball": ("ball_regret_within_bound",),
-    "bounds": ("conjugate_dominated",),
-}

@@ -43,22 +43,20 @@ class BoundParams:
 class StreamStats:
     """Gradient-stream summary consumed by the bound evaluators.
 
-    h_T is the final fabricated hint max(g0, G); max_ratio is the largest
-    prefix value of (sum of |g_i| up to t) / (max |g_i| up to t), the
-    quantity that drives barrier growth.
+    It describes the stream alone: the evaluators charge the final hint
+    max(params.g0, G) themselves. max_ratio is the largest prefix value of
+    (sum of |g_i| up to t) / (max |g_i| up to t), the quantity that drives
+    barrier growth.
     """
 
     T: int
     sum_sq: float
     sum_abs: float
     G: float
-    h_T: float
     max_ratio: float
 
     @classmethod
-    def from_norms(cls, norms: Iterable[float], g0: float) -> "StreamStats":
-        if g0 <= 0.0:
-            raise ValueError(f"g0 must be positive, got {g0}")
+    def from_norms(cls, norms: Iterable[float]) -> "StreamStats":
         T = 0
         sum_sq = 0.0
         sum_abs = 0.0
@@ -77,18 +75,14 @@ class StreamStats:
                 ratio = sum_abs / g_max
                 if ratio > max_ratio:
                     max_ratio = ratio
-        return cls(T=T, sum_sq=sum_sq, sum_abs=sum_abs, G=g_max,
-                   h_T=max(g0, g_max), max_ratio=max_ratio)
+        return cls(T=T, sum_sq=sum_sq, sum_abs=sum_abs, G=g_max, max_ratio=max_ratio)
 
     @classmethod
-    def from_ledger(cls, ledger: RegretLedger, g0: float) -> "StreamStats":
+    def from_ledger(cls, ledger: RegretLedger) -> "StreamStats":
         """The stream statistics of a game, from the ledger's running sums,
         which it keeps with from_norms' operations in from_norms' order."""
-        if g0 <= 0.0:
-            raise ValueError(f"g0 must be positive, got {g0}")
-        G = ledger.max_norm
-        return cls(T=len(ledger), sum_sq=ledger.sum_sq, sum_abs=ledger.sum_norm, G=G,
-                   h_T=max(g0, G), max_ratio=ledger.max_ratio)
+        return cls(T=len(ledger), sum_sq=ledger.sum_sq, sum_abs=ledger.sum_norm,
+                   G=ledger.max_norm, max_ratio=ledger.max_ratio)
 
 
 def _softplus(x: float) -> float:
@@ -102,18 +96,25 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def _over(x: float, y: float) -> float:
+    """x / y for x > 0, or inf where y underflowed to 0 (h * h does for a
+    hint below about 1e-162): a bound then reads inf, never below its value."""
+    return x / y if y else math.inf
+
+
 def _bettor_terms(params: BoundParams, stats: StreamStats, w: float, c: float) -> tuple:
-    """(ln x, square-root arm) of the coin bettor's guarantee at comparator
-    magnitude w > 0, where the arm's log argument carries a / (c h^2)."""
+    """(h, ln x, square-root arm) of the coin bettor's guarantee at comparator
+    magnitude w > 0, where h = max(g0, G) is the final hint and the arm's log
+    argument carries a / (c h^2)."""
     eps, a = params.epsilon, params.alpha
-    h, s = stats.h_T, stats.sum_sq
+    h, s = max(params.g0, stats.G), stats.sum_sq
     ln_x = (math.log(16.0) + math.log(w) + math.log(h) - math.log(eps)
-            + a / (4.0 * h * h) + 4.5 * math.log1p(s / a))
+            + _over(a, 4.0 * h * h) + 4.5 * math.log1p(s / a))
     if s == 0.0:
-        return ln_x, 0.0
-    ln_arg = (math.log(4.0) + 10.0 * math.log(s) + a / (c * h * h)
+        return h, ln_x, 0.0
+    ln_arg = (math.log(4.0) + 10.0 * math.log(s) + _over(a, c * h * h)
               + 2.0 * (math.log(w) - math.log(eps)))
-    return ln_x, 2.0 * math.sqrt(s * _softplus(ln_arg))
+    return h, ln_x, 2.0 * math.sqrt(s * _softplus(ln_arg))
 
 
 def bettor_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> float:
@@ -122,8 +123,8 @@ def bettor_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> float
     w = abs(float(w_abs))
     if w == 0.0:
         return params.epsilon
-    ln_x, arm2 = _bettor_terms(params, stats, w, 2.0)
-    return params.epsilon + w * max(8.0 * stats.h_T * (ln_x - 1.0), arm2)
+    h, ln_x, arm2 = _bettor_terms(params, stats, w, 2.0)
+    return params.epsilon + w * max(8.0 * h * (ln_x - 1.0), arm2)
 
 
 def _pow(x: float, y: float) -> float:
@@ -154,8 +155,7 @@ def full_stack_bound(params: BoundParams, stats: StreamStats, w_abs: float) -> f
     if w == 0.0:
         comparator_part = 0.0
     else:
-        h = stats.h_T
-        ln_x, arm2 = _bettor_terms(params, stats, w, 4.0)
+        h, ln_x, arm2 = _bettor_terms(params, stats, w, 4.0)
         comparator_part = 2.0 * w * max(8.0 * h * ln_x - h, arm2)
     return 2.0 * params.epsilon + comparator_part + _leash_terms(params, stats, w)
 
@@ -190,6 +190,9 @@ def conjugate_bound(a: float, b: float, c: float, theta: float) -> float:
     t = abs(float(theta))
     if t == 0.0:
         return 0.0
+    if a * a * b == 0.0:
+        # a^2 b underflowed, as it does whenever a b does: inf caps every value
+        return math.inf
     # Split the sup at |x| = c.  On |x| >= c the exponent is at least b|x|/2,
     # on |x| <= c it is at least b x^2 / (2c); each minorant has a closed-form
     # conjugate cap and the true conjugate is at most the larger of the two.

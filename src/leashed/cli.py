@@ -156,21 +156,22 @@ def _json_chunks(x, pad: str = "\n"):
 def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
     """Write trace.csv in the bytes csv.writer writes: floats in %.17g, a
     column the learner reports as None left empty, CRLF line ends. The norms
-    and cum_loss are the ledger's, the other columns the recorder's. A
-    column that holds one nonzero finite value in every round goes into the
-    row template as text (not 0.0, which == does not tell from -0.0), and
-    the rows are formatted and written with no Python loop. Stops before the
+    and cum_loss are the ledger's, t is a row's position, the other columns
+    the recorder's. A column that holds one nonzero finite value in every
+    round goes into the row template as text (not 0.0, which == does not
+    tell from -0.0), and the rows are formatted and written with no Python
+    loop. Stops before the
     first round holding a non-finite value and returns that round; returns
     None once every row is written."""
     rows = ledger.rounds
-    t, w_norm, g_norm, cum_loss = (list(map(attrgetter(name), rows))
-                                   for name in ("t", "w_norm", "g_norm", "cum_loss"))
+    w_norm, g_norm, cum_loss = (list(map(attrgetter(name), rows))
+                                for name in ("w_norm", "g_norm", "cum_loss"))
     values = (w_norm, g_norm, recorder.hints, recorder.barriers, recorder.wealths, cum_loss)
     n = len(rows)
     for col in values:
         if col[0] is not None and not all(map(math.isfinite, col)):
             n = min(n, list(map(math.isfinite, col)).index(False))
-    fields, varying = ["%d"], [t]
+    fields, varying = ["%d"], [range(1, len(rows) + 1)]
     for col in values:
         if col[0] is None:
             fields.append("")
@@ -183,7 +184,7 @@ def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> O
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         fh.writelines(map(row_fmt.__mod__, islice(zip(*varying), n)))
-    return None if n == len(rows) else rows[n].t
+    return None if n == len(rows) else n + 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -204,7 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if bad_round is not None:
         raise GameDivergence(f"non-finite trace value at round {bad_round}")
 
-    stats = StreamStats.from_ledger(ledger, g0=spec.g0)
+    stats = StreamStats.from_ledger(ledger)
     params = spec.params
     summary = {
         "algo": spec.algo,
@@ -213,7 +214,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "dim": spec.dim,
         "params": dataclasses.asdict(params),
         "diameter": spec.D,
-        "stats": {**dataclasses.asdict(stats), "max_played_norm": ledger.max_played_norm},
+        "stats": {"T": stats.T, "sum_sq": stats.sum_sq, "sum_abs": stats.sum_abs,
+                  "G": stats.G, "h_T": max(params.g0, stats.G), "max_ratio": stats.max_ratio,
+                  "max_played_norm": ledger.max_played_norm},
         "comparators": [
             {
                 "comparator": wc.tolist() if isinstance(wc, np.ndarray) else float(wc),
@@ -303,7 +306,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     written = [sweep_path.name]
 
     if len(set(grids["T"])) >= 2:
-        # growth exponent of clamped regret across the horizon grid
+        # growth exponent of clamped regret across the horizon grid; every cell
+        # is played at every horizon, so each group holds all of them
         groups = {}
         for k, p, kind, T, label, regret, _, _ in rows:
             groups.setdefault((k, p, kind, label), []).append((T, regret))
@@ -313,8 +317,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer.writerow(("k", "p", "adversary", "comparator", "exponent"))
             for (k, p, kind, label), pts in sorted(groups.items()):
                 pts = sorted(pts)
-                if len({t for t, _ in pts}) < 2:
-                    continue
                 slope = growth_exponent([t for t, _ in pts], [r for _, r in pts])
                 writer.writerow((_fmt(k), _fmt(p), kind, label, _fmt(slope)))
         written.append(exp_path.name)

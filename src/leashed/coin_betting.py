@@ -95,5 +95,7 @@ def ons_inner_regret(gs, vs, v_ref: float) -> float:
 
 def ons_regret_bound(alpha: float, h_final: float, sum_sq: float) -> float:
     """Closed-form cap on the inner Newton-step regret against any fixed
-    fraction inside the final betting interval."""
-    return alpha / (4.0 * h_final * h_final) + 4.5 * math.log1p(sum_sq / alpha)
+    fraction inside the final betting interval. A hint below about 1e-162
+    squares to 0, and the cap then reads inf."""
+    d = 4.0 * h_final * h_final
+    return (alpha / d if d else math.inf) + 4.5 * math.log1p(sum_sq / alpha)

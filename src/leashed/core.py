@@ -87,9 +87,9 @@ class HintedLearner(Learner):
 @dataclass(slots=True)
 class RoundRecord:
     """What trace.csv reads of one round: the norms of the point as played
-    and of its gradient, and the cumulative loss after the round."""
+    and of its gradient, and the cumulative loss after the round. The round
+    is the row's position: rounds[t - 1] is round t."""
 
-    t: int
     w_norm: float
     g_norm: float
     cum_loss: float
@@ -127,12 +127,10 @@ class RegretLedger:
     def __len__(self) -> int:
         return self.n_rounds
 
-    def append(self, t: int, w: Vector, g: Vector, pn: Optional[float] = None,
-               n: Optional[float] = None) -> None:
-        """Account round t, where w was played and g answered it. pn and n
-        are dual_norm(w) and dual_norm(g), computed here unless the caller
-        has them already. Nothing of w or g is kept, so the caller may reuse
-        their buffers afterwards."""
+    def append(self, w: Vector, g: Vector, pn: float, n: float) -> None:
+        """Account the next round, where w was played and g answered it; pn
+        and n are dual_norm(w) and dual_norm(g). Nothing of w or g is kept,
+        so the caller may reuse their buffers afterwards."""
         if isinstance(g, np.ndarray):
             if self.dim is None:
                 self.dim = g.shape[0]
@@ -143,13 +141,9 @@ class RegretLedger:
                 self.dim = 1
             self.cum_loss = cum_loss = self.cum_loss + g * w
         self.grad_sum += g
-        if n is None:
-            n = dual_norm(g)
-        if pn is None:
-            pn = dual_norm(w)
         self.n_rounds += 1
         if self.rounds is not None:
-            self.rounds.append(RoundRecord(t, pn, n, cum_loss))
+            self.rounds.append(RoundRecord(pn, n, cum_loss))
         self.sum_norm = sum_norm = self.sum_norm + n
         self.sum_sq += n * n
         max_norm = self.max_norm
@@ -229,9 +223,9 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     if on_round is not None:
         append = record
 
-        def record(t, w, g, pn, n):
-            append(t, w, g, pn, n)
-            on_round(t, w, g)
+        def record(w, g, pn, n):
+            append(w, g, pn, n)
+            on_round(ledger.n_rounds, w, g)
 
     next_grad, isfinite = adversary.next_grad, math.isfinite
     for t in range(1, T + 1):
@@ -248,7 +242,7 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
         n = norm(g)
         if check_finite and not (isfinite(n) or finite(g)):
             raise GameDivergence(f"adversary produced a non-finite gradient at round {t}")
-        record(t, w, g, pn, n)
+        record(w, g, pn, n)
         update(g)
         if t < T:
             w = play()

@@ -210,7 +210,7 @@ class RunSpec:
         None where the bound is not positive. The comparators default to the
         explicit scalars; else, for adagrad_ball, whose bound holds only
         inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
-        stats = StreamStats.from_ledger(ledger, g0=self.g0)
+        stats = StreamStats.from_ledger(ledger)
         if comparators is None:
             if self.comparators != "auto":
                 comparators = _parse_listish(self.comparators, float)

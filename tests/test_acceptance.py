@@ -48,6 +48,17 @@ def test_suites_reference_known_criteria():
     assert SUITES["all"] == tuple(CRITERIA)
     for names in SUITES.values():
         assert all(n in CRITERIA for n in names)
+    # registration builds each suite, "all" first, names in registration order
+    assert list(SUITES.items()) == [
+        ("all", tuple(CRITERIA)),
+        ("coin", ("wealth_positive_bets_clipped", "bettor_regret_within_bound",
+                  "inner_ons_within_log_bound")),
+        ("reductions", ("truncation_overhead_bounded", "leashed_regret_within_bound",
+                        "leashed_regret_sublinear", "lift_identity_exact",
+                        "barrier_scale_invariant", "diameter_respected")),
+        ("ball", ("ball_regret_within_bound",)),
+        ("bounds", ("conjugate_dominated",)),
+    ]
 
 
 class BrokenClip(CoinBettor):
@@ -113,18 +124,21 @@ def test_truncation_criterion_catches_a_wrapper_that_sends_zero(monkeypatch):
 @pytest.fixture
 def scratch_registry(monkeypatch):
     # criteria defined by a test register here, not in the shipped CRITERIA
+    # and SUITES
     registry = {}
     monkeypatch.setattr(acceptance, "CRITERIA", registry)
+    monkeypatch.setattr(acceptance, "SUITES", {})
     return registry
 
 
 def test_runner_fails_a_criterion_past_its_gate(scratch_registry):
-    @acceptance.criterion(required="anything", gate=0.0)
+    @acceptance.criterion("scratch", required="anything", gate=0.0)
     def instant():
         return [], lambda failures, values: "every check held"
 
     result = instant()
     assert scratch_registry == {"instant": instant}
+    assert acceptance.SUITES == {"all": ("instant",), "scratch": ("instant",)}
     assert not result.passed
     assert result.measured.startswith("every check held; took ")
 
@@ -143,7 +157,7 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
         failures.extend(f"failure {i}" for i in range(3, 6))
         return "unused summary"
 
-    @acceptance.criterion(required="anything")
+    @acceptance.criterion("scratch", required="anything")
     def six_failures():
         # the tasks' lines in task order, then the fold's
         return [(_echo_game, "one", 1.0, "failure 0", "failure 1"),
@@ -156,7 +170,7 @@ def test_runner_reports_the_first_four_failures(scratch_registry):
 
 
 def test_runner_adds_the_seconds_of_tasks_run_elsewhere(scratch_registry):
-    @acceptance.criterion(required="anything", gate=1.0)
+    @acceptance.criterion("scratch", required="anything", gate=1.0)
     def two_games():
         return ([(_echo_game, "one", 1.0), (_echo_game, "two", 2.0)],
                 lambda failures, values: f"values {values}")
@@ -173,7 +187,7 @@ def test_runner_adds_the_seconds_of_tasks_run_elsewhere(scratch_registry):
 
 
 def test_runner_counts_the_plan_build_toward_the_gate(scratch_registry):
-    @acceptance.criterion(required="anything", gate=0.04)
+    @acceptance.criterion("scratch", required="anything", gate=0.04)
     def slow_plan():
         time.sleep(0.05)
         return [(_echo_game, "one", 1.0)], lambda failures, values: "every check held"
@@ -184,19 +198,19 @@ def test_runner_counts_the_plan_build_toward_the_gate(scratch_registry):
 
 
 def test_runner_records_what_a_plan_task_or_fold_raises(scratch_registry):
-    @acceptance.criterion(required="anything")
+    @acceptance.criterion("scratch", required="anything")
     def plan():
         raise ValueError("no fraction on the grid")
 
     def unreachable(failures, values):
         raise AssertionError("the fold runs only when every task returned")
 
-    @acceptance.criterion(required="anything")
+    @acceptance.criterion("scratch", required="anything")
     def games():
         return [(_echo_game, "one", 1.0, "game 1 failed"), (_sqrt_game, "root", -1.0),
                 (_echo_game, "two", 2.0)], unreachable
 
-    @acceptance.criterion(required="anything")
+    @acceptance.criterion("scratch", required="anything")
     def fold():
         # no games: nothing to fit
         return [], lambda failures, xs: f"slope {np.polyfit(xs, xs, 1)[0]:g}"

@@ -369,8 +369,8 @@ def test_best_fraction_beats_zero_and_stays_in_domain(gs):
 
 def scalar_ledger(plays_and_grads):
     ledger = RegretLedger()
-    for t, (w, g) in enumerate(plays_and_grads, start=1):
-        ledger.append(t, w, g)
+    for w, g in plays_and_grads:
+        ledger.append(w, g, abs(w), abs(g))
     return ledger
 
 
@@ -383,7 +383,7 @@ def test_comparator_sweep_scalar():
 
 def test_comparator_sweep_vector():
     ledger = RegretLedger()
-    ledger.append(1, np.zeros(3), np.array([2.0, 0.0, 0.0]))
+    ledger.append(np.zeros(3), np.array([2.0, 0.0, 0.0]), 0.0, 2.0)
     out = comparator_sweep(ledger, seed=0)
     assert len(out) == 1 + 4 * 6
     assert np.array_equal(out[0], np.zeros(3))

@@ -21,11 +21,12 @@ from leashed import (
     fixed_diameter_bound,
     full_stack_bound,
     hintless_bound,
+    ons_regret_bound,
     run_game,
 )
 from leashed.bounds import _leash_terms, _pow
 
-ZERO_STREAM = StreamStats.from_norms([], g0=1.0)
+ZERO_STREAM = StreamStats.from_norms([])
 
 
 def test_params_validation():
@@ -40,31 +41,40 @@ def test_params_validation():
 
 
 def test_stream_stats_from_norms():
-    s = StreamStats.from_norms([1.0, 2.0], g0=1.0)
+    s = StreamStats.from_norms([1.0, 2.0])
     assert s.T == 2
     assert s.sum_sq == 5.0
     assert s.sum_abs == 3.0
     assert s.G == 2.0
-    assert s.h_T == 2.0
     assert s.max_ratio == 1.5
-    assert StreamStats.from_norms([], g0=3.0).h_T == 3.0
     with pytest.raises(ValueError):
-        StreamStats.from_norms([-1.0], g0=1.0)
-    with pytest.raises(ValueError):
-        StreamStats.from_norms([], g0=0.0)
+        StreamStats.from_norms([-1.0])
+
+
+def test_bounds_charge_the_final_hint_max_of_g0_and_G():
+    # G = 2 is the final hint at g0 <= 2, g0 above it
+    s = StreamStats.from_norms([1.0, 2.0])
+    for bound in (bettor_bound, full_stack_bound):
+        at_G = bound(BoundParams(g0=2.0), s, 3.0)
+        assert bound(BoundParams(g0=0.5), s, 3.0) == at_G
+        assert bound(BoundParams(g0=3.0), s, 3.0) != at_G
+    # the zero stream plays at hint g0: ln x = ln(16 h) + 1 / (4 h^2)
+    h = 3.0
+    want = 1.0 + 8.0 * h * (math.log(16.0) + math.log(h) + 1.0 / (4.0 * h * h) - 1.0)
+    assert bettor_bound(BoundParams(g0=h), ZERO_STREAM, 1.0) == pytest.approx(want, rel=1e-15)
 
 
 def test_stream_stats_max_ratio_is_prefix_maximum():
     # the ratio peaks mid-stream when a late spike resets the denominator
-    s = StreamStats.from_norms([1.0, 1.0, 1.0, 10.0], g0=1.0)
+    s = StreamStats.from_norms([1.0, 1.0, 1.0, 10.0])
     assert s.max_ratio == 3.0
     assert s.G == 10.0
 
 
 def test_stream_stats_from_ledger():
     ledger = RegretLedger()
-    ledger.append(1, np.zeros(2), np.array([3.0, 4.0]))
-    s = StreamStats.from_ledger(ledger, g0=1.0)
+    ledger.append(np.zeros(2), np.array([3.0, 4.0]), 0.0, 5.0)
+    s = StreamStats.from_ledger(ledger)
     assert s.G == 5.0 and s.sum_sq == 25.0 and s.T == 1
 
 
@@ -77,9 +87,9 @@ def test_from_ledger_equals_from_norms(algo, dim, kind):
     ledger = run_game(build_learner(algo, params, dim=dim),
                       StreamAdversary(AdversaryConfig(kind, dim=dim, seed=3)), 500,
                       on_round=lambda t, w, g: norms.append(dual_norm(g)))
-    fast = StreamStats.from_ledger(ledger, g0=2.0)
-    slow = StreamStats.from_norms(norms, g0=2.0)
-    for field in ("T", "sum_sq", "sum_abs", "G", "h_T", "max_ratio"):
+    fast = StreamStats.from_ledger(ledger)
+    slow = StreamStats.from_norms(norms)
+    for field in ("T", "sum_sq", "sum_abs", "G", "max_ratio"):
         assert getattr(fast, field) == getattr(slow, field), field
 
 
@@ -93,13 +103,13 @@ def test_bettor_bound_zero_stream_value():
 
 
 def test_bettor_bound_survives_huge_mass():
-    s = StreamStats(T=10, sum_sq=1e300, sum_abs=1e150, G=1e150, h_T=1e150, max_ratio=10.0)
+    s = StreamStats(T=10, sum_sq=1e300, sum_abs=1e150, G=1e150, max_ratio=10.0)
     assert math.isfinite(bettor_bound(BoundParams(), s, 1.0))
 
 
 def test_full_stack_bound_at_origin():
     assert full_stack_bound(BoundParams(), ZERO_STREAM, 0.0) == 2.0
-    s = StreamStats.from_norms([1.0, 1.0], g0=1.0)
+    s = StreamStats.from_norms([1.0, 1.0])
     # at the origin only the barrier and penalty terms remain
     expected = 2.0 + (2.0 ** 0.5)
     assert full_stack_bound(BoundParams(), s, 0.0) == pytest.approx(expected, rel=1e-15)
@@ -113,13 +123,13 @@ def test_full_stack_vs_composed_bound_on_zero_stream():
         composed = (2.0 * bettor_bound(params, ZERO_STREAM, w)
                     + _leash_terms(params, ZERO_STREAM, w))
         assert full_stack_bound(params, ZERO_STREAM, w) == pytest.approx(
-            composed + 14.0 * w * ZERO_STREAM.h_T, rel=1e-9
+            composed + 14.0 * w * params.g0, rel=1e-9
         )
 
 
 def test_leash_bound_terms_pinned():
     # four unit gradients: barrier 2, comparator charge 2, best q is zero
-    s = StreamStats.from_norms([1.0, 1.0, 1.0, 1.0], g0=1.0)
+    s = StreamStats.from_norms([1.0, 1.0, 1.0, 1.0])
     assert _leash_terms(BoundParams(), s, 1.0) == 5.0
     # at comparator 10 the q = 1 arm, the full gradient mass times w = 40,
     # is the least (q = 0, 1/3, 1/2 give 1000, about 342, 200): 2 + 20 + 40
@@ -130,14 +140,14 @@ def test_leash_bound_terms_pinned():
 
 def test_hintless_bound_composition():
     params = BoundParams()
-    s = StreamStats.from_norms([1.0, 2.0], g0=1.0)
+    s = StreamStats.from_norms([1.0, 2.0])
     expected = bettor_bound(params, s, 3.0) + s.G * (7.0 + 3.0)
     assert hintless_bound(params, s, 3.0, max_played=7.0) == expected
 
 
 def test_fixed_diameter_bound_composition():
     params = BoundParams()
-    s = StreamStats.from_norms([1.0, 2.0], g0=1.0)
+    s = StreamStats.from_norms([1.0, 2.0])
     inside = 2.0 * bettor_bound(params, s, 0.5) + s.G * (1.0 + 0.5)
     assert fixed_diameter_bound(params, s, 0.5, diameter=1.0) == inside
     outside = 2.0 * bettor_bound(params, s, 4.0) + s.G * (1.0 + 4.0) \
@@ -148,20 +158,20 @@ def test_fixed_diameter_bound_composition():
 stats_strategy = st.builds(
     StreamStats.from_norms,
     st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50),
-    g0=st.floats(min_value=1e-3, max_value=1e3),
 )
 
 
-@given(stats_strategy, st.floats(min_value=0.0, max_value=1e6))
+@given(stats=stats_strategy, w=st.floats(min_value=0.0, max_value=1e6),
+       g0=st.floats(min_value=1e-3, max_value=1e3))
 @settings(deadline=None)
 # 16 w h underflows to zero at a subnormal comparator and a small hint
-@example(stats=StreamStats.from_norms([], g0=1.0 / 32.0), w=5e-324)
+@example(stats=StreamStats.from_norms([]), w=5e-324, g0=1.0 / 32.0)
 # the leash penalty's q = 0 term G w (w/k)^(1/p) overflows, and at 1e300
 # (w/k)^(1/p) itself: the q = 1 term is charged
-@example(stats=StreamStats.from_norms([1.0, 2.0], g0=1.0), w=1e120)
-@example(stats=StreamStats.from_norms([1.0, 2.0], g0=1.0), w=1e300)
-def test_bounds_are_positive(stats, w):
-    params = BoundParams()
+@example(stats=StreamStats.from_norms([1.0, 2.0]), w=1e120, g0=1.0)
+@example(stats=StreamStats.from_norms([1.0, 2.0]), w=1e300, g0=1.0)
+def test_bounds_are_positive(stats, w, g0):
+    params = BoundParams(g0=g0)
     assert bettor_bound(params, stats, w) > 0.0
     assert full_stack_bound(params, stats, w) > 0.0
     assert fixed_diameter_bound(params, stats, w, diameter=1.0) > 0.0
@@ -171,7 +181,7 @@ def test_bounds_finite_at_subnormal_comparator():
     # w / eps underflows to zero when eps > 1; the arm that takes its
     # logarithm needs a nonzero squared-gradient mass
     params = BoundParams(epsilon=4.0)
-    s = StreamStats.from_norms([1.0], g0=1.0)
+    s = StreamStats.from_norms([1.0])
     for bound in (bettor_bound, full_stack_bound):
         val = bound(params, s, 1e-323)
         assert math.isfinite(val) and val > 0.0
@@ -209,7 +219,7 @@ def grid_penalty(params, stats, w, q):
 @example(G=1.0, R=1000.0, k=0.1, p=1.0, w=100.0)
 def test_leash_penalty_is_the_least_of_its_endpoint_terms(G, R, k, p, w):
     params = BoundParams(k=k, p=p)
-    stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, h_T=max(1.0, G), max_ratio=R)
+    stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, max_ratio=R)
     least = min(grid_penalty(params, stats, w, q) for q in (0.0, 1.0))
     barrier = G * k * R ** p
     assert _leash_terms(params, stats, w) == barrier + 2.0 * G * w + least
@@ -250,7 +260,7 @@ def reference_leash_terms(params, stats, w):
 @example(G=1.0, R=10.0, k=0.079, p=0.0034, w=0.05)
 def test_leash_penalty_matches_a_high_precision_reference(G, R, k, p, w):
     params = BoundParams(k=k, p=p)
-    stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, h_T=max(1.0, G), max_ratio=R)
+    stats = StreamStats(T=1, sum_sq=G * G, sum_abs=G * R, G=G, max_ratio=R)
     got = _leash_terms(params, stats, w)
     ref = reference_leash_terms(params, stats, w)
     # The float 1/p and |u|/k are each within u of the exact ones, so
@@ -267,7 +277,7 @@ def test_leash_penalty_where_G_u_underflows():
     # G |u| rounds to zero while a = (|u|/k)^(1/p) overflows: the penalty is
     # G |u| min(a, R) = 0, not 0 * inf
     params = BoundParams(k=1e-20, p=0.01)
-    stats = StreamStats(T=1, sum_sq=0.0, sum_abs=5e-324, G=5e-324, h_T=1.0, max_ratio=1.0)
+    stats = StreamStats(T=1, sum_sq=0.0, sum_abs=5e-324, G=5e-324, max_ratio=1.0)
     assert _leash_terms(params, stats, 1e-10) == 0.0
 
 
@@ -275,10 +285,33 @@ def test_leash_penalty_at_a_tie_of_its_endpoints():
     # a = (|u|/k)^(1/p) = R = 1000: both endpoints give 1e5, and q = 1/2
     # rounds one ulp lower; the penalty is the endpoint value
     params = BoundParams(k=0.1, p=1.0)
-    stats = StreamStats(T=1000, sum_sq=1000.0, sum_abs=1000.0, G=1.0, h_T=1.0,
-                        max_ratio=1000.0)
+    stats = StreamStats(T=1000, sum_sq=1000.0, sum_abs=1000.0, G=1.0, max_ratio=1000.0)
     assert grid_penalty(params, stats, 100.0, 0.5) < 1e5
     assert _leash_terms(params, stats, 100.0) == 100.0 + 200.0 + 1e5
+
+
+def test_bounds_read_inf_where_the_hint_squares_to_zero():
+    # 4 h^2 underflows to 0 for a hint below about 1e-162; a / (4 h^2) is then
+    # past the float range, and each bound reads inf instead of dividing by 0
+    params = BoundParams(g0=1e-170)
+    for stats in (ZERO_STREAM, StreamStats.from_norms([1e-171, 1e-170])):
+        for w in (1.0, 1e-300):
+            assert bettor_bound(params, stats, w) == math.inf
+            assert full_stack_bound(params, stats, w) == math.inf
+            assert hintless_bound(params, stats, w, 1.0) == math.inf
+            assert fixed_diameter_bound(params, stats, w, 1.0) == math.inf
+        assert bettor_bound(params, stats, 0.0) == params.epsilon
+    assert ons_regret_bound(1.0, 1e-170, 0.0) == math.inf
+    # where 4 h^2 is a nonzero float the quotient is the formula's
+    assert ons_regret_bound(1.0, 1e-150, 0.0) == 1.0 / (4.0 * 1e-150 * 1e-150)
+
+
+def test_conjugate_bound_reads_inf_where_a_divisor_underflows():
+    # a b and a^2 b underflow to 0, then a^2 b alone
+    for a, b, c, theta in ((1e-200, 1e-200, 0.0, 1.0), (1e-200, 1e-200, 3.0, -1.0),
+                           (1e-200, 1e-40, 1.0, 1.0)):
+        assert conjugate_bound(a, b, c, theta) == math.inf
+    assert math.isfinite(conjugate_bound(1e-100, 1e-100, 0.0, 1.0))
 
 
 def test_conjugate_bound_validation():

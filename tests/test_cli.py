@@ -91,8 +91,8 @@ def write_columns(path, columns):
     """cli._write_trace over a game whose trace columns (all but t) are
     `columns`, a dict from column name to its list of values."""
     ledger = RegretLedger(keep_rows=True)
-    ledger.rounds = [RoundRecord(t, *row) for t, row in
-                     enumerate(zip(*(columns[name] for name in LEDGER_COLUMNS)), 1)]
+    ledger.rounds = [RoundRecord(*row) for row in
+                     zip(*(columns[name] for name in LEDGER_COLUMNS))]
     recorder = cli.TraceRecorder(None)
     recorder.hints, recorder.barriers, recorder.wealths = (
         columns["hint"], columns["barrier"], columns["wealth"])
@@ -196,11 +196,12 @@ def test_summary_bounds_recomputable_from_trace(tmp_path):
     rows = read_trace(tmp_path / "trace.csv")
     summary = read_summary(tmp_path / "summary.json")
     norms = [float(r["g_norm"]) for r in rows]
-    stats = StreamStats.from_norms(norms, g0=summary["params"]["g0"])
+    stats = StreamStats.from_norms(norms)
     assert stats.sum_sq == summary["stats"]["sum_sq"]
     assert stats.max_ratio == summary["stats"]["max_ratio"]
     params = BoundParams(**{k: summary["params"][k]
                             for k in ("epsilon", "alpha", "k", "p", "g0")})
+    assert summary["stats"]["h_T"] == max(params.g0, stats.G)
     grad_sum = 0.0
     for n in norms:
         grad_sum += n  # constant stream: every gradient equals its norm
@@ -212,6 +213,35 @@ def test_summary_bounds_recomputable_from_trace(tmp_path):
         assert row["regret"] == cum_loss - grad_sum * row["comparator"]
         if row["stack_bound"] > 0.0:
             assert row["ratio"] == row["regret"] / row["stack_bound"]
+
+
+@pytest.mark.parametrize("algo", stacks.ALGOS)
+def test_run_scores_inf_bounds_where_the_hint_squares_to_zero(algo, tmp_path):
+    # 4 g0^2 underflows to 0 at g0 = 1e-170: the bounds read inf, the run completes
+    assert main(["run", "--algo", algo, "--adversary", "zero", "--g0", "1e-170", "--T", "3",
+                 "--D", "1", "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "summary.json")
+    assert summary["stats"]["h_T"] == 1e-170
+    for row in summary["comparators"]:
+        assert row["bettor_bound"] == ("inf" if row["comparator_norm"] else 1.0)
+
+
+def test_sweep_scores_inf_bounds_where_the_hint_squares_to_zero(tmp_path):
+    assert main(["sweep", "--adversary", "zero", "--g0", "1e-170", "--T", "3,5",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_trace(tmp_path / "sweep.csv")
+    assert len(rows) == 18
+    assert {r["bound"] for r in rows if r["comparator"] != "0"} == {"inf"}
+
+
+def test_run_scores_adagrad_ball_at_its_unit_ball_comparators(tmp_path):
+    # at dim 1 with no comparators given, the unit ball's seven scalars
+    assert main(["run", "--algo", "adagrad_ball", "--adversary", "seeded_uniform",
+                 "--seed", "3", "--T", "200", "--out", str(tmp_path)]) == 0
+    rows = read_summary(tmp_path / "summary.json")["comparators"]
+    assert [row["comparator"] for row in rows] == [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
+    assert all(row["regret"] <= row["stack_bound"] for row in rows)
+    assert any(row["regret"] != 0.0 for row in rows)
 
 
 def test_run_explicit_comparators(tmp_path):
@@ -485,7 +515,7 @@ def _scratch_criterion(name, outcome="pass"):
         return [(_outcome_game, "only game", outcome)], lambda failures, pids: f"ran in {pids[0]}"
 
     plan.__name__ = name
-    return acceptance.criterion(required="anything")(plan)
+    return acceptance.criterion("scratch", required="anything")(plan)
 
 
 def _sleep_game(failures, label, seconds):
@@ -518,7 +548,7 @@ def _game_criterion(builds, name, tasks, gate=None, raises=None, plan_seconds=0.
         return tasks, fold
 
     plan.__name__ = name
-    return acceptance.criterion(required="anything", gate=gate)(plan)
+    return acceptance.criterion("scratch", required="anything", gate=gate)(plan)
 
 
 @pytest.fixture
@@ -526,6 +556,7 @@ def scratch_suites(monkeypatch):
     # quick criteria that report the process they ran in, in place of the shipped
     # ones; the fixture's value maps each game criterion to the pids of its plan builds
     monkeypatch.setattr(acceptance, "CRITERIA", {})
+    monkeypatch.setattr(acceptance, "SUITES", {})
     builds = {}
     for name in ("first", "second", "third"):
         _scratch_criterion(name)

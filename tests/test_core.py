@@ -62,6 +62,11 @@ def test_dual_norm_is_numpys_norm_bit_for_bit(d):
         assert dual_norm(np.array([1e200, 1e200])) == np.linalg.norm([1e200, 1e200]) == math.inf
 
 
+def account(ledger, w, g):
+    """ledger.append(w, g) with the norms run_game hands it."""
+    ledger.append(w, g, dual_norm(w), dual_norm(g))
+
+
 def test_empty_ledger_regret_zero():
     ledger = RegretLedger()
     assert ledger.regret(0.0) == 0.0
@@ -71,8 +76,8 @@ def test_empty_ledger_regret_zero():
 
 def test_pinned_two_round_regret():
     ledger = RegretLedger()
-    ledger.append(1, 2.0, 1.0)
-    ledger.append(2, -1.0, 1.0)
+    account(ledger, 2.0, 1.0)
+    account(ledger, -1.0, 1.0)
     assert ledger.cum_loss == 1.0
     assert ledger.grad_sum == 2.0
     assert ledger.regret(0.0) == 1.0
@@ -81,11 +86,11 @@ def test_pinned_two_round_regret():
 
 def test_comparator_dimension_checked():
     ledger = RegretLedger()
-    ledger.append(1, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    account(ledger, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         ledger.regret(np.array([1.0, 0.0, 0.0]))
     scalar = RegretLedger()
-    scalar.append(1, 1.0, 1.0)
+    account(scalar, 1.0, 1.0)
     with pytest.raises(ValueError):
         scalar.regret(np.array([1.0, 2.0]))
     # a size-1 array comparator is accepted in the scalar game
@@ -94,8 +99,8 @@ def test_comparator_dimension_checked():
 
 def test_vector_ledger_statistics():
     ledger = RegretLedger()
-    ledger.append(1, np.array([1.0, 0.0]), np.array([3.0, 4.0]))
-    ledger.append(2, np.array([0.0, 2.0]), np.array([0.0, -4.0]))
+    account(ledger, np.array([1.0, 0.0]), np.array([3.0, 4.0]))
+    account(ledger, np.array([0.0, 2.0]), np.array([0.0, -4.0]))
     assert ledger.dim == 2
     assert ledger.max_norm == 5.0
     assert ledger.max_played_norm == 2.0
@@ -133,8 +138,8 @@ def affine_slack(ledger, u, v):
 @example(rounds=[(0.0, 1e6)], u=5e-324, v=0.0)
 def test_regret_affine_in_comparator(rounds, u, v):
     ledger = RegretLedger()
-    for t, (w, g) in enumerate(rounds, start=1):
-        ledger.append(t, w, g)
+    for w, g in rounds:
+        account(ledger, w, g)
     mid = ledger.regret(0.5 * (u + v))
     avg = 0.5 * (ledger.regret(u) + ledger.regret(v))
     assert mid == pytest.approx(avg, rel=1e-9, abs=affine_slack(ledger, u, v))
@@ -176,8 +181,8 @@ def summation_slack(terms):
 @settings(deadline=None)
 def test_recompute_matches_incremental(rounds):
     ledger = RegretLedger()
-    for t, (w, g) in enumerate(rounds, start=1):
-        ledger.append(t, w, g)
+    for w, g in rounds:
+        account(ledger, w, g)
     exact = recompute(rounds)
     assert ledger.max_norm == exact["max_norm"]
     assert ledger.max_played_norm == exact["max_played_norm"]
@@ -195,7 +200,6 @@ def test_run_game_records_protocol():
                       on_round=lambda t, w, g: seen.append((t, w, g)), keep_rows=True)
     assert seen == [(1, 1.0, 1.0), (2, -2.0, 0.0), (3, 0.5, -1.0)]
     assert len(ledger) == 3
-    assert [r.t for r in ledger.rounds] == [1, 2, 3]
     assert [r.w_norm for r in ledger.rounds] == [1.0, 2.0, 0.5]
     assert [r.g_norm for r in ledger.rounds] == [1.0, 0.0, 1.0]
     assert [r.cum_loss for r in ledger.rounds] == [1.0, 1.0, 0.5]
@@ -343,19 +347,6 @@ def test_a_vector_game_plays_a_float32_stream_as_its_float64_cast():
     for field in ("cum_loss", "sum_norm", "sum_sq", "max_norm", "max_ratio", "max_played_norm"):
         assert getattr(got, field) == getattr(want, field), field
     assert got.regret(np.ones(2)) == want.regret(np.ones(2))
-
-
-def test_ledger_computes_whichever_norm_the_caller_leaves_out():
-    # the caller's norm is taken as given, so one that is not dual_norm shows
-    # which of the two was computed
-    only_g = RegretLedger(keep_rows=True)
-    only_g.append(1, -3.0, 2.0, n=7.0)
-    assert (only_g.rounds[0].w_norm, only_g.rounds[0].g_norm) == (3.0, 7.0)
-    assert (only_g.max_played_norm, only_g.max_norm, only_g.sum_sq) == (3.0, 7.0, 49.0)
-    only_w = RegretLedger(keep_rows=True)
-    only_w.append(1, np.array([3.0, 4.0]), np.array([0.0, -2.0]), pn=9.0)
-    assert (only_w.rounds[0].w_norm, only_w.rounds[0].g_norm) == (9.0, 2.0)
-    assert (only_w.max_played_norm, only_w.max_norm, only_w.cum_loss) == (9.0, 2.0, -8.0)
 
 
 def test_run_game_snapshots_points():

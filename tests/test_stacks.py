@@ -27,7 +27,7 @@ from leashed import (
 from leashed.stacks import growth_exponent
 
 PARAMS = BoundParams(epsilon=2.0, alpha=3.0, k=0.5, p=1.0, g0=4.0)
-STATS = StreamStats.from_norms([1.0, 2.0, 1.0], g0=4.0)
+STATS = StreamStats.from_norms([1.0, 2.0, 1.0])
 
 
 def test_package_exports_are_intact():
@@ -131,7 +131,7 @@ def test_every_stack_bound_is_nondecreasing_in_the_comparator_norm(algo, params,
                                                                     max_played, diameter):
     # worst regret at norm r is affine in r, so a scan that brackets the worst
     # comparator between grid norms needs each bound not to fall as |u| grows
-    stats = StreamStats.from_norms(norms, g0=params.g0)
+    stats = StreamStats.from_norms(norms)
     lo, hi = sorted((w1, w2))
     at_lo, at_hi = (stack_bound(algo, params, stats, w, diameter=diameter, max_played=max_played)
                     for w in (lo, hi))
