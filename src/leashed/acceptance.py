@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_fraction,
-                          random_unit_vectors)
+                          certified_window, linspace_points, random_unit_vectors)
 from .bounds import conjugate_bound
 from .coin_betting import ons_inner_regret, ons_regret_bound
 from .core import HintedLearner, RegretLedger, dual_norm, row_dots, run_game
@@ -441,14 +441,12 @@ def _conjugate_game(failures: list, label: str) -> float:
     closed-form cap, and the largest sup - cap."""
     worst = -math.inf
     gen = np.random.Generator(np.random.PCG64(12345))
-    # [-120, 120] is wide enough to contain every maximizer in range
-    blocks = _conjugate_grid()
     for i in range(20):
         a = 0.1 + 9.9 * float(gen.random())
         b = 0.1 + 9.9 * float(gen.random())
         c = 10.0 * float(gen.random())
         theta = -100.0 + 200.0 * float(gen.random())
-        sup = _conjugate_sup(a, b, c, theta, blocks)
+        sup = _conjugate_sup(a, b, c, theta)
         cap = conjugate_bound(a, b, c, theta)
         worst = max(worst, sup - cap)
         if not sup <= cap + 1e-6:
@@ -464,23 +462,61 @@ def conjugate_dominated() -> tuple:
         "max (brute-force sup - cap) = {:.4g} over 20 seeded tuples")
 
 
-def _conjugate_grid() -> list:
-    """The 480,001 points of [-120, 120] at step 5e-4, with their absolute
-    values, as (xs, |xs|) views of 32,768 points each (the last shorter)."""
-    xs = np.linspace(-120.0, 120.0, 480_001)
-    absx = np.abs(xs)
-    return [(xs[lo:lo + 32_768], absx[lo:lo + 32_768]) for lo in range(0, xs.size, 32_768)]
+# the brute-force conjugate's grid, np.linspace(-_CONJ_X, _CONJ_X, _CONJ_N) at
+# step 5e-4; [-120, 120] is wide enough to contain every maximizer in range
+_CONJ_X, _CONJ_N = 120.0, 480_001
 
 
-def _conjugate_sup(a: float, b: float, c: float, theta: float, blocks: list) -> float:
-    """max of theta x - a exp(b x^2 / (|x| + c)) over the grid, one block at
-    a time so the temporaries stay block-sized; a NaN anywhere propagates."""
-    sups = []
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for xs, absx in blocks:
+def _conjugate_sup(a: float, b: float, c: float, theta: float) -> float:
+    """max of f(x) = theta x - a exp(b x^2 / (|x| + c)) over the grid, nan
+    if f is nan anywhere on it, as one evaluation of the whole grid gives it.
+
+    f is concave for a > 0, b >= 0, c >= 0, since x^2 / (|x| + c) is convex,
+    so certified_window finds the maximum from a window of the grid, with
+    the error bound E(v) = 2**-41 (|v| + |theta| X), X = 120, at a point
+    that computes f = -v. Error model: a product, quotient, sum or
+    difference rounds with relative error at most u = 2**-53 and exp with at
+    most 4 ulp (relative 8u); _conjugate_scale keeps the inputs where no
+    step underflows, and every nonzero grid point has |x| >= 5e-4.
+
+    (i) The exponent y = b x^2 / (|x| + c) takes four roundings (|x| and the
+    x = 0 branch are exact), so it computes y (1 + eta), |eta| <= gamma_4 =
+    4u / (1 - 4u). Where exp(y) computes finite, y < 711, so exp(y eta) is
+    within 3.16e-13 of 1, and the computed q = a exp(y) is Q (1 + rho),
+    |rho| < 3.18e-13. p = theta x computes P (1 + d), f computes (p - q)(1
+    + d'), so |computed - f| <= u |computed| / (1 - u) + u |P| + |rho| Q,
+    and Q <= (1 + |rho|)(|P| + (1 + u) |computed|) with |P| <= |theta| X:
+    |computed - f| <= 3.3e-13 (|computed| + |theta| X). A point where exp(y)
+    or q overflows computes -inf, and E(inf) = inf.
+    (ii) The same bound in the exact value is 3.3e-13 (1 + 4e-13)(|f| +
+    |theta| X), and t + k |t| increases with t for k < 1, so a point whose
+    exact f is below that of a point computing w computes at most w + 2.1 *
+    3.3e-13 (|w| + |theta| X), within 2 E(-w): 2**-41 = 4.55e-13 leaves
+    that slack.
+    """
+    def losses(idx: np.ndarray) -> np.ndarray:
+        xs = linspace_points(-_CONJ_X, _CONJ_X, _CONJ_N, idx)
+        absx = np.abs(xs)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             expo = b * np.where(absx > 0.0, xs * xs / (absx + c), 0.0)
-            sups.append(np.max(theta * xs - a * np.exp(expo)))
-    return float(np.max(sups))
+            vals = theta * xs - a * np.exp(expo)
+        return np.negative(vals, out=vals)
+
+    scale = _conjugate_scale(a, b, c, theta)
+    _, neg_f = certified_window(_CONJ_N, losses, lambda v: 2.0 ** -41 * (abs(v) + scale))
+    return -float(neg_f.min())
+
+
+def _conjugate_scale(a: float, b: float, c: float, theta: float) -> float:
+    """|theta| X, the additive scale of the conjugate's error bound, where
+    that bound holds: a in [2**-900, 2**900], b and c in [0, 2**900], theta 0
+    or of magnitude in [2**-900, 2**900]; else inf, which no window's
+    certificate clears, so the search falls back to the whole grid."""
+    lo, hi = 2.0 ** -900, 2.0 ** 900
+    if (lo <= a <= hi and 0.0 <= b <= hi and 0.0 <= c <= hi
+            and (theta == 0.0 or lo <= abs(theta) <= hi)):
+        return abs(theta) * _CONJ_X
+    return math.inf
 
 
 def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:

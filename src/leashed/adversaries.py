@@ -47,6 +47,8 @@ _N_RANDOM = 4
 # with d up to d = _VECTOR_BLOCK; past that a block is one row of d entries
 _SCALAR_BLOCK = 1024
 _VECTOR_BLOCK = 32768
+# unit roundoff of a float64 operation
+_U = 2.0 ** -53
 
 
 def quantize_magnitude(x: float) -> float:
@@ -212,41 +214,157 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float:
     """Exhaustive-grid minimizer of the betting loss sum(-ln(1 - g*v)).
 
-    Searches v over [-1/(2 h_final), 1/(2 h_final)] at the given step;
-    ties break toward the smallest |v|. Requires max|g| <= h_final so the
-    whole grid stays inside the loss domain.
+    Searches v over np.linspace(-1/(2 h_final), 1/(2 h_final), n), n odd
+    and its centre set to 0.0, at the given step; ties break toward the
+    smallest |v|. Requires max|g| <= h_final so the whole grid stays inside
+    the loss domain. The loss is convex in v, so certified_window finds the
+    exhaustive scan's answer, ties included, from a window of the grid.
     """
-    if h_final <= 0.0:
+    if not h_final > 0.0:
         raise ValueError(f"final hint must be positive, got {h_final}")
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     gs = np.asarray(list(gs), dtype=float)
     if gs.size == 0:
         return 0.0
     cap = 0.5 / h_final
-    if float(np.max(np.abs(gs))) > h_final:
+    top = float(np.max(np.abs(gs)))
+    if math.isnan(top):
+        raise ValueError("gradient stream contains NaN")
+    if top > h_final:
         raise ValueError("stream does not respect the final hint")
     n = int(math.ceil(2.0 * cap / resolution)) + 1
     if n % 2 == 0:
         n += 1
-    grid = np.linspace(-cap, cap, n)
-    grid[n // 2] = 0.0
-    losses = _betting_losses(grid, gs)
-    best = losses.min()
-    ties = np.flatnonzero(losses == best)
-    return float(grid[ties[np.argmin(np.abs(grid[ties]))]])
+
+    def points(idx: np.ndarray) -> np.ndarray:
+        v = linspace_points(-cap, cap, n, idx)
+        v[idx == n // 2] = 0.0
+        return v
+
+    vals, counts = np.unique(gs, return_counts=True)
+    neg, weights = -vals, counts.astype(float)
+    err = _betting_error(vals, weights, cap)
+    # windows of whole blocks make every row's arithmetic the exhaustive scan's
+    idx, losses = certified_window(n, lambda i: _grid_losses(points(i), neg, weights),
+                                   lambda loss: err, align=_block_rows(vals.size))
+    v = points(idx[losses == losses.min()])
+    return float(v[np.argmin(np.abs(v))])
+
+
+def _betting_error(vals: np.ndarray, weights: np.ndarray, cap: float) -> float:
+    """E, a bound on |computed - exact| betting loss at every point of a grid
+    with |v| <= cap, for the distinct gradients vals (|g| <= h, cap =
+    fl(0.5 / h)) with their counts as weights.
+
+    Error model: a product or a sum rounds with relative error at most
+    u = 2**-53, log1p with at most 4 ulp (relative 8u), a result below
+    2**-1022 with absolute error at most 4 * 2**-1074, and a weighted sum of
+    m terms, in any order, with at most gamma_m = m u / (1 - m u) times the
+    sum of |term * weight| (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 3.5).
+
+    Each row computes y = fl(v * -g) = z (1 + d1), z = -g v, with |z| <=
+    h cap <= (1 + u) / 2, so 1 / (1 - |z|) < 2.0001. Then |log1p(z)| <=
+    2.0001 |z|, |log1p(y) - log1p(z)| <= 2.0001 u |z|, and the computed
+    term fl(log1p(y)) is within 8u * 2.0002 |z| + 2.0001 u |z| <= 18.01 u |z|
+    of log1p(z) and at most 2.01 |z| in size. The weighted sum over the m
+    distinct values adds gamma_m * 2.01 * sum_j w_j |z_j|; the negation is
+    exact. With sum_j w_j |z_j| <= cap * sum_j w_j |g_j|,
+
+        |computed - exact| <= (18.01 u + 2.01 gamma_m) cap sum_j w_j |g_j|
+
+    plus at most 8 * 2**-1074 per round where results underflow. E takes
+    20u + 3 gamma_m and 64 * 2**-1074 per round, whose slack covers the
+    rounding of E's own arithmetic."""
+    m = vals.size
+    gamma = m * _U / (1.0 - m * _U)
+    rounds = float(weights.sum())
+    return ((20.0 * _U + 3.0 * gamma) * cap * float(np.abs(vals) @ weights)
+            + rounds * 2.0 ** -1068)
+
+
+def linspace_points(start: float, stop: float, n: int, idx: np.ndarray) -> np.ndarray:
+    """np.linspace(start, stop, n)[idx] bit for bit, without the other
+    points: i * step + start with step = (stop - start) / (n - 1), and stop
+    at i = n - 1 when n > 1, as linspace computes them. Needs a step that
+    does not underflow to 0."""
+    pts = idx * ((stop - start) / max(n - 1, 1))
+    pts += start
+    if n > 1:
+        pts[idx == n - 1] = stop
+    return pts
+
+
+def certified_window(n: int, losses, error, align: int = 1) -> tuple:
+    """(idx, losses(idx)) for a window idx of consecutive indices of an
+    n-point grid on which the computed losses certify that every point
+    outside the window computes a loss strictly above the window's least:
+    the window's least loss and the indices that tie it are the whole grid's.
+
+    losses(idx) computes the loss at an array of grid indices; a point's
+    loss must not depend on which other points share the call, at least in
+    windows that start at a multiple of align. The exact loss L must be
+    convex along the grid (points in increasing order), and error(x) must
+    (i) bound |computed - exact| at every point that computes x, and (ii)
+    let a point whose exact loss exceeds that of a point computing x compute
+    at least x - 2 error(x). A constant error bound E has both: the point
+    computes at least its L - E, above the other's L - E >= x - 2E.
+
+    A pass at stride s = isqrt(n - 1) + 1 picks a centre; the window spans
+    s points either side of it, rounded out to multiples of align, and
+    doubles until the certificate holds at each edge that is not an end of
+    the grid: the edge's loss exceeds the window's least by more than twice
+    the larger of their two error bounds. By (i) L(edge) > L(best); by
+    convexity L(x) > L(edge) at every x past the edge; by (ii) x computes at
+    least edge - 2 error(edge) > least. A window that never certifies grows
+    to the whole grid, the exhaustive scan. The certificate is tested in
+    Python floats, where inf - inf is a quiet nan that fails it, as does any
+    nan loss or error bound.
+    """
+    stride = math.isqrt(max(n - 1, 0)) + 1
+    coarse = np.arange(0, n, stride)
+    centre = int(coarse[np.argmin(losses(coarse))])
+    half = stride
+    while True:
+        lo = max(0, centre - half) // align * align
+        hi = min(n, -(-(centre + half + 1) // align) * align)
+        idx = np.arange(lo, hi)
+        vals = losses(idx)
+        if lo == 0 and hi == n:
+            return idx, vals
+        least = float(vals.min())
+        if ((lo == 0 or _clears(float(vals[0]), least, error))
+                and (hi == n or _clears(float(vals[-1]), least, error))):
+            return idx, vals
+        half *= 2
+
+
+def _clears(edge: float, least: float, error) -> bool:
+    """The certificate at one window edge."""
+    return edge - least > 2.0 * max(error(edge), error(least))
+
+
+def _block_rows(distinct: int) -> int:
+    """Grid rows per block of _grid_losses: about 250k loss terms."""
+    return max(1, 250_000 // distinct)
 
 
 def _betting_losses(grid: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """sum(-ln(1 - g*v)) over gs at every v of the grid, each distinct g
-    once with its count as weight. Rows of the grid go in blocks of about
-    250k loss terms, each evaluated in place; negating the values first and
-    the sums last is exact, so the losses equal -log1p(-outer(grid, vals))
-    @ weights bit for bit."""
+    once with its count as weight."""
     vals, counts = np.unique(gs, return_counts=True)
-    neg, weights = -vals, counts.astype(float)
+    return _grid_losses(grid, -vals, counts.astype(float))
+
+
+def _grid_losses(grid: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * -ln(1 + neg[j] * v) at every v of the grid. Rows
+    of the grid go in blocks of _block_rows(neg.size), counted from the
+    grid's first row, each evaluated in place; negating the values first and
+    the sums last is exact, so the losses equal -log1p(outer(grid, neg)) @
+    weights bit for bit."""
     losses = np.empty(grid.size)
-    chunk = max(1, 250_000 // vals.size)
+    chunk = _block_rows(neg.size)
     for lo in range(0, grid.size, chunk):
         m = np.outer(grid[lo:lo + chunk], neg)
         np.log1p(m, out=m)

@@ -226,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "stack_bound": bound,
                 "ratio": ratio,
             }
-            for wc, w_abs, regret, bound, ratio in spec.rows(ledger)
+            for wc, w_abs, regret, bound, ratio in spec.rows(ledger, stats=stats)
         ],
     }
     summary_path = out_dir / "summary.json"

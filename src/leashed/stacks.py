@@ -204,13 +204,16 @@ class RunSpec:
         adversary, learner = self.build()
         return run_game(learner, adversary, self.T, check_finite=check_finite)
 
-    def rows(self, ledger: RegretLedger, comparators=None) -> Iterator[tuple]:
+    def rows(self, ledger: RegretLedger, comparators=None,
+             stats: Optional[StreamStats] = None) -> Iterator[tuple]:
         """(comparator, its norm, regret, stack bound, regret / bound) per
-        comparator, scored on the ledger's stream statistics; the ratio is
-        None where the bound is not positive. The comparators default to the
-        explicit scalars; else, for adagrad_ball, whose bound holds only
-        inside the unit ball, comparators of norm <= 1; else comparator_sweep."""
-        stats = StreamStats.from_ledger(ledger)
+        comparator, scored on the ledger's stream statistics (stats, when the
+        caller already took them from this ledger); the ratio is None where
+        the bound is not positive. The comparators default to the explicit
+        scalars; else, for adagrad_ball, whose bound holds only inside the
+        unit ball, comparators of norm <= 1; else comparator_sweep."""
+        if stats is None:
+            stats = StreamStats.from_ledger(ledger)
         if comparators is None:
             if self.comparators != "auto":
                 comparators = _parse_listish(self.comparators, float)

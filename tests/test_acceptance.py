@@ -5,6 +5,8 @@ Run with -s to see the formatted lines; each test also asserts the verdict.
 import math
 import pickle
 import time
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -266,18 +268,55 @@ def full_width_sup(a, b, c, theta):
 
 
 def test_blocked_conjugate_sup_equals_the_full_width_grid():
-    blocks = acceptance._conjugate_grid()
-    assert sum(xs.size for xs, _ in blocks) == 480_001
     gen = np.random.default_rng(2024)
     # the criterion's ranges, the edge c = 0, and a NaN that must propagate
     tuples = [(0.1 + 9.9 * gen.random(), 0.1 + 9.9 * gen.random(), 10.0 * gen.random(),
                -100.0 + 200.0 * gen.random()) for _ in range(30)]
     tuples += [(1.0, 1.0, 0.0, 2.0), (1.0, 1.0, 1.0, math.nan)]
     for a, b, c, theta in tuples:
-        got = acceptance._conjugate_sup(a, b, c, theta, blocks)
+        got = acceptance._conjugate_sup(a, b, c, theta)
         want = full_width_sup(a, b, c, theta)
         assert got == want or (math.isnan(got) and math.isnan(want)), (a, b, c, theta)
-    # a NaN in a later block is not lost to the block maxima before it
-    xs = np.array([0.0, 1.0, math.nan])
-    assert math.isnan(acceptance._conjugate_sup(1.0, 1.0, 1.0, 2.0, [(xs[:2], np.abs(xs[:2])),
-                                                                     (xs[2:], np.abs(xs[2:]))]))
+
+
+@pytest.mark.parametrize("a, b, c, theta", [
+    (1.0, 1e3, 0.0, 2.0),     # exp overflows to inf wherever |x| > 0.71
+    (1.0, 1e3, 0.0, -60.0),
+    (2.5, 1.5, 3.0, 0.0),
+    (1.0, 1.0, 1.0, math.nan),
+    (1e-310, 1.0, 1.0, 2.0),  # below the error model's range: the whole grid
+])
+def test_conjugate_sup_equals_the_full_width_grid_at_the_edges_of_its_model(a, b, c, theta):
+    got, want = acceptance._conjugate_sup(a, b, c, theta), full_width_sup(a, b, c, theta)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("a, b, c, theta", [(1.0, 1.0, 0.0, 2.0), (3.7, 0.4, 6.1, -42.0),
+                                            (0.2, 9.5, 0.5, 99.0), (2.5, 1.5, 3.0, 0.0)])
+def test_conjugate_error_bound_holds_against_a_50_digit_reference(a, b, c, theta):
+    xs = np.linspace(-120.0, 120.0, 480_001)[::4_000]
+    absx = np.abs(xs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = theta * xs - a * np.exp(b * np.where(absx > 0.0, xs * xs / (absx + c), 0.0))
+    scale = acceptance._conjugate_scale(a, b, c, theta)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for x, val in zip(xs, vals):
+            if not math.isfinite(val):
+                continue
+            x = Decimal(float(x))
+            expo = Decimal(b) * x * x / (abs(x) + Decimal(c)) if x else Decimal(0)
+            exact = Decimal(theta) * x - Decimal(a) * expo.exp()
+            assert abs(Decimal(float(val)) - exact) <= Decimal(2.0 ** -41 * (abs(float(val)) + scale))
+
+
+def test_conjugate_criterion_peaks_below_a_megabyte():
+    # a first call in a process also imports what seeding PCG64 needs, about 1 MB
+    CRITERIA["conjugate_dominated"]()
+    tracemalloc.start()
+    try:
+        assert CRITERIA["conjugate_dominated"]().passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

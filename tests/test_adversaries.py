@@ -1,6 +1,7 @@
 """Stream generators, their promises, and the brute-force betting oracle."""
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +14,13 @@ from leashed import (
     AdversaryConfig,
     RegretLedger,
     StreamAdversary,
+    acceptance,
     adversaries,
     best_betting_fraction,
     comparator_sweep,
     dual_norm,
     quantize_magnitude,
+    run_game,
 )
 
 
@@ -356,6 +359,124 @@ def test_best_fraction_validation():
         best_betting_fraction([1.0], 0.0)
     with pytest.raises(ValueError):
         best_betting_fraction([1.0], 1.0, resolution=0.0)
+
+
+@pytest.mark.parametrize("gs, h_final, resolution, named", [
+    ([math.nan], 1.0, 1e-4, "gradient stream contains NaN"),
+    ([1.0], math.nan, 1e-4, "final hint must be positive, got nan"),
+    ([1.0], 1.0, math.nan, "resolution must be positive, got nan"),
+])
+def test_best_fraction_rejects_nan_by_name(gs, h_final, resolution, named):
+    with pytest.raises(ValueError, match=named):
+        best_betting_fraction(gs, h_final, resolution)
+
+
+def exhaustive_fraction(gs, h_final, resolution):
+    """best_betting_fraction as one scan of the whole grid: np.linspace's
+    grid, out_of_place_losses at every row and the tie-break."""
+    cap = 0.5 / h_final
+    n = int(math.ceil(2.0 * cap / resolution)) + 1
+    n += n % 2 == 0
+    grid = np.linspace(-cap, cap, n)
+    grid[n // 2] = 0.0
+    losses = out_of_place_losses(grid, np.asarray(gs, dtype=float))
+    ties = np.flatnonzero(losses == losses.min())
+    return float(grid[ties[np.argmin(np.abs(grid[ties]))]])
+
+
+@given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=40))
+@settings(deadline=None, max_examples=25)
+def test_windowed_fraction_equals_the_exhaustive_grid(gs):
+    # 100,001 grid rows in blocks of at least 6,250: most windows start past row 0
+    assert best_betting_fraction(gs, 1.0, 1e-5) == exhaustive_fraction(gs, 1.0, 1e-5)
+
+
+def near_tie_streams():
+    rng = np.random.default_rng(11)
+    pairs = rng.uniform(0.0, 1.0, 300)
+    tiny = rng.uniform(1e-9, 2e-9, 150)
+    yield "[g, -g] * n", [0.37, -0.37] * 500
+    yield "300 distinct [g, -g] pairs", [x for g in pairs for x in (g, -g, g, -g)]
+    # the continuous minimizer (b - a) / (a + b) = 5e-5 halves grid step 1e-4;
+    # the tiny symmetric pairs leave it there and make 827-row blocks
+    yield "minimizer at a grid midpoint", ([1.0] * 19_999 + [-1.0] * 20_001
+                                           + [x for e in tiny for x in (e, -e)])
+
+
+@pytest.mark.parametrize("label, gs", near_tie_streams(), ids=lambda x: x if isinstance(x, str) else "")
+def test_windowed_fraction_breaks_near_ties_as_the_exhaustive_grid(label, gs):
+    assert best_betting_fraction(gs, 1.0) == exhaustive_fraction(gs, 1.0, 1e-4)
+
+
+def test_windowed_fraction_equals_the_exhaustive_grid_on_the_bettor_games():
+    for label, spec in acceptance._bettor_games():
+        adversary, bettor = spec.build()
+        gs = []
+        run_game(bettor, adversary, spec.T, check_finite=False,
+                 on_round=lambda t, w, g: gs.append(float(g)))
+        assert best_betting_fraction(gs, bettor.h) == exhaustive_fraction(gs, bettor.h, 1e-4), label
+
+
+def test_windowed_fraction_equals_the_exhaustive_grid_at_a_small_hint():
+    # cap 50 at step 1e-3: 100,001 rows, 121 blocks of 833
+    gs = np.random.default_rng(4).uniform(-0.01, 0.01, 300)
+    assert best_betting_fraction(gs, 0.01, 1e-3) == exhaustive_fraction(gs, 0.01, 1e-3)
+
+
+def test_betting_oracle_evaluates_few_of_its_grid_rows(monkeypatch):
+    rows = []
+    real = adversaries._grid_losses
+    monkeypatch.setattr(adversaries, "_grid_losses",
+                        lambda grid, neg, weights: rows.append(grid.size) or real(grid, neg, weights))
+    config = AdversaryConfig("seeded_uniform", seed=1)
+    best_betting_fraction(stream(config, 10_000), StreamAdversary(config).bound())
+    assert sum(rows) <= 500  # of 10,001
+
+
+def test_certified_window_widens_to_the_whole_grid_without_a_certificate():
+    def losses(idx):
+        return (idx - 700.0) ** 2
+
+    idx, vals = adversaries.certified_window(1001, losses, lambda loss: 0.0)
+    assert 0 < idx[0] and idx[-1] < 1000 and vals.min() == 0.0
+    # no edge clears an infinite error bound, nor a nan one
+    for error in (math.inf, math.nan):
+        idx, vals = adversaries.certified_window(1001, losses, lambda loss: error)
+        assert np.array_equal(idx, np.arange(1001)) and np.array_equal(vals, losses(idx))
+
+
+def test_linspace_points_are_linspace_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for start, stop, n in ((-120.0, 120.0, 480_001), (-0.5, 0.5, 10_001), (-0.3, 0.3, 7),
+                           (-0.0, 0.0, 1), (-1.5, 1.5, 2)):
+        want = np.linspace(start, stop, n)
+        idx = np.unique(np.concatenate([rng.integers(0, n, 50), [0, n - 1]]))
+        assert np.array_equal(adversaries.linspace_points(start, stop, n, idx), want[idx])
+
+
+def exact_loss(gs, v):
+    """sum(-ln(1 - g v)) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return -sum((1 - Decimal(g) * Decimal(v)).ln() for g in gs)
+
+
+@pytest.mark.parametrize("gs", [
+    [1.0, 1.0, -1.0],
+    [0.75, -0.5, 0.25, 2.0 ** -30, -1.0],
+    list(np.random.default_rng(9).uniform(-1.0, 1.0, 12)),
+])
+def test_betting_error_bound_holds_against_a_50_digit_reference(gs):
+    h = max(abs(g) for g in gs)
+    cap = 0.5 / h
+    vals, counts = np.unique(gs, return_counts=True)
+    weights = counts.astype(float)
+    err = adversaries._betting_error(vals, weights, cap)
+    grid = np.linspace(-cap, cap, 41)
+    grid[20] = 0.0
+    losses = adversaries._grid_losses(grid, -vals, weights)
+    for v, loss in zip(grid, losses):
+        assert abs(Decimal(float(loss)) - exact_loss(gs, v)) <= Decimal(err)
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=30))

@@ -871,6 +871,15 @@ def test_run_scores_through_the_stack_bound_verify_uses(tmp_path, monkeypatch):
     assert rows and all(row["stack_bound"] == "-inf" and row["ratio"] is None for row in rows)
 
 
+def test_run_takes_the_stream_statistics_once(tmp_path, monkeypatch):
+    calls = []
+    real = StreamStats.from_ledger.__func__
+    monkeypatch.setattr(StreamStats, "from_ledger",
+                        classmethod(lambda cls, ledger: calls.append(ledger) or real(cls, ledger)))
+    assert main(["run", "--T", "10", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_run_huge_comparator_has_a_finite_bound(tmp_path):
     # the leash penalty's powers overflow at q = 0, with k = 1e200 both of them
     for k in ("1", "1e200"):
