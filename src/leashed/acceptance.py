@@ -1,6 +1,6 @@
 """Executable acceptance checks for every guarantee the package makes.
 
-Every criterion is a plan() under the `criterion` runner that returns
+Every criterion is a plan(), registered by `criterion`, that returns
 (tasks, fold). A game task is a (fn, label, *args) tuple whose
 module-level fn(failures, label, *args) plays one independent game, appends
 one line to `failures` for each check that does not hold and returns one
@@ -13,17 +13,10 @@ played by `RunSpec.play`, or by `run_game` where a check watches its rounds;
 a bound check scores it through `RunSpec.rows`, as `run` and `sweep` do, a
 scalar stack's at the comparators `run` reports for the spec.
 
-Called directly, a runner builds its plan, runs its tasks here and folds
-them; `run_suite` builds each plan of a suite once and runs all their tasks
-through the map it is given. The runner appends each task's failure lines in
-task order and records an exception raised by the plan, a task or the fold
-as one failure line, "<label>: <Type>: <message>" for a task; nothing is
-folded after a plan or a task raised. A criterion's seconds are the sum of
-its plan's, its tasks' and its fold's, so they never read less than an
-in-process run. It reports the first four failures in place of the summary,
-fails a criterion whose seconds reach its gate (adding "; took X s" when
-every check held) and lists the criterion in CRITERIA and in SUITES under
-"all" and its suite, which the verify command and the tests share.
+`run_suite` is the one runner, as its docstring describes; a registered
+criterion called directly runs alone through it, its tasks in this process.
+CRITERIA and SUITES, shared by the verify command and the tests, list the
+criteria by name and by suite.
 
 Measured regret is compared against the closed-form guarantees with zero
 tolerance unless a stated numerical slack is part of the check itself. A few
@@ -92,66 +85,70 @@ def run_task(task: tuple) -> tuple:
     return seconds, failures, value, error and f"{label}: {error}"
 
 
-def _build(plan) -> tuple:
-    """(seconds, tasks, fold, error) of plan(), as _timed reports it; a plan
-    that raised has no tasks and no fold."""
-    seconds, built, error = _timed(plan)
-    tasks, fold = built or ([], None)
-    return seconds, tasks, fold, error
-
-
 def criterion(suite: str, required: str, gate: Optional[float] = None):
     """Register plan() in CRITERIA under its name, and that name in SUITES
-    under "all" and suite, run as the module docstring describes, with gate
-    its wall-clock limit in seconds.
-    Each task is (fn, label, *args), run by run_task. The runner keeps the
-    plan as its `plan` attribute and takes `planned` and `done`, the _build
-    and run_task results made elsewhere (run_suite)."""
+    under "all" and suite, with gate its wall-clock limit in seconds. The
+    registered callable, which replaces plan in the module, takes no
+    arguments, runs the criterion alone through run_suite with its tasks in
+    this process, and carries plan, required and gate as attributes."""
     def register(plan):
-        @functools.wraps(plan)
-        def run(planned: Optional[tuple] = None, done: Optional[list] = None) -> CriterionResult:
-            seconds, tasks, fold, error = planned or _build(plan)
-            if done is None:
-                done = [run_task(task) for task in tasks]
-            summary = ""
-            # the fold runs here, timed as one more task; a plan or a task
-            # that raised leaves nothing to fold
-            if error is None and all(task_error is None for *_, task_error in done):
-                lines: list = []
-                fold_seconds, summary, fold_error = _timed(
-                    fold, lines, [value for _, _, value, _ in done])
-                done = [*done, (fold_seconds, lines, summary, fold_error)]
-            failures = [] if error is None else [error]
-            for task_seconds, lines, _, task_error in done:
-                seconds += task_seconds
-                failures.extend(lines if task_error is None else [*lines, task_error])
-            slow = gate is not None and seconds >= gate
-            measured = "; ".join(failures[:4]) if failures else summary
-            if slow and not failures:
-                measured += f"; took {seconds:.2f}s"
-            return CriterionResult(plan.__name__, not failures and not slow, measured,
-                                   required, seconds)
+        name = plan.__name__
 
-        run.plan = plan
-        CRITERIA[plan.__name__] = run
+        @functools.wraps(plan)
+        def run() -> CriterionResult:
+            return run_suite((name,), lambda fn, tasks: list(map(fn, tasks)))[0]
+
+        run.plan, run.required, run.gate = plan, required, gate
+        CRITERIA[name] = run
         for group in ("all", suite):
-            SUITES[group] = (*SUITES.get(group, ()), plan.__name__)
+            SUITES[group] = (*SUITES.get(group, ()), name)
         return run
 
     return register
 
 
 def run_suite(names, map_tasks) -> list:
-    """The CriterionResult of each criterion named, in order; map_tasks(run_task,
-    tasks) returns the results of the tasks of every plan, in order."""
-    runners = [CRITERIA[name] for name in names]
-    plans = [_build(run.plan) for run in runners]
-    tasks = [task for _, plan_tasks, _, _ in plans for task in plan_tasks]
-    # criteria list their games shortest horizon first, so the map takes the list
-    # from its end: the longest games start first and short ones fill in behind
-    done = iter(map_tasks(run_task, tasks[::-1])[::-1])
-    return [run(planned=planned, done=list(itertools.islice(done, len(planned[1]))))
-            for run, planned in zip(runners, plans)]
+    """The CriterionResult of each criterion named, in order: the one path
+    every criterion runs by. Each plan is built here, once; map_tasks(run_task,
+    tasks) gets every plan's tasks in one list, last task first, and returns
+    their results in that order: criteria list their games shortest horizon
+    first, so the longest start first. A criterion's results, back in plan
+    order, fold here. Its failures are its tasks' lines, then the fold's; an
+    exception a plan, task or fold raises is one line ("<label>: <Type>:
+    <message>" for a task), and nothing folds after a plan or task raised.
+    Its seconds sum its plan's, tasks' and fold's, wherever they ran. It
+    reports its first four failures in place of the summary and fails when
+    its seconds reach its gate, adding "; took X s" when every check held."""
+    criteria = [CRITERIA[name] for name in names]
+    # (seconds, (tasks, fold), error) of each plan; one that raised has neither
+    plans = [(seconds, built or ((), None), error)
+             for seconds, built, error in (_timed(run.plan) for run in criteria)]
+    tasks = [task for _, (plan_tasks, _), _ in plans for task in plan_tasks]
+    results = iter(map_tasks(run_task, tasks[::-1])[::-1])
+    return [_result(name, run, plan, list(itertools.islice(results, len(plan[1][0]))))
+            for name, run, plan in zip(names, criteria, plans)]
+
+
+def _result(name: str, run, plan: tuple, task_results: list) -> CriterionResult:
+    """The criterion's result from plan, the (seconds, (tasks, fold), error)
+    of its plan(), and task_results, the run_task results of its tasks in
+    plan order, as run_suite describes."""
+    seconds, (_, fold), error = plan
+    summary = ""
+    if error is None and all(task_error is None for *_, task_error in task_results):
+        lines: list = []
+        fold_seconds, summary, fold_error = _timed(
+            fold, lines, [value for _, _, value, _ in task_results])
+        task_results = [*task_results, (fold_seconds, lines, summary, fold_error)]
+    failures = [] if error is None else [error]
+    for task_seconds, lines, _, task_error in task_results:
+        seconds += task_seconds
+        failures.extend(lines if task_error is None else [*lines, task_error])
+    slow = run.gate is not None and seconds >= run.gate
+    measured = "; ".join(failures[:4]) if failures else summary
+    if slow and not failures:
+        measured += f"; took {seconds:.2f}s"
+    return CriterionResult(name, not failures and not slow, measured, run.required, seconds)
 
 
 def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger,

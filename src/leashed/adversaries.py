@@ -216,8 +216,9 @@ def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float
 
     Searches v over np.linspace(-1/(2 h_final), 1/(2 h_final), n), n odd
     and its centre set to 0.0, at the given step; ties break toward the
-    smallest |v|. Requires max|g| <= h_final so the whole grid stays inside
-    the loss domain. The loss is convex in v, so certified_window finds the
+    smallest |v|. Requires finite gradients with max|g| <= h_final, so the
+    whole grid stays inside the loss domain, and a step count numpy can
+    index. The loss is convex in v, so certified_window finds the
     exhaustive scan's answer, ties included, from a window of the grid.
     """
     if not h_final > 0.0:
@@ -233,7 +234,13 @@ def best_betting_fraction(gs, h_final: float, resolution: float = 1e-4) -> float
         raise ValueError("gradient stream contains NaN")
     if top > h_final:
         raise ValueError("stream does not respect the final hint")
-    n = int(math.ceil(2.0 * cap / resolution)) + 1
+    if math.isinf(top):
+        raise ValueError("gradient stream contains an infinite gradient")
+    steps = 2.0 * cap / resolution
+    if not steps <= np.iinfo(np.intp).max:
+        raise ValueError(f"betting grid too large: 2 * (0.5 / h_final) / resolution = "
+                         f"{steps:.3g} steps for h_final={h_final!r}, resolution={resolution!r}")
+    n = int(math.ceil(steps)) + 1
     if n % 2 == 0:
         n += 1
 
@@ -348,13 +355,6 @@ def _clears(edge: float, least: float, error) -> bool:
 def _block_rows(distinct: int) -> int:
     """Grid rows per block of _grid_losses: about 250k loss terms."""
     return max(1, 250_000 // distinct)
-
-
-def _betting_losses(grid: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """sum(-ln(1 - g*v)) over gs at every v of the grid, each distinct g
-    once with its count as weight."""
-    vals, counts = np.unique(gs, return_counts=True)
-    return _grid_losses(grid, -vals, counts.astype(float))
 
 
 def _grid_losses(grid: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -177,15 +177,42 @@ def test_runner_adds_the_seconds_of_tasks_run_elsewhere(scratch_registry):
         return ([(_echo_game, "one", 1.0), (_echo_game, "two", 2.0)],
                 lambda failures, values: f"values {values}")
 
-    planned = acceptance._build(two_games.plan)
-    assert planned[1] == [(_echo_game, "one", 1.0), (_echo_game, "two", 2.0)]
-    assert planned[3] is None
+    assert (two_games.plan, two_games.required, two_games.gate) == (
+        two_games.__wrapped__, "anything", 1.0)
     here = two_games()
     assert here.passed and here.measured == "values [1.0, 2.0]" and here.seconds < 1.0
-    # results of tasks that ran in workers, as (seconds, failures, value, error)
-    elsewhere = two_games(planned=planned, done=[(0.75, [], 3.0, None), (0.5, [], 4.0, None)])
+    # results of tasks that ran in workers, as (seconds, failures, value, error),
+    # in the order the map is handed the tasks: the last first
+    [elsewhere] = acceptance.run_suite(
+        ("two_games",), lambda fn, tasks: [(0.5, [], 4.0, None), (0.75, [], 3.0, None)])
     assert not elsewhere.passed and elsewhere.seconds >= 1.25
     assert elsewhere.measured.startswith("values [3.0, 4.0]; took ")
+
+
+def test_run_suite_sends_one_task_list_last_task_first(scratch_registry):
+    @acceptance.criterion("scratch", required="anything")
+    def first():
+        return ([(_echo_game, "a", 1.0), (_echo_game, "b", 2.0)],
+                lambda failures, values: f"first folded {values}")
+
+    @acceptance.criterion("scratch", required="anything")
+    def second():
+        return ([(_echo_game, "c", 3.0), (_echo_game, "d", 4.0), (_echo_game, "e", 5.0)],
+                lambda failures, values: f"second folded {values}")
+
+    handed = []
+
+    def recording_map(fn, tasks):
+        handed.append((fn, tasks))
+        return list(map(fn, tasks))
+
+    results = acceptance.run_suite(("first", "second"), recording_map)
+    assert handed == [(acceptance.run_task, [(_echo_game, label, value) for label, value in
+                                             zip("edcba", (5.0, 4.0, 3.0, 2.0, 1.0))])]
+    # each criterion folds its own values, in plan order
+    assert [(r.name, r.passed, r.measured) for r in results] == [
+        ("first", True, "first folded [1.0, 2.0]"),
+        ("second", True, "second folded [3.0, 4.0, 5.0]")]
 
 
 def test_runner_counts_the_plan_build_toward_the_gate(scratch_registry):
@@ -218,7 +245,10 @@ def test_runner_records_what_a_plan_task_or_fold_raises(scratch_registry):
         return [], lambda failures, xs: f"slope {np.polyfit(xs, xs, 1)[0]:g}"
 
     # a plan that raises has no tasks to send
-    assert acceptance._build(plan.plan)[1:] == ([], None, "ValueError: no fraction on the grid")
+    handed = []
+    [raised] = acceptance.run_suite(("plan",), lambda fn, tasks: handed.append(tasks) or [])
+    assert handed == [[]]
+    assert raised.measured == "ValueError: no fraction on the grid"
     assert plan().measured == "ValueError: no fraction on the grid"
     # the raising task's line, labelled, follows the earlier tasks' lines
     assert games().measured == "game 1 failed; root: ValueError: math domain error"
@@ -237,8 +267,8 @@ def test_runner_records_a_raising_game():
 def test_every_game_task_is_labelled_and_picklable(name):
     # the worker pool sends each task to a process, and run_task names a
     # raising task by its label
-    _, tasks, fold, error = acceptance._build(CRITERIA[name].plan)
-    assert error is None and tasks
+    tasks, fold = CRITERIA[name].plan()
+    assert tasks and callable(fold)
     for task in tasks:
         fn, label, *_ = task
         assert callable(fn) and isinstance(label, str)

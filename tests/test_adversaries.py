@@ -349,7 +349,9 @@ def test_in_place_losses_equal_the_out_of_place_expression(kind, T, distinct, re
     n = 2 * int(math.ceil(cap / resolution)) + 1
     grid = np.linspace(-cap, cap, n)
     grid[n // 2] = 0.0
-    assert np.array_equal(adversaries._betting_losses(grid, gs), out_of_place_losses(grid, gs))
+    vals, counts = np.unique(gs, return_counts=True)
+    assert np.array_equal(adversaries._grid_losses(grid, -vals, counts.astype(float)),
+                          out_of_place_losses(grid, gs))
 
 
 def test_best_fraction_validation():
@@ -368,6 +370,23 @@ def test_best_fraction_validation():
 ])
 def test_best_fraction_rejects_nan_by_name(gs, h_final, resolution, named):
     with pytest.raises(ValueError, match=named):
+        best_betting_fraction(gs, h_final, resolution)
+
+
+def test_best_fraction_rejects_an_infinite_gradient_by_name():
+    with pytest.raises(ValueError, match="gradient stream contains an infinite gradient"):
+        best_betting_fraction([math.inf], math.inf)
+
+
+@pytest.mark.parametrize("gs, h_final, resolution", [
+    ([1e-300], 1e-300, 1e-4),  # about 1e304 steps
+    ([1.0], 1.0, 1e-300),
+    ([1e-300], 1e-300, 1e-10),  # 2 * cap / resolution overflows to inf
+])
+def test_best_fraction_rejects_a_grid_too_large_to_index(gs, h_final, resolution):
+    # only grids far past the limit: one just under it would allocate gigabytes
+    with pytest.raises(ValueError, match=f"betting grid too large: .* steps for "
+                                         f"h_final={h_final!r}, resolution={resolution!r}$"):
         best_betting_fraction(gs, h_final, resolution)
 
 
