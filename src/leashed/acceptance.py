@@ -10,8 +10,8 @@ own, such as a brute-force oracle, is a plan of one task. A game lets what
 it raises propagate. Each game is the pair `stacks.RunSpec.build` makes
 (epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec sets them),
 played by `RunSpec.play`, or by `run_game` where a check watches its rounds;
-a bound check scores it through `RunSpec.rows`, as `run` and `sweep` do, a
-scalar stack's at the comparators `run` reports for the spec.
+every bound criterion scores the comparators `run` reports for its spec,
+through `RunSpec.rows`.
 
 `run_suite` is the one runner, as its docstring describes; a registered
 criterion called directly runs alone through it, its tasks in this process.
@@ -151,20 +151,19 @@ def _result(name: str, run, plan: tuple, task_results: list) -> CriterionResult:
     return CriterionResult(name, not failures and not slow, measured, run.required, seconds)
 
 
-def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger,
-                  comparators=None) -> float:
-    """Check regret <= the spec's stack bound at every comparator (by default
-    those `run` reports for the spec), one failure per violation; returns the
-    largest regret/bound over finite regrets under positive bounds (-inf when
-    there is none)."""
-    worst = -math.inf
-    for i, (wc, _, r, b, ratio) in enumerate(spec.rows(ledger, comparators)):
+def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedger) -> tuple:
+    """Check regret <= the spec's stack bound at every comparator `run`
+    reports for the spec, one failure per violation; returns the largest
+    regret/bound over finite regrets under positive bounds (-inf when there
+    is none) and the number of comparators scored."""
+    worst, rows = -math.inf, list(spec.rows(ledger))
+    for i, (wc, _, r, b, ratio) in enumerate(rows):
         if not r <= b:
             failures.append(f"{label} comparator {comparator_label(wc, i)}: "
                             f"regret {r:.6g} > bound {b:.6g}")
         elif math.isfinite(r) and ratio is not None:
             worst = max(worst, ratio)
-    return worst
+    return worst, len(rows)
 
 
 class _SentRecorder:
@@ -194,10 +193,16 @@ def _bettor_games():
             yield f"{kind} T={T}", RunSpec(algo="ons_hints", adversary=kind, seed=1, T=T)
 
 
-def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = True) -> float:
+def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = True) -> tuple:
     """The game's bound check at every comparator `run` reports for the spec,
-    and its largest regret/bound."""
+    its largest regret/bound and the number of comparators scored."""
     return _within_bound(failures, label, spec, spec.play(check_finite))
+
+
+def _cells(failures: list, games: list) -> str:
+    """The bound criteria's fold over their games' (worst ratio, comparators scored)."""
+    worsts, counts = zip(*games)
+    return f"{sum(counts)} cells: max regret/bound = {max(worsts):.4g}"
 
 
 def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -245,8 +250,7 @@ def bettor_regret_within_bound() -> tuple:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
     # the one-signed constant stream pushes wealth past float range near round
     # 1750; its late regrets are -inf and the comparison stays exact
-    return ([(_bound_game, label, spec, False) for label, spec in _bettor_games()],
-            _summary(f"{9 * len(SCALAR_COMPARATORS)} cells: max regret/bound = {{:.4g}}"))
+    return [(_bound_game, label, spec, False) for label, spec in _bettor_games()], _cells
 
 
 def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -319,9 +323,7 @@ def truncation_overhead_bounded() -> tuple:
 def leashed_regret_within_bound() -> tuple:
     """Full stack regret never exceeds the composed guarantee."""
     return ([(_bound_game, f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
-             for kind in KINDS for T in (1000, 10_000)],
-            _summary(f"{len(KINDS) * 2 * len(SCALAR_COMPARATORS)} cells: "
-                     "max regret/bound = {:.4g}"))
+             for kind in KINDS for T in (1000, 10_000)], _cells)
 
 
 def _regret_at_one(failures: list, label: str, spec: RunSpec) -> float:
@@ -348,23 +350,15 @@ def leashed_regret_sublinear() -> tuple:
              for T in horizons], fold)
 
 
-def _ball_game(failures: list, label: str, spec: RunSpec) -> float:
-    """The game's bound check at 20 seeded unit comparators and the unit
-    vector against the gradient sum, and its largest regret/bound."""
-    ledger = spec.play()
-    units = random_unit_vectors(spec.dim, 20, seed=7)
-    gn = dual_norm(ledger.grad_sum)
-    comps = units + [-ledger.grad_sum / gn] if gn > 0.0 else units
-    return _within_bound(failures, label, spec, ledger, comps)
-
-
 @criterion("ball", required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4")
 def ball_regret_within_bound() -> tuple:
     """Unit-ball learner regret never exceeds its guarantee."""
-    return ([(_ball_game, f"{kind} d={d}",
+    # regret is affine in u and the bound does not depend on u, so the worst
+    # comparator in the ball is -sum g / |sum g|, which the default set holds
+    return ([(_bound_game, f"{kind} d={d}",
               RunSpec(algo="adagrad_ball", adversary=kind, dim=d, seed=2, T=10_000))
              for d in (1, 2, 10) for kind in ("seeded_uniform", "alternating", "adaptive_sign")],
-            _summary("max regret/bound = {:.4g} over 9 runs x 21 comparators"))
+            _cells)
 
 
 def _lift_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -522,7 +516,7 @@ def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")
-    worst = _within_bound(failures, label, spec, ledger)
+    worst, _ = _within_bound(failures, label, spec, ledger)
     return f"max played point {reach:.6g} <= 1; max regret/bound = {worst:.4g}"
 
 
@@ -530,6 +524,6 @@ def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
 def diameter_respected() -> tuple:
     """Fixed-diameter stack never leaves its domain and keeps its guarantee."""
     spec = RunSpec(algo="fixed_diameter", adversary="growing", D=1.0, T=10_000,
-                   comparators="0,0.3,-0.3,1,-1")
+                   comparators=(0.0, 0.3, -0.3, 1.0, -1.0))
     return [(_diameter_game, "growing", spec)], lambda failures, summaries: summaries[0]
 

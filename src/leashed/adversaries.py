@@ -374,7 +374,7 @@ def _grid_losses(grid: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.n
 
 def comparator_sweep(ledger: RegretLedger, seed: int = 0) -> list:
     """Standard comparator set for bound reports, scored by `run`, `sweep`
-    and `verify`'s bettor and leashed bound checks.
+    and `verify`.
 
     One-dimensional games get SCALAR_COMPARATORS: 0, +/-0.1, +/-1, +/-10,
     +/-100. Higher dimensions get the zero vector plus those magnitudes

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bounds import StreamStats, bettor_bound
 from .core import GameDivergence, Learner, RegretLedger, run_game
-from .stacks import RunSpec, _parse_listish, comparator_label, growth_exponent
+from .stacks import RunSpec, comparator_label, growth_exponent
 from . import acceptance
 
 ENV_PREFIX = "LEASHED_"
@@ -89,13 +89,21 @@ def _strict(cast):
     return convert
 
 
+def _parse_listish(raw, cast) -> list:
+    """cast of each entry of a JSON list, or of each comma-separated part of text."""
+    if isinstance(raw, list):
+        return [cast(v) for v in raw]
+    return [cast(p.strip()) for p in str(raw).split(",") if p.strip()]
+
+
 def _settings(args: argparse.Namespace, grid=()) -> dict:
     """Every RunSpec field from its flag, else LEASHED_<FIELD>, else the
     config file, else its default, cast strictly to the type of that default
-    (D is a float). The fields named in `grid` resolve to lists; so does a
-    config file's JSON list of comparators, cast as the grids are. A config
-    key that names no field, or a value that does not cast, is a ValueError;
-    the latter's message starts with the field's name."""
+    (D is a float). The fields named in `grid` resolve to lists, and
+    comparators, unless unset or "auto" (None), to a tuple of floats: text
+    or a JSON list, each cast as the grids are. A config key that names no
+    field, or a value that does not cast, is a ValueError; the latter's
+    message starts with the field's name."""
     file_cfg = _load_config(args.config)
     fields = dataclasses.fields(RunSpec)
     unknown = sorted(set(file_cfg) - {f.name for f in fields})
@@ -110,8 +118,9 @@ def _settings(args: argparse.Namespace, grid=()) -> dict:
         try:
             if f.name in grid:
                 out[f.name] = [f.default] if raw is None else _parse_listish(raw, cast)
-            elif f.name == "comparators" and isinstance(raw, list):
-                out[f.name] = tuple(_parse_listish(raw, _strict(float)))
+            elif f.name == "comparators":
+                out[f.name] = (None if raw in (None, "auto")
+                               else tuple(_parse_listish(raw, cast)))
             else:
                 out[f.name] = f.default if raw is None else cast(raw)
         except (OverflowError, TypeError, ValueError) as exc:

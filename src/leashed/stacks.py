@@ -22,7 +22,7 @@ from .bounds import (
 from .coin_betting import CoinBettor
 from .core import Learner, RegretLedger, dual_norm, run_game
 from .reductions import DimFreeLift, Leashed, Truncation, fixed_diameter
-from .unit_ball import AdaGradBall, ball_regret_bound
+from .unit_ball import AdaGradBall, ball_regret_bound, project_unit_ball
 
 ALGOS = (
     "ons_hints",
@@ -117,13 +117,6 @@ def growth_exponent(horizons, regrets) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _parse_listish(raw, cast) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    return [cast(p) for p in parts]
-
-
 def _setting(default, text: str):
     """A RunSpec field with its default and the help text of its flag."""
     return dataclasses.field(default=default, metadata={"help": text})
@@ -139,9 +132,10 @@ def comparator_label(wc, i: int) -> str:
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """Every setting of one game: the stack, the stream and its horizon, the
-    comparators `run` and `sweep` report on, the output directory and
-    sweep's worker count. Building a spec checks it, so bad settings fail
-    before any game runs."""
+    comparators `run`, `sweep` and `verify` score (None for the default set
+    `rows` picks, else a tuple of floats), the output directory and sweep's
+    worker count. Building a spec checks it, so bad settings fail before any
+    game runs."""
 
     algo: str = _setting("leashed", "learner stack: " + ", ".join(ALGOS))
     adversary: str = _setting("constant", "gradient stream kind: " + ", ".join(KINDS))
@@ -154,7 +148,7 @@ class RunSpec:
     g0: float = _setting(1.0, "initial magnitude guess")
     D: Optional[float] = _setting(None, "diameter for the fixed_diameter stack")
     seed: int = _setting(0, "seed for adversaries and comparators")
-    comparators: str = _setting("auto", '"auto" or comma-separated scalars')
+    comparators: Optional[tuple] = _setting(None, '"auto" or comma-separated scalars')
     out: str = _setting(".", "existing output directory")
     scale: float = _setting(1.0, "gradient scale")
     rate: float = _setting(0.5, "growth rate for the growing kind")
@@ -169,18 +163,16 @@ class RunSpec:
         if self.jobs < 1:
             raise ValueError(f"number of worker processes must be >= 1, got {self.jobs}")
         self.build()  # the library checks what it is built from
-        if self.comparators != "auto":
-            try:
-                given = _parse_listish(self.comparators, float)
-            except ValueError as exc:
-                raise ValueError(f"comparators: {exc}") from None
-            if not given:
+        if self.comparators is not None:
+            if not self.comparators:
                 raise ValueError("empty comparator list")
-            if not all(math.isfinite(w) for w in given):
-                raise ValueError(f"comparators must be finite, got {self.comparators!r}")
+            if not (isinstance(self.comparators, tuple)
+                    and all(type(w) is float and math.isfinite(w) for w in self.comparators)):
+                raise ValueError("comparators must be a tuple of finite floats, "
+                                 f"got {self.comparators!r}")
             if self.dim != 1:
                 raise ValueError("explicit comparators are scalars; use auto for dim > 1")
-            if self.algo == "adagrad_ball" and not all(abs(w) <= 1.0 for w in given):
+            if self.algo == "adagrad_ball" and not all(abs(w) <= 1.0 for w in self.comparators):
                 raise ValueError("adagrad_ball's bound holds only in the unit ball: "
                                  f"comparators must satisfy |u| <= 1, got {self.comparators!r}")
 
@@ -204,26 +196,26 @@ class RunSpec:
         adversary, learner = self.build()
         return run_game(learner, adversary, self.T, check_finite=check_finite)
 
-    def rows(self, ledger: RegretLedger, comparators=None,
+    def rows(self, ledger: RegretLedger,
              stats: Optional[StreamStats] = None) -> Iterator[tuple]:
         """(comparator, its norm, regret, stack bound, regret / bound) per
         comparator, scored on the ledger's stream statistics (stats, when the
         caller already took them from this ledger); the ratio is None where
-        the bound is not positive. The comparators default to the explicit
-        scalars; else, for adagrad_ball, whose bound holds only inside the
-        unit ball, comparators of norm <= 1; else comparator_sweep."""
+        the bound is not positive. The comparators are the explicit scalars;
+        else, for adagrad_ball, whose bound holds only inside the unit ball,
+        comparators of norm <= 1, the ones rounding left just outside shaved
+        back in; else comparator_sweep."""
         if stats is None:
             stats = StreamStats.from_ledger(ledger)
-        if comparators is None:
-            if self.comparators != "auto":
-                comparators = _parse_listish(self.comparators, float)
-            elif self.algo != "adagrad_ball":
-                comparators = comparator_sweep(ledger, seed=self.seed)
-            elif self.dim == 1:
-                comparators = [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
-            else:
-                comparators = [w for w in comparator_sweep(ledger, seed=self.seed)
-                               if dual_norm(w) <= 1.0 + 1e-12]
+        if self.comparators is not None:
+            comparators = self.comparators
+        elif self.algo != "adagrad_ball":
+            comparators = comparator_sweep(ledger, seed=self.seed)
+        elif self.dim == 1:
+            comparators = [0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0]
+        else:
+            comparators = [project_unit_ball(w) for w in comparator_sweep(ledger, seed=self.seed)
+                           if dual_norm(w) <= 1.0 + 1e-12]
         params = self.params
         for wc in comparators:
             w_abs = dual_norm(wc)

@@ -29,7 +29,7 @@ MEASURED = {
     "leashed_regret_within_bound": "144 cells: max regret/bound = 0.3979",
     "leashed_regret_sublinear": ("regret/T = -7.532, -22.06, -67.66 at T = 1e2, 1e3, 1e4; "
                                  "fitted exponent 0"),
-    "ball_regret_within_bound": "max regret/bound = 0.4964 over 9 runs x 21 comparators",
+    "ball_regret_within_bound": "99 cells: max regret/bound = 0.4964",
     "lift_identity_exact": "max identity gap = 2.63e-13",
     "barrier_scale_invariant": "all 1001 barrier values bit-identical for every adversary kind",
     "conjugate_dominated": "max (brute-force sup - cap) = -13.24 over 20 seeded tuples",
@@ -283,8 +283,13 @@ def test_bound_criteria_have_teeth(name, monkeypatch):
     assert not result.passed
     assert "> bound -inf" in result.measured
     if name == "ball_regret_within_bound":
-        # a vector comparator is named as sweep.csv names it
-        assert result.measured.startswith("seeded_uniform d=1 comparator |w|=1#0: regret ")
+        # a scalar comparator is named by its value, a vector one as sweep.csv names it
+        assert result.measured.startswith("seeded_uniform d=1 comparator 0: regret ")
+        failures = []
+        acceptance._bound_game(failures, "seeded_uniform d=2", stacks.RunSpec(
+            algo="adagrad_ball", adversary="seeded_uniform", dim=2, seed=2, T=100))
+        assert failures[0].startswith("seeded_uniform d=2 comparator |w|=0#0: regret ")
+        assert failures[1].startswith("seeded_uniform d=2 comparator |w|=0.1#1: regret ")
 
 
 def full_width_sup(a, b, c, theta):

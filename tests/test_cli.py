@@ -33,6 +33,20 @@ def clean_env(monkeypatch):
     yield
 
 
+@pytest.fixture
+def built_specs(monkeypatch):
+    # every RunSpec built from here on, in order
+    specs = []
+    check = stacks.RunSpec.__post_init__
+
+    def record(spec):
+        check(spec)
+        specs.append(spec)
+
+    monkeypatch.setattr(stacks.RunSpec, "__post_init__", record)
+    return specs
+
+
 def read_trace(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -260,12 +274,14 @@ def test_run_fixed_diameter_uses_flag(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_a_comparator_list_may_start_with_a_negative_value(command, tmp_path, capsys):
+def test_a_comparator_list_may_start_with_a_negative_value(command, tmp_path, capsys,
+                                                           built_specs):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"comparators": [-1, 2]}))
     for flags in (["--comparators=-1,2"], ["--comparators", "-1,2"], ["--config", str(cfg)]):
         assert main([command, "--adversary", "constant", "--T", "20",
                      "--out", str(tmp_path)] + flags) == 0, flags
+        assert built_specs[-1].comparators == (-1.0, 2.0), flags
         if command == "run":
             scored = [row["comparator"] for row in read_summary(tmp_path / "summary.json")
                       ["comparators"]]
@@ -278,6 +294,8 @@ def test_a_comparator_list_may_start_with_a_negative_value(command, tmp_path, ca
                   ["--comparators", "-1,2", "--dim", "2", "--algo", "leashed_dimfree"]):
         assert main([command, "--T", "20", "--out", str(tmp_path)] + flags) == 2, flags
         assert capsys.readouterr().err.startswith("bad configuration: "), flags
+    assert main([command, "--comparators", ",", "--T", "20", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "bad configuration: empty comparator list\n"
     # a flag after a flag still lacks its value
     with pytest.raises(SystemExit) as exc:
         main([command, "--comparators", "--T", "20", "--out", str(tmp_path)])
@@ -464,7 +482,7 @@ def test_run_aborts_on_divergence(tmp_path, capsys):
     assert "non-finite point at round 1753: its wealth left float range" in err
 
 
-def test_settings_precedence(tmp_path, monkeypatch):
+def test_settings_precedence(tmp_path, monkeypatch, built_specs):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5}))
     base = ["run", "--adversary", "zero", "--T", "5",
@@ -484,6 +502,26 @@ def test_settings_precedence(tmp_path, monkeypatch):
     assert main(["run", "--adversary", "zero", "--T", "5",
                  "--out", str(tmp_path)]) == 0
     assert read_summary(tmp_path / "summary.json")["params"]["k"] == 1.0
+
+    # the flag, LEASHED_COMPARATORS and a config string or JSON list all
+    # build one tuple of floats
+    base = ["run", "--adversary", "zero", "--T", "5", "--out", str(tmp_path)]
+    text, listed = tmp_path / "text.json", tmp_path / "list.json"
+    text.write_text(json.dumps({"comparators": "-1, 0.5"}))
+    listed.write_text(json.dumps({"comparators": [-1, 0.5]}))
+    for flags in (["--comparators", "-1,0.5"], ["--config", str(text)],
+                  ["--config", str(listed)]):
+        assert main(base + flags) == 0, flags
+        assert built_specs[-1].comparators == (-1.0, 0.5), flags
+    monkeypatch.setenv("LEASHED_COMPARATORS", "-1,0.5")
+    assert main(base) == 0
+    assert built_specs[-1].comparators == (-1.0, 0.5)
+    # "auto" and unset both give None: rows picks its default set
+    assert main(base + ["--comparators", "auto"]) == 0
+    assert built_specs[-1].comparators is None
+    monkeypatch.delenv("LEASHED_COMPARATORS")
+    assert main(base) == 0
+    assert built_specs[-1].comparators is None
 
 
 def test_verify_single_suite(capsys):
@@ -693,20 +731,21 @@ def test_verify_gates_a_plan_on_its_build_time(cores, scratch_suites, monkeypatc
     assert float(line.rsplit("[", 1)[1].rstrip("s]")) >= 0.05
 
 
-_BALL_GAME = acceptance._ball_game
+_BOUND_GAME = acceptance._bound_game
 
 
-def _logged_ball_game(log, failures, label, spec):
-    with open(log, "a", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()}\n")
-    return _BALL_GAME(failures, label, spec)
+def _logged_bound_game(log, failures, label, spec, *args):
+    if spec.algo == "adagrad_ball":
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+    return _BOUND_GAME(failures, label, spec, *args)
 
 
 @pytest.mark.parametrize("cores", [2, 1])
 def test_every_suite_prints_the_pinned_measurements(cores, tmp_path, monkeypatch, capsys):
     _cores(monkeypatch, cores)
     log = tmp_path / "ball_game_pids"
-    monkeypatch.setattr(acceptance, "_ball_game", functools.partial(_logged_ball_game, log))
+    monkeypatch.setattr(acceptance, "_bound_game", functools.partial(_logged_bound_game, log))
     folds = []
     real_plan = acceptance.CRITERIA["ball_regret_within_bound"].plan
 

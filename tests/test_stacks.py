@@ -24,7 +24,8 @@ from leashed import (
     hintless_bound,
     stack_bound,
 )
-from leashed.stacks import growth_exponent
+from leashed.core import dual_norm
+from leashed.stacks import RunSpec, growth_exponent
 
 PARAMS = BoundParams(epsilon=2.0, alpha=3.0, k=0.5, p=1.0, g0=4.0)
 STATS = StreamStats.from_norms([1.0, 2.0, 1.0])
@@ -154,3 +155,24 @@ def test_growth_exponent_fits_a_power_law_and_clamps_profit():
     assert growth_exponent(horizons[:2], [T ** 1.5 for T in horizons[:2]]) == pytest.approx(1.5)
     # regret at or below 1, profit included, reads as flat growth
     assert growth_exponent(horizons, [1.0, 0.5, -22.06 * 1000, -math.inf]) == 0.0
+
+
+@pytest.mark.parametrize("dim, seed, T", [(10, 2, 10_000), (1000, 0, 5)])
+def test_default_ball_comparators_lie_in_the_unit_ball(dim, seed, T):
+    # rounding leaves +-sum g / |sum g| at norm 1.0000000000000002 in these
+    # games; the ball bound holds only for |u| <= 1
+    spec = RunSpec(algo="adagrad_ball", adversary="seeded_uniform", dim=dim, seed=seed, T=T)
+    assert all(dual_norm(wc) <= 1.0 for wc, *_ in spec.rows(spec.play()))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10])
+@pytest.mark.parametrize("kind", ["seeded_uniform", "alternating", "adaptive_sign"])
+def test_default_ball_comparators_attain_the_worst_in_the_ball(dim, kind):
+    # regret is affine in u, so its supremum over the ball is
+    # cum_loss + |sum g|, at -sum g / |sum g|; the ball bound does not depend
+    # on u, so scoring the default set checks the whole ball
+    spec = RunSpec(algo="adagrad_ball", adversary=kind, dim=dim, seed=2, T=1000)
+    ledger = spec.play()
+    worst = max(regret for _, _, regret, *_ in spec.rows(ledger))
+    sup = ledger.cum_loss + dual_norm(ledger.grad_sum)
+    assert worst == pytest.approx(sup, rel=1e-12, abs=0.0)
