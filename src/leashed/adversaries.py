@@ -94,6 +94,8 @@ class AdversaryConfig:
 class StreamAdversary:
     """Stateful gradient source; next_grad may inspect the played point."""
 
+    __slots__ = ("config", "_block", "_words", "_dirs", "_i", "_spike")
+
     def __init__(self, config: AdversaryConfig):
         self.config = config
         # a seeded stream's gradients, a block at a time; None for other kinds

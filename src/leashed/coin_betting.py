@@ -29,8 +29,11 @@ class CoinBettor(HintedLearner):
     is the hint in force for the first round. When update is called without
     an explicit next hint the current one is carried forward, which makes the
     bettor directly playable in a game whose gradients respect a fixed,
-    known magnitude bound.
+    known magnitude bound. update takes g and h_next as Python floats, which
+    is what run_game and the reductions hand it, and converts neither.
     """
+
+    __slots__ = ("wealth", "v", "A", "h")
 
     def __init__(self, epsilon: float = 1.0, alpha: float = 1.0, h1: float = 1.0):
         if not 0.0 < epsilon < math.inf:
@@ -52,9 +55,9 @@ class CoinBettor(HintedLearner):
         return self.v * self.wealth
 
     def update(self, g: float, h_next: Union[float, None] = None) -> None:
-        g = float(g)
         h = self.h
-        h_next = h if h_next is None else float(h_next)
+        if h_next is None:
+            h_next = h
         if abs(g) > h:
             raise ValueError(f"gradient magnitude {abs(g)} exceeds the hint {h} in force")
         if h_next < h:

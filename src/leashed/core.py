@@ -12,6 +12,7 @@ throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -112,6 +113,9 @@ class RegretLedger:
     not grow with the rounds.
     """
 
+    __slots__ = ("rounds", "n_rounds", "dim", "cum_loss", "grad_sum", "sum_norm", "sum_sq",
+                 "max_norm", "max_ratio", "max_played_norm")
+
     def __init__(self, keep_rows: bool = False) -> None:
         self.rounds: Optional[list[RoundRecord]] = [] if keep_rows else None
         self.n_rounds = 0
@@ -131,7 +135,8 @@ class RegretLedger:
         """Account the next round, where w was played and g answered it; pn
         and n are dual_norm(w) and dual_norm(g). Nothing of w or g is kept,
         so the caller may reuse their buffers afterwards."""
-        if isinstance(g, np.ndarray):
+        # a scalar game's gradient is a Python float, tested for first
+        if type(g) is not float and isinstance(g, np.ndarray):
             if self.dim is None:
                 self.dim = g.shape[0]
                 self.grad_sum = np.zeros_like(g)
@@ -196,37 +201,33 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     The ledger reads each round's point and gradient before the learner's
     update, so a learner may mutate its play buffer in place. on_round, if
     given, is called as on_round(t, w, g) after both finiteness checks and
-    before the update: w and g are the point and gradient as played, and
-    the learner's attributes still hold the state w was played from. It is
-    how a caller sees more of a game than the ledger's sums. keep_rows asks
+    before the update, right after the ledger has accounted round t (so
+    len(ledger) == t): w and g are the point and gradient as played, and the
+    learner's attributes still hold the state w was played from. It is how a
+    caller sees more of a game than the ledger's sums. keep_rows asks
     the ledger for its per-round rows (RegretLedger.rounds), which only a
     trace writer needs; without it the game's memory does not grow with T.
 
     The type of the first point sets the game: an ndarray makes it a vector
     game, anything else a scalar game. That choice, made once, picks the
     norm, the finiteness test and the gradient check the loop uses; a scalar
-    game skips the check for a gradient that is exactly a Python float, a
-    vector game checks every gradient and casts one that is not a float64
-    array to float64. Each norm is computed once a round, for the finiteness
-    test and the ledger.
+    game skips the check for a gradient that is exactly a Python float and
+    turns any other real number into one, a vector game checks every
+    gradient and casts one that is not a float64 array to float64. So a
+    scalar learner is handed Python floats only, and a vector learner
+    float64 arrays of the point's shape. Each norm is computed once a round,
+    for the finiteness test and the ledger.
     """
     if T < 1:
         raise ValueError(f"number of rounds must be >= 1, got {T}")
     w = learner.play()
     # `plain` is the gradient type that needs no check; type() is never None
     if isinstance(w, np.ndarray):
-        norm, finite, coerce, plain = dual_norm, _finite_entries, _vector_grad, None
+        norm, finite, coerce, plain = _array_norm, _finite_entries, _vector_grad, None
     else:
         norm, finite, coerce, plain = abs, math.isfinite, _scalar_grad, float
     ledger = RegretLedger(keep_rows)
     play, update, record = learner.play, learner.update, ledger.append
-    if on_round is not None:
-        append = record
-
-        def record(w, g, pn, n):
-            append(w, g, pn, n)
-            on_round(ledger.n_rounds, w, g)
-
     next_grad, isfinite = adversary.next_grad, math.isfinite
     for t in range(1, T + 1):
         # a finite norm means every entry is finite; only when it is not
@@ -243,10 +244,17 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
         if check_finite and not (isfinite(n) or finite(g)):
             raise GameDivergence(f"adversary produced a non-finite gradient at round {t}")
         record(w, g, pn, n)
+        if on_round is not None:
+            on_round(t, w, g)
         update(g)
         if t < T:
             w = play()
     return ledger
+
+
+def _array_norm(x: np.ndarray) -> float:
+    """dual_norm of an array, without its type test."""
+    return math.sqrt(x.dot(x))
 
 
 def _finite_entries(x: np.ndarray) -> bool:
@@ -261,8 +269,9 @@ def _scalar_grad(g, w, t: int):
                 f"at round {t}"
             )
         return float(g.reshape(-1)[0])
-    # a numpy scalar or an int leaves as the Python float the game hands out
-    return float(g) if isinstance(g, (int, np.integer, np.floating)) else g
+    # any other real number (a numpy scalar, an int, a float subclass) leaves
+    # as the Python float the game hands out
+    return float(g) if isinstance(g, numbers.Real) else g
 
 
 def _vector_grad(g, w: np.ndarray, t: int) -> np.ndarray:

@@ -81,6 +81,8 @@ class Truncation(Learner):
     respecting the hint it was promised.
     """
 
+    __slots__ = ("inner", "h")
+
     def __init__(self, inner: HintedLearner, g0: float = 1.0):
         if not 0.0 < g0 < math.inf:
             raise ValueError(f"initial magnitude guess must be positive and finite, got {g0}")
@@ -125,8 +127,11 @@ class Leashed(Truncation):
     hint state and introspection it reuses; play and update are its own.
 
     A fixed_barrier pins B_t to a constant diameter instead and disables
-    barrier growth.
+    barrier growth. Like the bettor, it takes a Python float gradient and
+    plays the inner learner's Python float proposals as they come.
     """
+
+    __slots__ = ("k", "p", "fixed_barrier", "B", "G", "sum_abs", "_pending")
 
     def __init__(
         self,
@@ -156,8 +161,7 @@ class Leashed(Truncation):
         return self.B
 
     def play(self) -> float:
-        w = float(self.inner.play())
-        self._pending = w
+        self._pending = w = self.inner.play()
         # leash_project(w, B), inline
         B = self.B
         if abs(w) < B:
@@ -171,7 +175,6 @@ class Leashed(Truncation):
         if w_inner is None:
             raise RuntimeError("update called before play")
         self._pending = None
-        g = float(g)
         a = abs(g)
         old_h = h = self.h
         G = self.G
@@ -210,6 +213,8 @@ class DimFreeLift(Learner):
     update, x and y hold the round's x_t and y_t, which is what an audit of
     the regret decomposition reads; y is None outside a round.
     """
+
+    __slots__ = ("one_d", "ball", "dim", "x", "y")
 
     def __init__(self, scalar_learner: Learner, ball_learner: Learner, dim: int):
         if dim < 1:

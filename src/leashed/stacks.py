@@ -186,9 +186,16 @@ class RunSpec:
             self.adversary, scale=self.scale, dim=self.dim, seed=self.seed, rate=self.rate,
             period=self.period, magnitude=self.magnitude, envelope=self.envelope,
         ))
+        # a cap past float range would hand some round an infinite gradient
+        cap = adversary.bound()
+        if cap is not None and not math.isfinite(cap):
+            knob = "magnitude" if self.adversary == "spike" else "envelope"
+            raise ValueError(f"the {self.adversary} stream's gradient cap, scale * {knob} = "
+                             f"{self.scale!r} * {getattr(self, knob)!r}, is not finite; "
+                             f"lower scale or {knob}")
         # only ons_hints takes the stream's a-priori cap; without one (growing,
         # zero) it starts from g0, and an unbounded stream aborts on contract
-        hint = adversary.bound() or None
+        hint = cap or None
         return adversary, build_learner(self.algo, self.params, self.dim, self.D, hint)
 
     def play(self, check_finite: bool = True) -> RegretLedger:

@@ -11,17 +11,18 @@ import math
 
 import numpy as np
 
-from .core import Learner, as_gradient, dual_norm
+from .core import Learner, as_gradient
 
 STEP_SCALE = math.sqrt(2.0)
 
 
 def project_unit_ball(x: np.ndarray) -> np.ndarray:
-    n = dual_norm(x)
+    # dual_norm, without its type test
+    n = math.sqrt(x.dot(x))
     if n <= 1.0:
         return x
     y = x / n
-    m = dual_norm(y)
+    m = math.sqrt(y.dot(y))
     if m > 1.0:
         # rounding pushed the rescaled point just outside; shave it back
         y = y * (1.0 - 2.0 ** -50)
@@ -29,6 +30,8 @@ def project_unit_ball(x: np.ndarray) -> np.ndarray:
 
 
 class AdaGradBall(Learner):
+    __slots__ = ("dim", "w", "sum_sq")
+
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")

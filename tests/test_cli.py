@@ -885,6 +885,23 @@ def test_negative_seed_is_rejected_before_any_game(command, algo, tmp_path, monk
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags, knob", [
+    (["--adversary", "spike", "--scale", "1e308"], "magnitude"),
+    (["--adversary", "seeded_uniform", "--envelope", "1e300", "--scale", "1e10"], "envelope"),
+])
+def test_stream_whose_gradient_cap_overflows_is_rejected_before_any_game(
+        command, flags, knob, tmp_path, monkeypatch, capsys):
+    # the leashed stack takes no a-priori cap, so the game itself would meet
+    # the first gradient past float range and abort with exit 1
+    _forbid_games(monkeypatch)
+    assert main([command] + flags + ["--T", "20", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad configuration: ") and err.count("\n") == 1
+    assert f"scale * {knob}" in err and "not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_overflowing_stream_aborts_the_game(command, tmp_path, capsys):
     # 2.0 ** 2000 is past float range: the gradient of round 2 is infinite
     assert main([command, "--adversary", "growing", "--rate", "2000", "--T", "5",

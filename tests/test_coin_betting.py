@@ -84,8 +84,10 @@ def test_keeps_no_per_round_history():
     b = CoinBettor(1.0, 1.0, 1.0)
     for g in (1.0, -1.0, 0.5) * 100:
         b.update(g)
-    # the state after any number of rounds is a handful of scalars
-    assert all(isinstance(v, (int, float)) for v in vars(b).values()), vars(b)
+    # the state after any number of rounds is a handful of scalars, in slots
+    assert not vars(b)
+    state = {name: getattr(b, name) for name in CoinBettor.__slots__}
+    assert all(type(v) is float for v in state.values()), state
 
 
 # one betting game: fractions of the hint, and multiplicative hint escalations

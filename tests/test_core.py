@@ -311,6 +311,56 @@ def test_run_game_checks_every_gradient_that_is_not_a_python_float(monkeypatch):
     assert str(info.value) == "gradient dimension 2 does not match point dimension 1 at round 3"
 
 
+def _stack_fields(learner):
+    """(layer, field, value) of every slot of each layer of a scalar stack."""
+    layer = learner
+    while layer is not None:
+        for cls in type(layer).__mro__:
+            for name in vars(cls).get("__slots__", ()):
+                yield type(layer).__name__, name, getattr(layer, name)
+        layer = getattr(layer, "inner", None)
+
+
+@pytest.mark.parametrize("algo", ["ons_hints", "hintless", "leashed", "fixed_diameter"])
+@pytest.mark.parametrize("kind", [np.float64, int, lambda x: np.array([x])],
+                         ids=["float64", "int", "size1_array"])
+def test_run_game_hands_scalar_learners_python_floats(algo, kind, monkeypatch):
+    # the scalar learners convert nothing: whatever real number the adversary
+    # answers with, run_game hands on a Python float, so every field stays one
+    from leashed import core
+    from leashed.bounds import BoundParams
+    from leashed.stacks import build_learner
+
+    ledgers = []
+
+    class SeenLedger(RegretLedger):
+        __slots__ = ()
+
+        def __init__(self, keep_rows=False):
+            super().__init__(keep_rows)
+            ledgers.append(self)
+
+    monkeypatch.setattr(core, "RegretLedger", SeenLedger)
+    learner = build_learner(algo, BoundParams(), diameter=1.0)
+    grads = [kind(x) for x in (1, -1, 0, 1, 1, -1, 0, -1)] * 5
+    seen = []
+
+    def assert_floats():
+        fields = list(_stack_fields(learner))
+        assert fields and all(type(v) is float for _, name, v in fields
+                              if name != "inner" and v is not None), fields
+
+    def on_round(t, w, g):
+        seen.append((t, len(ledgers[-1]), type(w), type(g)))
+        assert_floats()
+
+    ledger = run_game(learner, ListAdversary(grads), len(grads), on_round=on_round)
+    assert_floats()
+    assert ledgers == [ledger]
+    assert seen == [(t, t, float, float) for t in range(1, len(grads) + 1)]
+    assert type(ledger.cum_loss) is float and type(ledger.grad_sum) is float
+
+
 def test_run_game_checks_every_gradient_of_a_vector_game(monkeypatch):
     from leashed.stacks import RunSpec
 
