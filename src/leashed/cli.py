@@ -11,8 +11,9 @@ before any game runs. `verify` hands `acceptance.run_suite` the worker pool
 and prints the results it returns. Trace and summary files land in the
 existing directory named by --out. A setting's value may start with "-"
 (`--comparators -1,2`). A game that diverges, breaks a learner's contract
-or leaves a non-finite value for trace.csv ends the command in `main`,
-which prints "<command> aborted: <message>" and returns 1.
+or leaves a non-finite value for trace.csv, or an output write that fails,
+ends the command in `main`, which prints "<command> aborted: <message>" and
+returns 1.
 """
 from __future__ import annotations
 
@@ -388,6 +389,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenProcessPool as exc:  # a worker was killed, for example for memory
         print(f"{args.command} aborted: a worker process died: {exc}", file=sys.stderr)
-    except (GameDivergence, ValueError) as exc:  # a game broke its contract or diverged
+    except (GameDivergence, OSError, ValueError) as exc:  # a game failed, or an output write did
         print(f"{args.command} aborted: {exc}", file=sys.stderr)
     return 1

@@ -43,17 +43,14 @@ _FLOAT64 = np.dtype(float)
 
 
 def as_gradient(g, dim: int) -> np.ndarray:
-    """g as a float64 array of shape (dim,); ValueError for any other shape.
-
-    A float64 ndarray of that shape, which is what run_game hands a vector
-    learner, is returned as it is; anything else (a list, a 0-d or float32
-    array) is converted first, then checked."""
-    if type(g) is np.ndarray and g.dtype is _FLOAT64 and g.shape == (dim,):
+    """g itself, which must be a float64 array of shape (dim,): what run_game
+    hands a vector learner. Anything else (a list, a float, a 0-d or float32
+    array) is a ValueError; nothing is converted."""
+    if type(g) is np.ndarray and g.dtype == _FLOAT64 and g.shape == (dim,):
         return g
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if g.shape != (dim,):
-        raise ValueError(f"gradient shape {g.shape} does not match dimension {dim}")
-    return g
+    got = f"{g.dtype} array of shape {g.shape}" if isinstance(g, np.ndarray) else type(g).__name__
+    raise ValueError(f"gradient ({got}) does not match dimension {dim}: "
+                     "a vector learner takes a float64 array")
 
 
 class Learner:
@@ -103,9 +100,10 @@ class RegretLedger:
     Regret is affine in the comparator, so cum_loss and grad_sum are all it
     needs. max_ratio is the largest prefix value of sum_norm / max_norm,
     updated each round in the order StreamStats.from_norms uses, so the
-    stream statistics of a finished game need no second pass. dim is set by
-    the first append: the gradient's length in a vector game, 1 in a scalar
-    one. len() counts the rounds appended.
+    stream statistics of a finished game need no second pass. grad_sum
+    starts at 0.0, and a vector game's first gradient makes it an array
+    (0.0 + x is x, bit for bit); dim reads the game's dimension off it.
+    len() counts the rounds appended.
 
     With keep_rows, `rounds` collects one RoundRecord per round; a row holds
     no point or gradient, so its size depends on neither the dimension nor
@@ -113,13 +111,12 @@ class RegretLedger:
     not grow with the rounds.
     """
 
-    __slots__ = ("rounds", "n_rounds", "dim", "cum_loss", "grad_sum", "sum_norm", "sum_sq",
+    __slots__ = ("rounds", "n_rounds", "cum_loss", "grad_sum", "sum_norm", "sum_sq",
                  "max_norm", "max_ratio", "max_played_norm")
 
     def __init__(self, keep_rows: bool = False) -> None:
         self.rounds: Optional[list[RoundRecord]] = [] if keep_rows else None
         self.n_rounds = 0
-        self.dim: Union[int, None] = None
         self.cum_loss = 0.0
         self.grad_sum: Vector = 0.0
         self.sum_norm = 0.0
@@ -131,19 +128,21 @@ class RegretLedger:
     def __len__(self) -> int:
         return self.n_rounds
 
+    @property
+    def dim(self) -> Union[int, None]:
+        """1 in a scalar game, the gradient's length in a vector one, None before any round."""
+        if not self.n_rounds:
+            return None
+        return self.grad_sum.shape[0] if isinstance(self.grad_sum, np.ndarray) else 1
+
     def append(self, w: Vector, g: Vector, pn: float, n: float) -> None:
         """Account the next round, where w was played and g answered it; pn
         and n are dual_norm(w) and dual_norm(g). Nothing of w or g is kept,
         so the caller may reuse their buffers afterwards."""
         # a scalar game's gradient is a Python float, tested for first
         if type(g) is not float and isinstance(g, np.ndarray):
-            if self.dim is None:
-                self.dim = g.shape[0]
-                self.grad_sum = np.zeros_like(g)
             self.cum_loss = cum_loss = self.cum_loss + float(g.dot(w))
         else:
-            if self.dim is None:
-                self.dim = 1
             self.cum_loss = cum_loss = self.cum_loss + g * w
         self.grad_sum += g
         self.n_rounds += 1
@@ -167,7 +166,7 @@ class RegretLedger:
         Affine in the comparator with slope -grad_sum. An empty ledger has
         zero regret against anything.
         """
-        if self.dim is None:
+        if not self.n_rounds:
             return 0.0
         if isinstance(self.grad_sum, np.ndarray):
             w = np.atleast_1d(np.asarray(comparator, dtype=float))
@@ -275,8 +274,8 @@ def _scalar_grad(g, w, t: int):
 
 
 def _vector_grad(g, w: np.ndarray, t: int) -> np.ndarray:
-    # cast once, as as_gradient does, so the ledger, on_round and the learner
-    # all see the same float64 gradient
+    # the one cast of a vector game: the ledger, on_round and the learner all
+    # see this float64 gradient, and as_gradient only checks it
     if not (type(g) is np.ndarray and g.dtype is _FLOAT64):
         g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.shape != w.shape:

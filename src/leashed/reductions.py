@@ -20,16 +20,13 @@ from typing import Union
 
 import numpy as np
 
-from .core import HintedLearner, Learner, Vector, as_gradient, dual_norm
+from .core import HintedLearner, Learner, as_gradient
 
 
-def truncate(g: Vector, h: float) -> Vector:
-    """Clip the gradient back to norm h when it meets or exceeds h."""
-    n = dual_norm(g)
-    if n < h:
+def truncate(g: float, h: float) -> float:
+    """Clip a scalar gradient back to magnitude h when it meets or exceeds h."""
+    if abs(g) < h:
         return g
-    if isinstance(g, np.ndarray):
-        return g * (h / n)
     return math.copysign(h, g)
 
 
@@ -74,11 +71,12 @@ def surrogate_grad(g_trunc: float, w: float, barrier: float) -> float:
 
 
 class Truncation(Learner):
-    """Hint fabrication for a scalar or vector game.
+    """Hint fabrication for a scalar game.
 
     Starts from an a-priori magnitude guess g0 and maintains
     h_{t+1} = max(h_t, |g_t|); the inner learner always receives gradients
-    respecting the hint it was promised.
+    respecting the hint it was promised. Scalar, like Leashed: d dimensions
+    come from DimFreeLift around a scalar stack.
     """
 
     __slots__ = ("inner", "h")
@@ -99,18 +97,16 @@ class Truncation(Learner):
     def wealth(self) -> Union[float, None]:
         return getattr(self.inner, "wealth", None)
 
-    def play(self) -> Vector:
+    def play(self) -> float:
         return self.inner.play()
 
-    def update(self, g: Vector) -> None:
-        n = dual_norm(g)
-        h = self.h
-        # truncate only when it clips, so the norm is taken once a round
-        g_in = g if n < h else truncate(g, h)
-        if n > h:
-            h = n
-        self.inner.update(g_in, h)
-        self.h = h
+    def update(self, g: float) -> None:
+        a = abs(g)
+        old_h = h = self.h
+        if a > h:
+            self.h = h = a
+        # truncate(g, old_h), inline
+        self.inner.update(g if a < old_h else math.copysign(old_h, g), h)
 
 
 class Leashed(Truncation):
@@ -211,7 +207,8 @@ class DimFreeLift(Learner):
     from the ball learner; the ball sees the raw gradient, the scalar
     learner sees the projected loss <g_t, y_t>. Between a play and its
     update, x and y hold the round's x_t and y_t, which is what an audit of
-    the regret decomposition reads; y is None outside a round.
+    the regret decomposition reads; y is None outside a round. It converts
+    nothing: x and y are the objects its parts' plays return.
     """
 
     __slots__ = ("one_d", "ball", "dim", "x", "y")
@@ -238,8 +235,8 @@ class DimFreeLift(Learner):
         return getattr(self.one_d, "wealth", None)
 
     def play(self) -> np.ndarray:
-        self.x = x = float(self.one_d.play())
-        self.y = y = np.asarray(self.ball.play(), dtype=float)
+        self.x = x = self.one_d.play()
+        self.y = y = self.ball.play()
         return x * y
 
     def update(self, g) -> None:

@@ -474,6 +474,20 @@ def test_run_aborts_on_contract_violation(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, blocked", [("run", "trace.csv"), ("sweep", "sweep.csv")])
+def test_an_output_that_cannot_be_written_aborts_the_command(command, blocked, tmp_path,
+                                                             capsys):
+    # a directory where the output file goes ends the command as a diverging
+    # game does; a config file that cannot be read is still a bad configuration
+    (tmp_path / blocked).mkdir()
+    assert main([command, "--T", "10", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} aborted: ") and blocked in err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert main([command, "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("bad configuration: ")
+
+
 def test_run_aborts_on_divergence(tmp_path, capsys):
     # one-signed stream against the bare bettor overflows wealth by design
     assert main(["run", "--algo", "ons_hints", "--adversary", "constant",

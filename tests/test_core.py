@@ -1,6 +1,7 @@
 """Game loop and ledger accounting."""
 import gc
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -359,6 +360,67 @@ def test_run_game_hands_scalar_learners_python_floats(algo, kind, monkeypatch):
     assert ledgers == [ledger]
     assert seen == [(t, t, float, float) for t in range(1, len(grads) + 1)]
     assert type(ledger.cum_loss) is float and type(ledger.grad_sum) is float
+
+
+@pytest.mark.parametrize("algo", ["adagrad_ball", "leashed_dimfree"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_run_game_hands_vector_learners_the_array_on_round_sees(algo, dim, monkeypatch):
+    # the vector learners convert nothing: run_game casts each gradient once,
+    # and every update receives that very array; the lift plays the objects
+    # its parts' plays return, and hands its scalar stack Python floats
+    from leashed import AdaGradBall, DimFreeLift, Truncation
+    from leashed.bounds import BoundParams
+    from leashed.stacks import build_learner
+
+    learner = build_learner(algo, BoundParams(), dim)
+    lift = isinstance(learner, DimFreeLift)
+    received, played = [], {}
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def play(self):
+            played[cls.__name__] = out = real(self)
+            return out
+
+        def update(self, g, *rest):
+            received.append((cls.__name__, g))
+            return real(self, g, *rest)
+
+        monkeypatch.setattr(cls, name, play if name == "play" else update)
+
+    spy(AdaGradBall, "update")
+    if lift:
+        scalar = type(learner.one_d)
+        assert issubclass(scalar, Truncation)
+        for cls in (DimFreeLift, scalar):
+            spy(cls, "update")
+        for cls in (AdaGradBall, scalar):
+            spy(cls, "play")
+    # float64 arrays, and what run_game casts: float32 arrays, lists and, at
+    # d = 1, Python floats
+    kinds = [lambda v: v, lambda v: v.astype(np.float32), list]
+    if dim == 1:
+        kinds.append(lambda v: float(v[0]))
+    rows = np.random.default_rng(dim).standard_normal((24, dim))
+    grads = [kinds[i % len(kinds)](v) for i, v in enumerate(rows)]
+    seen = []
+
+    def on_round(t, w, g):
+        assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (dim,)
+        seen.append(g)
+        if lift:
+            assert learner.x is played[scalar.__name__]
+            assert learner.y is played["AdaGradBall"]
+
+    run_game(learner, ListAdversary(grads), len(grads), on_round=on_round)
+    assert len(seen) == len(grads)
+    for name in ("AdaGradBall", "DimFreeLift") if lift else ("AdaGradBall",):
+        got = [g for who, g in received if who == name]
+        assert len(got) == len(seen) and all(map(operator.is_, got, seen)), name
+    if lift:
+        sent = [g for who, g in received if who == scalar.__name__]
+        assert len(sent) == len(seen) and all(type(s) is float for s in sent)
 
 
 def test_run_game_checks_every_gradient_of_a_vector_game(monkeypatch):

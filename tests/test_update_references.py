@@ -4,7 +4,6 @@ truncate, surrogate_grad, max for the running hint and max(min(v, cap), -cap)
 for the fraction."""
 import math
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from leashed import (
     CoinBettor,
     Leashed,
     Truncation,
-    dual_norm,
     leash_project,
     surrogate_grad,
     truncate,
@@ -148,34 +146,6 @@ def test_truncation_sends_the_truncated_gradient(moves, g0):
         sent, h_sent = inner.sent[-1]
         assert same(sent, truncate(g, h))
         assert same(h_sent, max(h, abs(g)))
-
-
-class Sink:
-    """Hinted learner that accepts any gradient, for vector truncation."""
-
-    current_hint = 1.0
-
-    def play(self):
-        return 0.0
-
-    def update(self, g, h_next=None) -> None:
-        pass
-
-
-@given(st.lists(st.one_of(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
-                          st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.0, 0.0)])),
-                min_size=1, max_size=30))
-@settings(deadline=None)
-def test_truncation_sends_the_truncated_vector(moves):
-    inner = Sent(Sink())
-    stack = Truncation(inner, g0=1.0)
-    for x, y in moves:
-        h = stack.h
-        g = np.array([x * h, y * h, 0.0])
-        stack.update(g)
-        sent, h_sent = inner.sent[-1]
-        assert sent.tobytes() == truncate(g, h).tobytes()
-        assert same(h_sent, max(h, dual_norm(g)))
 
 
 bettor_moves = st.lists(
