@@ -9,9 +9,13 @@ returns the summary that PASS reports. A check that plays no game of its
 own, such as a brute-force oracle, is a plan of one task. A game lets what
 it raises propagate. Each game is the pair `stacks.RunSpec.build` makes
 (epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec sets them),
-played by `RunSpec.play`, or by `run_game` where a check watches its rounds;
-every bound criterion scores the comparators `run` reports for its spec,
-through `RunSpec.rows`.
+played by `RunSpec.play`, or by `run_game` where a check watches its rounds.
+A criterion that checks one stream at several horizons plays it once, by
+`RunSpec.play_through` or by `run_game` continued from its ledger, checks
+each horizon as the game reaches it, and returns a list with a value per
+horizon: the learners never see T, so that is the check of a separate game
+of each horizon, bit for bit. Every bound criterion scores the comparators
+`run` reports for its spec, through `RunSpec.rows`.
 
 `run_suite` is the one runner, as its docstring describes; a registered
 criterion called directly runs alone through it, its tasks in this process.
@@ -187,22 +191,43 @@ def _summary(template: str, pick=max):
 
 
 def _bettor_games():
-    """(label, spec) of the nine games of the bettor hinted with the stream's bound."""
+    """(label, spec) of the nine games of the bettor hinted with the stream's
+    bound, stream by stream, shortest horizon first."""
     for kind in ("constant", "alternating", "seeded_uniform"):
         for T in (100, 1000, 10_000):
             yield f"{kind} T={T}", RunSpec(algo="ons_hints", adversary=kind, seed=1, T=T)
 
 
-def _bound_game(failures: list, label: str, spec: RunSpec, check_finite: bool = True) -> tuple:
+def _streams(games) -> list:
+    """games, (label, spec) pairs, as one list per run of specs that differ
+    only in T: the games of one stream, which a task plays as one game."""
+    return [list(run) for _, run in
+            itertools.groupby(games, lambda game: dict(vars(game[1]), T=None))]
+
+
+def _bound_game(failures: list, label: str, spec: RunSpec) -> tuple:
     """The game's bound check at every comparator `run` reports for the spec,
     its largest regret/bound and the number of comparators scored."""
-    return _within_bound(failures, label, spec, spec.play(check_finite))
+    return _within_bound(failures, label, spec, spec.play())
+
+
+def _bound_games(failures: list, label: str, games: list, check_finite: bool = True) -> list:
+    """_bound_game of each (label, spec) of games, one stream's at increasing
+    T, each scored when the one game RunSpec.play_through plays reaches it."""
+    played = games[0][1].play_through([spec.T for _, spec in games], check_finite)
+    return [_within_bound(failures, game_label, spec, ledger)
+            for (game_label, _), (spec, ledger) in zip(games, played)]
 
 
 def _cells(failures: list, games: list) -> str:
     """The bound criteria's fold over their games' (worst ratio, comparators scored)."""
     worsts, counts = zip(*games)
     return f"{sum(counts)} cells: max regret/bound = {max(worsts):.4g}"
+
+
+def _stream_cells(failures: list, streams: list) -> str:
+    """_cells over the games of every stream, as _bound_games returns them."""
+    return _cells(failures, list(itertools.chain.from_iterable(streams)))
 
 
 def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -250,46 +275,66 @@ def bettor_regret_within_bound() -> tuple:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
     # the one-signed constant stream pushes wealth past float range near round
     # 1750; its late regrets are -inf and the comparison stays exact
-    return [(_bound_game, label, spec, False) for label, spec in _bettor_games()], _cells
+    return ([(_bound_games, games[0][1].adversary, games, False)
+             for games in _streams(_bettor_games())], _stream_cells)
 
 
-def _log_wealth_game(failures: list, label: str, spec: RunSpec) -> float:
-    """The game's betting-fraction regret check against the best fraction on
-    the grid, and its regret minus the bound."""
-    adversary, bettor = spec.build()
-    bets = []  # (gradient, fraction wagered) of each round
-    run_game(bettor, adversary, spec.T, check_finite=False,
-             on_round=lambda t, w, g: bets.append((float(g), bettor.v)))
-    gs, vs = zip(*bets)
-    v_star = best_betting_fraction(gs, bettor.h, resolution=1e-4)
-    reg = ons_inner_regret(gs, vs, v_star)
-    cap = ons_regret_bound(spec.alpha, bettor.h, math.fsum(g * g for g in gs))
-    if not reg <= cap + 1e-3:
-        failures.append(f"{label}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
-    return reg - cap
+def _log_wealth_game(failures: list, label: str, games: list) -> list:
+    """The betting-fraction regret check against the best fraction on the
+    grid at each (label, spec) of games, one stream's at increasing T, from
+    one game continued from each T to the next; its regret minus the bound at
+    each."""
+    adversary, bettor = games[0][1].build()
+    bets, ledger, gaps = [], None, []  # bets: (gradient, fraction wagered) of each round
+    for game_label, spec in games:
+        ledger = run_game(bettor, adversary, spec.T, check_finite=False, ledger=ledger,
+                          on_round=lambda t, w, g: bets.append((float(g), bettor.v)))
+        gs, vs = zip(*bets)
+        v_star = best_betting_fraction(gs, bettor.h, resolution=1e-4)
+        reg = ons_inner_regret(gs, vs, v_star)
+        cap = ons_regret_bound(spec.alpha, bettor.h, math.fsum(g * g for g in gs))
+        if not reg <= cap + 1e-3:
+            failures.append(f"{game_label}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
+        gaps.append(reg - cap)
+    return gaps
 
 
 @criterion("coin", required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3")
 def inner_ons_within_log_bound() -> tuple:
     """Betting-fraction regret vs the best fixed fraction on an exhaustive grid."""
-    return ([(_log_wealth_game, label, spec) for label, spec in _bettor_games()],
-            _summary("max (regret - bound) = {:.4g} over 9 runs, grid step 1e-4"))
+    return ([(_log_wealth_game, games[0][1].adversary, games)
+             for games in _streams(_bettor_games())],
+            _summary("max (regret - bound) = {:.4g} over 9 runs, grid step 1e-4",
+                     lambda gaps: max(itertools.chain.from_iterable(gaps))))
 
 
-def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: bool) -> float:
-    """The game's truncation-overhead check at every comparator, and its
-    largest finite overhead/range (-inf when there is none)."""
-    worst = -math.inf
+def _truncation_game(failures: list, label: str, spec: RunSpec, segments: tuple) -> list:
+    """The truncation-overhead check at every comparator after each (T,
+    expect_finite) of segments, T increasing, of one game continued from each
+    T to the next, checking finiteness where it is expected; the largest
+    finite overhead/range at each T (-inf when there is none)."""
     adversary, wrapper = spec.build()
     wrapper.inner = inner = _SentRecorder(wrapper.inner)
-    played = []
-    ledger = run_game(wrapper, adversary, spec.T, check_finite=expect_finite,
-                      on_round=lambda t, w, g: played.append((g, w)))
+    played, ledger, worsts = [], None, []
+    for T, expect_finite in segments:
+        ledger = run_game(wrapper, adversary, T, check_finite=expect_finite, ledger=ledger,
+                          on_round=lambda t, w, g: played.append((g, w)))
+        worsts.append(_overhead(failures, f"{label} T={T}", ledger, zip(played, inner.sent),
+                                expect_finite))
+    return worsts
+
+
+def _overhead(failures: list, label: str, ledger: RegretLedger, rounds,
+              expect_finite: bool) -> float:
+    """The truncation-overhead check at every comparator of the game whose
+    ((g, w), sent) rounds the ledger accounts for, and its largest finite
+    overhead/range (-inf when there is none)."""
+    worst = -math.inf
     if expect_finite and not math.isfinite(ledger.max_played_norm):
         failures.append(f"{label}: expected a finite run, played norm overflowed")
         return worst
     # exactly-zero truncation error charges nothing
-    rows = [(g, sent, w) for (g, w), sent in zip(played, inner.sent) if g - sent != 0.0]
+    rows = [(g, sent, w) for (g, w), sent in rounds if g - sent != 0.0]
     for i, wc in enumerate(SCALAR_COMPARATORS):
         lhs = math.fsum((g - sent) * (w - wc) for g, sent, w in rows)
         rhs = ledger.max_norm * (ledger.max_played_norm + abs(wc))
@@ -305,14 +350,16 @@ def _truncation_game(failures: list, label: str, spec: RunSpec, expect_finite: b
 def truncation_overhead_bounded() -> tuple:
     """Per-round truncation error, summed against any comparator, stays within range."""
     # one-signed streams at T=1e4 overflow wealth by design and are checked in
-    # IEEE extended reals; the T=1500/5000 reruns keep both sides finite
-    cells = (("spike", {}, 10_000, False), ("growing", {}, 10_000, False),
-             ("spike", {"magnitude": 100.0}, 10_000, True), ("growing", {}, 1_500, True),
-             ("spike", {}, 5_000, True))
-    return ([(_truncation_game, f"{kind}{kw or ''} T={T}",
-              RunSpec(algo="hintless", adversary=kind, T=T, **kw), expect_finite)
-             for kind, kw, T, expect_finite in cells],
-            _summary(f"max overhead/range = {{:.4g}} across {len(cells)} runs"))
+    # IEEE extended reals; their checks at T=1500/5000 keep both sides finite
+    streams = (("spike", {}, ((5_000, True), (10_000, False))),
+               ("growing", {}, ((1_500, True), (10_000, False))),
+               ("spike", {"magnitude": 100.0}, ((10_000, True),)))
+    runs = sum(len(segments) for *_, segments in streams)
+    return ([(_truncation_game, f"{kind}{kw or ''}",
+              RunSpec(algo="hintless", adversary=kind, T=segments[-1][0], **kw), segments)
+             for kind, kw, segments in streams],
+            _summary(f"max overhead/range = {{:.4g}} across {runs} runs",
+                     lambda worsts: max(itertools.chain.from_iterable(worsts))))
 
 
 @criterion(
@@ -322,13 +369,15 @@ def truncation_overhead_bounded() -> tuple:
 )
 def leashed_regret_within_bound() -> tuple:
     """Full stack regret never exceeds the composed guarantee."""
-    return ([(_bound_game, f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
-             for kind in KINDS for T in (1000, 10_000)], _cells)
+    return ([(_bound_games, kind, [(f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
+                                   for T in (1000, 10_000)]) for kind in KINDS],
+            _stream_cells)
 
 
-def _regret_at_one(failures: list, label: str, spec: RunSpec) -> float:
-    """The game's regret at comparator 1."""
-    return spec.play().regret(1.0)
+def _regret_at_one(failures: list, label: str, spec: RunSpec, horizons: tuple) -> list:
+    """The game's regret at comparator 1 at each of horizons, increasing,
+    from the one game RunSpec.play_through plays."""
+    return [ledger.regret(1.0) for _, ledger in spec.play_through(horizons)]
 
 
 @criterion("reductions", required="regret/T strictly decreasing through T = 1e2, 1e3, 1e4 and exponent <= 0.55 through 1e5")
@@ -336,7 +385,8 @@ def leashed_regret_sublinear() -> tuple:
     """Average regret shrinks with the horizon; growth exponent at most 0.55."""
     horizons = (100, 1000, 10_000, 100_000)
 
-    def fold(failures: list, regrets: list) -> str:
+    def fold(failures: list, values: list) -> str:
+        regrets, = values
         per_round = [r / T for r, T in zip(regrets, horizons)]
         decreasing = per_round[1] < per_round[0] and per_round[2] < per_round[1]
         slope = growth_exponent(horizons, regrets)
@@ -346,8 +396,8 @@ def leashed_regret_sublinear() -> tuple:
             failures.append(summary)
         return summary
 
-    return ([(_regret_at_one, f"constant T={T}", RunSpec(adversary="constant", T=T))
-             for T in horizons], fold)
+    return ([(_regret_at_one, "constant", RunSpec(adversary="constant", T=horizons[-1]),
+              horizons)], fold)
 
 
 @criterion("ball", required="regret <= 2^{3/2} sqrt(sum ||g||^2), zero tolerance, d in {1,2,10}, T = 1e4")

@@ -9,7 +9,10 @@ given via --config, where null counts as unset, then the field's default.
 `_settings` is the one cast and building the spec the one check, both
 before any game runs. `verify` hands `acceptance.run_suite` the worker pool
 and prints the results it returns. Trace and summary files land in the
-existing directory named by --out. A setting's value may start with "-"
+existing directory named by --out, and each file a command will write is
+checked before its first game, creating and truncating nothing. `sweep`
+plays one game per (k, p, adversary) cell and scores it at each horizon of
+the grid as the game reaches it. A setting's value may start with "-"
 (`--comparators -1,2`). A game that diverges, breaks a learner's contract
 or leaves a non-finite value for trace.csv, or an output write that fails,
 ends the command in `main`, which prints "<command> aborted: <message>" and
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -207,10 +211,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not out_dir.is_dir():
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
+    trace_path, summary_path = out_dir / "trace.csv", out_dir / "summary.json"
+    _check_writable([trace_path, summary_path])
     adversary, learner = spec.build()
     recorder = TraceRecorder(learner)
     ledger = run_game(recorder, adversary, spec.T, keep_rows=True)
-    trace_path = out_dir / "trace.csv"
     bad_round = _write_trace(trace_path, ledger, recorder)
     if bad_round is not None:
         raise GameDivergence(f"non-finite trace value at round {bad_round}")
@@ -239,7 +244,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             for wc, w_abs, regret, bound, ratio in spec.rows(ledger, stats=stats)
         ],
     }
-    summary_path = out_dir / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.writelines(_json_chunks(summary))
         fh.write("\n")
@@ -275,11 +279,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-def _sweep_cell(spec: RunSpec) -> list:
+def _sweep_cell(game) -> list:
+    """The rows of a cell's next horizon: game is the cell's
+    RunSpec.play_through, which this call plays on to that horizon."""
+    spec, ledger = next(game)
     return [
         (spec.k, spec.p, spec.adversary, spec.T, comparator_label(wc, i), regret, bound, ratio)
-        for i, (wc, _, regret, bound, ratio) in enumerate(spec.rows(spec.play()))
+        for i, (wc, _, regret, bound, ratio) in enumerate(spec.rows(ledger))
     ]
+
+
+def _sweep_task(specs: list) -> list:
+    """The rows of one (k, p, adversary) cell, whose specs differ only in T
+    and come in grid order: one game, scored at each distinct horizon as it
+    is reached, each horizon's rows in the place of each of its specs."""
+    horizons = sorted({spec.T for spec in specs})
+    game = specs[0].play_through(horizons)
+    rows = {T: _sweep_cell(game) for T in horizons}
+    return [row for spec in specs for row in rows[spec.T]]
+
+
+def _check_writable(paths) -> None:
+    """Raise the OSError that opening the first of paths that cannot be
+    written would raise, without creating or truncating any of them."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -304,9 +331,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not out_dir.is_dir():
         print(f"output directory {out_dir} does not exist", file=sys.stderr)
         return 1
-    rows = [row for chunk in _map(_sweep_cell, cells, base.jobs) for row in chunk]
+    sweep_path, exp_path = out_dir / "sweep.csv", out_dir / "exponents.csv"
+    fit = len(set(grids["T"])) >= 2
+    _check_writable([sweep_path, exp_path] if fit else [sweep_path])
+    # T varies fastest in the grid, so each cell's specs are one run of them
+    n = len(grids["T"])
+    tasks = [cells[i:i + n] for i in range(0, len(cells), n)]
+    rows = [row for chunk in _map(_sweep_task, tasks, base.jobs) for row in chunk]
 
-    sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("k", "p", "adversary", "T", "comparator", "regret", "bound", "ratio"))
@@ -315,13 +347,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              _fmt(ratio)))
     written = [sweep_path.name]
 
-    if len(set(grids["T"])) >= 2:
+    if fit:
         # growth exponent of clamped regret across the horizon grid; every cell
-        # is played at every horizon, so each group holds all of them
+        # is scored at every horizon, so each group holds all of them
         groups = {}
         for k, p, kind, T, label, regret, _, _ in rows:
             groups.setdefault((k, p, kind, label), []).append((T, regret))
-        exp_path = out_dir / "exponents.csv"
         with open(exp_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("k", "p", "adversary", "comparator", "exponent"))

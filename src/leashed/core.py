@@ -188,8 +188,11 @@ class RegretLedger:
 
 def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
              on_round: Optional[Callable[[int, Vector, Vector], None]] = None,
-             keep_rows: bool = False) -> RegretLedger:
-    """Run T rounds of the online linear optimization protocol.
+             keep_rows: bool = False,
+             ledger: Optional[RegretLedger] = None) -> RegretLedger:
+    """Run rounds 1 ... T of the online linear optimization protocol, or,
+    given the ledger of a game's first rounds, rounds len(ledger) + 1 ... T
+    of that game, accounted in that ledger, which is returned.
 
     Each round the learner plays a point, the adversary answers with a
     gradient (it may inspect the played point), and the learner updates.
@@ -204,8 +207,15 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     len(ledger) == t): w and g are the point and gradient as played, and the
     learner's attributes still hold the state w was played from. It is how a
     caller sees more of a game than the ledger's sums. keep_rows asks
-    the ledger for its per-round rows (RegretLedger.rounds), which only a
+    a new ledger for its per-round rows (RegretLedger.rounds), which only a
     trace writer needs; without it the game's memory does not grow with T.
+
+    A continued game is the same learner and adversary, handed back with
+    the ledger their earlier rounds returned: the round number, next_grad(t,
+    w) and on_round go on from there, and the learner, which never sees T,
+    plays what it would have played in one longer game. So the ledger after
+    T rounds is bit for bit that of a separate game of horizon T. T <=
+    len(ledger) plays nothing and is a ValueError.
 
     The type of the first point sets the game: an ndarray makes it a vector
     game, anything else a scalar game. That choice, made once, picks the
@@ -217,18 +227,23 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     float64 arrays of the point's shape. Each norm is computed once a round,
     for the finiteness test and the ledger.
     """
-    if T < 1:
-        raise ValueError(f"number of rounds must be >= 1, got {T}")
+    if ledger is None:
+        if T < 1:
+            raise ValueError(f"number of rounds must be >= 1, got {T}")
+        ledger = RegretLedger(keep_rows)
+    elif T <= len(ledger):
+        raise ValueError(f"the ledger already accounts for {len(ledger)} rounds, "
+                         f"so a game to round {T} plays none")
+    first = len(ledger) + 1
     w = learner.play()
     # `plain` is the gradient type that needs no check; type() is never None
     if isinstance(w, np.ndarray):
         norm, finite, coerce, plain = _array_norm, _finite_entries, _vector_grad, None
     else:
         norm, finite, coerce, plain = abs, math.isfinite, _scalar_grad, float
-    ledger = RegretLedger(keep_rows)
     play, update, record = learner.play, learner.update, ledger.append
     next_grad, isfinite = adversary.next_grad, math.isfinite
-    for t in range(1, T + 1):
+    for t in range(first, T + 1):
         # a finite norm means every entry is finite; only when it is not
         # (an entry is inf or nan, or the squares overflow) are the entries read
         pn = norm(w)

@@ -200,8 +200,21 @@ class RunSpec:
 
     def play(self, check_finite: bool = True) -> RegretLedger:
         """The ledger of spec.T rounds of the game build() makes."""
+        (_, ledger), = self.play_through((self.T,), check_finite)
+        return ledger
+
+    def play_through(self, horizons, check_finite: bool = True) -> Iterator[tuple]:
+        """(the spec at T, the ledger after T rounds) for each distinct T in
+        horizons, in increasing order, from the one game build() makes,
+        continued from horizon to horizon. The learners never see T, so each
+        ledger is bit for bit that of a separate game of horizon T. It is one
+        ledger, continued in place when the next is taken: score each before
+        that. Nothing is played before the first is taken."""
         adversary, learner = self.build()
-        return run_game(learner, adversary, self.T, check_finite=check_finite)
+        ledger = None
+        for T in sorted(set(horizons)):
+            ledger = run_game(learner, adversary, T, check_finite=check_finite, ledger=ledger)
+            yield (self if T == self.T else dataclasses.replace(self, T=T)), ledger
 
     def rows(self, ledger: RegretLedger,
              stats: Optional[StreamStats] = None) -> Iterator[tuple]:

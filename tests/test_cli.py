@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -312,7 +313,7 @@ def _no_game(*args, **kwargs):
 
 def _forbid_games(monkeypatch, no_game=_no_game) -> None:
     """Make every game raise: run plays through cli.run_game, sweep's cells
-    through RunSpec.play, which calls stacks.run_game."""
+    through RunSpec.play_through, which calls stacks.run_game."""
     monkeypatch.setattr(cli, "run_game", no_game)
     monkeypatch.setattr(stacks, "run_game", no_game)
 
@@ -474,18 +475,35 @@ def test_run_aborts_on_contract_violation(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, blocked", [("run", "trace.csv"), ("sweep", "sweep.csv")])
+@pytest.mark.parametrize("command, blocked", [("run", "trace.csv"), ("run", "summary.json"),
+                                              ("sweep", "sweep.csv"), ("sweep", "exponents.csv")])
 def test_an_output_that_cannot_be_written_aborts_the_command(command, blocked, tmp_path,
-                                                             capsys):
-    # a directory where the output file goes ends the command as a diverging
-    # game does; a config file that cannot be read is still a bad configuration
+                                                             monkeypatch, capsys):
+    # a directory in the way of any file the command would write ends it as a
+    # diverging game does, before its first game, and the check creates and
+    # truncates nothing; a config file that cannot be read is still a bad
+    # configuration
+    outputs = {"run": ("trace.csv", "summary.json"), "sweep": ("sweep.csv", "exponents.csv")}
+    for name in outputs[command]:
+        if name != blocked:
+            (tmp_path / name).write_text("kept")
     (tmp_path / blocked).mkdir()
-    assert main([command, "--T", "10", "--out", str(tmp_path)]) == 1
+    _forbid_games(monkeypatch)
+    horizons = "10" if command == "run" else "10,20"
+    assert main([command, "--T", horizons, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{command} aborted: ") and blocked in err
+    assert err.startswith(f"{command} aborted: ") and repr(str(tmp_path / blocked)) in err
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(outputs[command])
+    assert all((tmp_path / name).read_text() == "kept"
+               for name in outputs[command] if name != blocked)
     assert main([command, "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("bad configuration: ")
+    if blocked == "exponents.csv":
+        # a sweep of one horizon writes no exponents.csv, so nothing is in its way
+        monkeypatch.undo()
+        assert main(["sweep", "--T", "10", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "sweep.csv").read_text() != "kept"
 
 
 def test_run_aborts_on_divergence(tmp_path, capsys):
@@ -795,8 +813,10 @@ def _exit_worker(spec):
 
 
 def test_sweep_names_a_dead_worker(tmp_path, monkeypatch, capsys):
+    # two cells, so that the cells go to worker processes: a sweep of one
+    # cell plays it in this process, which _exit_worker would end
     monkeypatch.setattr(cli, "_sweep_cell", _exit_worker)
-    assert main(["sweep", "--k", "1", "--p", "0.5", "--adversary", "zero", "--T", "10,20",
+    assert main(["sweep", "--k", "1,2", "--p", "0.5", "--adversary", "zero", "--T", "10,20",
                  "--jobs", "2", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("sweep aborted: a worker process died: ")
@@ -839,6 +859,33 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(argv + ["--out", str(a), "--jobs", "1"]) == 0
     assert main(argv + ["--out", str(b), "--jobs", "2"]) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_sweep_scores_repeated_and_unsorted_horizons_in_grid_order(tmp_path, monkeypatch):
+    # each cell is one game scored at 100 and 1000; its rows come in the
+    # grid's order of horizons, repeats included, as separate games give them
+    grid = ["sweep", "--k", "1,2", "--p", "0.5", "--adversary", "alternating,spike"]
+
+    def sweep(name, horizons, jobs="1"):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(grid + ["--T", horizons, "--jobs", jobs, "--out", str(out)]) == 0
+        return out
+
+    serial, parallel = sweep("serial", "1000,100,1000"), sweep("parallel", "1000,100,1000", "2")
+    for name in ("sweep.csv", "exponents.csv"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+    def by_cell(rows):
+        return [list(cell) for _, cell in
+                itertools.groupby(rows, lambda r: (r["k"], r["p"], r["adversary"]))]
+
+    alone = {T: by_cell(read_trace(sweep(f"T{T}", T) / "sweep.csv")) for T in ("100", "1000")}
+    want = [row for i in range(4) for T in ("1000", "100", "1000") for row in alone[T][i]]
+    assert read_trace(serial / "sweep.csv") == want
+    # every horizon is checked before any game
+    _forbid_games(monkeypatch)
+    assert main(grid + ["--T", "10,0", "--out", str(serial)]) == 2
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -1,4 +1,5 @@
 """Named stack assembly and guarantee dispatch."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import leashed
 from leashed import (
     ALGOS,
+    KINDS,
     AdaGradBall,
     BoundParams,
     CoinBettor,
@@ -24,7 +26,7 @@ from leashed import (
     hintless_bound,
     stack_bound,
 )
-from leashed.core import dual_norm
+from leashed.core import dual_norm, run_game
 from leashed.stacks import RunSpec, growth_exponent
 
 PARAMS = BoundParams(epsilon=2.0, alpha=3.0, k=0.5, p=1.0, g0=4.0)
@@ -176,3 +178,62 @@ def test_default_ball_comparators_attain_the_worst_in_the_ball(dim, kind):
     worst = max(regret for _, _, regret, *_ in spec.rows(ledger))
     sup = ledger.cum_loss + dual_norm(ledger.grad_sum)
     assert worst == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+
+
+# every stack, the vector ones at d = 1 and d = 3
+GAMES = [(algo, 1) for algo in ALGOS] + [("leashed_dimfree", 3), ("adagrad_ball", 3)]
+
+
+def ledger_fields(ledger) -> tuple:
+    """Every statistic of a ledger, floats by their bits (nan and -0.0 included)."""
+    return (ledger.n_rounds, np.asarray(ledger.grad_sum, dtype=float).tobytes(),
+            *(float(getattr(ledger, name)).hex() for name in
+              ("cum_loss", "sum_norm", "sum_sq", "max_norm", "max_ratio", "max_played_norm")))
+
+
+def outcome(play) -> tuple:
+    """(the ledger play() returns or None, and its fields, or the type and
+    message of what play() raised)."""
+    try:
+        ledger = play()
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+    return ledger, ledger_fields(ledger)
+
+
+@given(game=st.sampled_from(GAMES), kind=st.sampled_from(KINDS),
+       seed=st.integers(min_value=0, max_value=1000),
+       horizons=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=4,
+                         unique=True).map(sorted))
+@settings(deadline=None, max_examples=150)
+def test_a_continued_game_equals_a_fresh_game_of_each_horizon(game, kind, seed, horizons):
+    # the learners never see T, so the game of horizon T is the first T rounds
+    # of any longer one; alternating and spike read t, so a continued game
+    # that numbered its rounds from 1 again would differ
+    algo, dim = game
+    spec = RunSpec(algo=algo, adversary=kind, dim=dim, seed=seed, D=1.0, T=horizons[-1])
+    adversary, learner = spec.build()
+    steps = spec.play_through(horizons, check_finite=False)
+    ledger, seen = None, []
+
+    def through(T):
+        at, played = next(steps)
+        assert at == dataclasses.replace(spec, T=T)
+        return played
+
+    for T in horizons:
+        _, fresh = outcome(lambda: dataclasses.replace(spec, T=T).play(check_finite=False))
+        ledger, got = outcome(lambda: run_game(learner, adversary, T, check_finite=False,
+                                               on_round=lambda t, w, g: seen.append(t),
+                                               ledger=ledger))
+        assert got == fresh, T
+        assert outcome(lambda: through(T))[1] == fresh, T
+        if ledger is None:
+            break  # the game raised, as the fresh one did; neither goes on
+        assert seen == list(range(1, T + 1))
+        # a horizon the ledger has reached plays nothing, and changes nothing
+        for reached in (1, T):
+            with pytest.raises(ValueError, match="already accounts for"):
+                run_game(learner, adversary, reached, ledger=ledger)
+        assert ledger_fields(ledger) == fresh
