@@ -1,21 +1,27 @@
 """Executable acceptance checks for every guarantee the package makes.
 
 Every criterion is a plan(), registered by `criterion`, that returns
-(tasks, fold). A game task is a (fn, label, *args) tuple whose
-module-level fn(failures, label, *args) plays one independent game, appends
-one line to `failures` for each check that does not hold and returns one
-small value; fold(failures, values) gets those values in task order and
-returns the summary that PASS reports. A check that plays no game of its
-own, such as a brute-force oracle, is a plan of one task. A game lets what
-it raises propagate. Each game is the pair `stacks.RunSpec.build` makes
-(epsilon = alpha = k = g0 = 1 and p = 1/2 unless the spec sets them),
-played by `RunSpec.play`, or by `run_game` where a check watches its rounds.
-A criterion that checks one stream at several horizons plays it once, by
-`RunSpec.play_through` or by `run_game` continued from its ledger, checks
-each horizon as the game reaches it, and returns a list with a value per
-horizon: the learners never see T, so that is the check of a separate game
-of each horizon, bit for bit. Every bound criterion scores the comparators
-`run` reports for its spec, through `RunSpec.rows`.
+(tasks, fold). A task is a (fn, label, *args) tuple whose module-level
+fn(failures, label, *args) plays one independent game, appends one line to
+`failures` for each check that does not hold and returns one small value;
+fold(failures, values) gets those values in task order and returns the
+summary that PASS reports. A check that plays no game of its own, such as a
+brute-force oracle, is a plan of one task. A game lets what it raises
+propagate. Each game is the pair `stacks.RunSpec.build` makes (epsilon =
+alpha = k = g0 = 1 and p = 1/2 unless the spec sets them), played by
+`RunSpec.play_through` (or `play`, its one-horizon case), or by `run_game`
+where a check watches its rounds.
+
+A task that checks a stream at its horizons is (fn, label, spec, horizons):
+spec is the stream at its longest horizon and horizons increase (the
+truncation check pairs each with whether the game must stay finite to it).
+fn plays the stream once, by `RunSpec.play_through` or by `run_game`
+continued from its ledger, checks each horizon as the game reaches it,
+labelled "<label> T=<T>", and returns a list with a value per horizon: the
+learners never see T, so that is the check of a separate game of each
+horizon, bit for bit. The wealth, lift, barrier and diameter games, each
+checked at its spec's T alone, are (fn, label, spec). Every bound criterion
+scores the comparators `run` reports for its spec, through `RunSpec.rows`.
 
 `run_suite` is the one runner, as its docstring describes; a registered
 criterion called directly runs alone through it, its tasks in this process.
@@ -115,9 +121,8 @@ def run_suite(names, map_tasks) -> list:
     """The CriterionResult of each criterion named, in order: the one path
     every criterion runs by. Each plan is built here, once; map_tasks(run_task,
     tasks) gets every plan's tasks in one list, last task first, and returns
-    their results in that order: criteria list their games shortest horizon
-    first, so the longest start first. A criterion's results, back in plan
-    order, fold here. Its failures are its tasks' lines, then the fold's; an
+    their results in that order. A criterion's results, back in plan order,
+    fold here. Its failures are its tasks' lines, then the fold's; an
     exception a plan, task or fold raises is one line ("<label>: <Type>:
     <message>" for a task), and nothing folds after a plan or task raised.
     Its seconds sum its plan's, tasks' and fold's, wherever they ran. It
@@ -190,44 +195,20 @@ def _summary(template: str, pick=max):
     return lambda failures, values: template.format(pick(values))
 
 
-def _bettor_games():
-    """(label, spec) of the nine games of the bettor hinted with the stream's
-    bound, stream by stream, shortest horizon first."""
-    for kind in ("constant", "alternating", "seeded_uniform"):
-        for T in (100, 1000, 10_000):
-            yield f"{kind} T={T}", RunSpec(algo="ons_hints", adversary=kind, seed=1, T=T)
+def _bound_games(failures: list, label: str, spec: RunSpec, horizons: tuple,
+                 check_finite: bool = True) -> list:
+    """The bound check at every comparator `run` reports, labelled "<label>
+    T=<T>", at each of horizons of the one game spec.play_through plays:
+    each horizon's largest regret/bound and number of comparators scored."""
+    return [_within_bound(failures, f"{label} T={at.T}", at, ledger)
+            for at, ledger in spec.play_through(horizons, check_finite)]
 
 
-def _streams(games) -> list:
-    """games, (label, spec) pairs, as one list per run of specs that differ
-    only in T: the games of one stream, which a task plays as one game."""
-    return [list(run) for _, run in
-            itertools.groupby(games, lambda game: dict(vars(game[1]), T=None))]
-
-
-def _bound_game(failures: list, label: str, spec: RunSpec) -> tuple:
-    """The game's bound check at every comparator `run` reports for the spec,
-    its largest regret/bound and the number of comparators scored."""
-    return _within_bound(failures, label, spec, spec.play())
-
-
-def _bound_games(failures: list, label: str, games: list, check_finite: bool = True) -> list:
-    """_bound_game of each (label, spec) of games, one stream's at increasing
-    T, each scored when the one game RunSpec.play_through plays reaches it."""
-    played = games[0][1].play_through([spec.T for _, spec in games], check_finite)
-    return [_within_bound(failures, game_label, spec, ledger)
-            for (game_label, _), (spec, ledger) in zip(games, played)]
-
-
-def _cells(failures: list, games: list) -> str:
-    """The bound criteria's fold over their games' (worst ratio, comparators scored)."""
-    worsts, counts = zip(*games)
+def _cells(failures: list, streams: list) -> str:
+    """The bound criteria's fold over every stream's list of (worst ratio,
+    comparators scored), as _bound_games returns it."""
+    worsts, counts = zip(*itertools.chain.from_iterable(streams))
     return f"{sum(counts)} cells: max regret/bound = {max(worsts):.4g}"
-
-
-def _stream_cells(failures: list, streams: list) -> str:
-    """_cells over the games of every stream, as _bound_games returns them."""
-    return _cells(failures, list(itertools.chain.from_iterable(streams)))
 
 
 def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
@@ -270,31 +251,41 @@ def wealth_positive_bets_clipped() -> tuple:
                            min)
 
 
+# the coin criteria's streams of the bettor hinted with the stream's bound,
+# each checked at every horizon
+_COIN_KINDS = ("constant", "alternating", "seeded_uniform")
+_COIN_HORIZONS = (100, 1000, 10_000)
+
+
+def _coin_tasks(fn, *args) -> list:
+    """(fn, kind, spec, horizons, *args) of each coin stream."""
+    return [(fn, kind, RunSpec(algo="ons_hints", adversary=kind, seed=1, T=_COIN_HORIZONS[-1]),
+             _COIN_HORIZONS, *args) for kind in _COIN_KINDS]
+
+
 @criterion("coin", required="regret <= guarantee with zero tolerance, T in {1e2,1e3,1e4}, comparators 0, +/-0.1, ..., +/-100")
 def bettor_regret_within_bound() -> tuple:
     """Hinted bettor regret never exceeds its closed-form guarantee."""
     # the one-signed constant stream pushes wealth past float range near round
     # 1750; its late regrets are -inf and the comparison stays exact
-    return ([(_bound_games, games[0][1].adversary, games, False)
-             for games in _streams(_bettor_games())], _stream_cells)
+    return _coin_tasks(_bound_games, False), _cells
 
 
-def _log_wealth_game(failures: list, label: str, games: list) -> list:
+def _log_wealth_game(failures: list, label: str, spec: RunSpec, horizons: tuple) -> list:
     """The betting-fraction regret check against the best fraction on the
-    grid at each (label, spec) of games, one stream's at increasing T, from
-    one game continued from each T to the next; its regret minus the bound at
-    each."""
-    adversary, bettor = games[0][1].build()
+    grid at each of horizons, from one game continued from each to the next;
+    its regret minus the bound at each."""
+    adversary, bettor = spec.build()
     bets, ledger, gaps = [], None, []  # bets: (gradient, fraction wagered) of each round
-    for game_label, spec in games:
-        ledger = run_game(bettor, adversary, spec.T, check_finite=False, ledger=ledger,
+    for T in horizons:
+        ledger = run_game(bettor, adversary, T, check_finite=False, ledger=ledger,
                           on_round=lambda t, w, g: bets.append((float(g), bettor.v)))
         gs, vs = zip(*bets)
         v_star = best_betting_fraction(gs, bettor.h, resolution=1e-4)
         reg = ons_inner_regret(gs, vs, v_star)
         cap = ons_regret_bound(spec.alpha, bettor.h, math.fsum(g * g for g in gs))
         if not reg <= cap + 1e-3:
-            failures.append(f"{game_label}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
+            failures.append(f"{label} T={T}: log-loss regret {reg:.6g} > {cap:.6g} + 1e-3")
         gaps.append(reg - cap)
     return gaps
 
@@ -302,8 +293,7 @@ def _log_wealth_game(failures: list, label: str, games: list) -> list:
 @criterion("coin", required="log-wealth regret vs best grid fraction <= alpha/(4 h^2) + 4.5 ln(1 + sum g^2/alpha) + 1e-3")
 def inner_ons_within_log_bound() -> tuple:
     """Betting-fraction regret vs the best fixed fraction on an exhaustive grid."""
-    return ([(_log_wealth_game, games[0][1].adversary, games)
-             for games in _streams(_bettor_games())],
+    return (_coin_tasks(_log_wealth_game),
             _summary("max (regret - bound) = {:.4g} over 9 runs, grid step 1e-4",
                      lambda gaps: max(itertools.chain.from_iterable(gaps))))
 
@@ -369,9 +359,8 @@ def truncation_overhead_bounded() -> tuple:
 )
 def leashed_regret_within_bound() -> tuple:
     """Full stack regret never exceeds the composed guarantee."""
-    return ([(_bound_games, kind, [(f"{kind} T={T}", RunSpec(adversary=kind, seed=1, T=T))
-                                   for T in (1000, 10_000)]) for kind in KINDS],
-            _stream_cells)
+    return ([(_bound_games, kind, RunSpec(adversary=kind, seed=1, T=10_000), (1000, 10_000))
+             for kind in KINDS], _cells)
 
 
 def _regret_at_one(failures: list, label: str, spec: RunSpec, horizons: tuple) -> list:
@@ -405,8 +394,8 @@ def ball_regret_within_bound() -> tuple:
     """Unit-ball learner regret never exceeds its guarantee."""
     # regret is affine in u and the bound does not depend on u, so the worst
     # comparator in the ball is -sum g / |sum g|, which the default set holds
-    return ([(_bound_game, f"{kind} d={d}",
-              RunSpec(algo="adagrad_ball", adversary=kind, dim=d, seed=2, T=10_000))
+    return ([(_bound_games, f"{kind} d={d}",
+              RunSpec(algo="adagrad_ball", adversary=kind, dim=d, seed=2, T=10_000), (10_000,))
              for d in (1, 2, 10) for kind in ("seeded_uniform", "alternating", "adaptive_sign")],
             _cells)
 

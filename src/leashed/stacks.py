@@ -20,7 +20,7 @@ from .bounds import (
     hintless_bound,
 )
 from .coin_betting import CoinBettor
-from .core import Learner, RegretLedger, dual_norm, run_game
+from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
 from .reductions import DimFreeLift, Leashed, Truncation, fixed_diameter
 from .unit_ball import AdaGradBall, ball_regret_bound, project_unit_ball
 
@@ -198,9 +198,9 @@ class RunSpec:
         hint = cap or None
         return adversary, build_learner(self.algo, self.params, self.dim, self.D, hint)
 
-    def play(self, check_finite: bool = True) -> RegretLedger:
+    def play(self) -> RegretLedger:
         """The ledger of spec.T rounds of the game build() makes."""
-        (_, ledger), = self.play_through((self.T,), check_finite)
+        (_, ledger), = self.play_through((self.T,))
         return ledger
 
     def play_through(self, horizons, check_finite: bool = True) -> Iterator[tuple]:
@@ -209,11 +209,17 @@ class RunSpec:
         continued from horizon to horizon. The learners never see T, so each
         ledger is bit for bit that of a separate game of horizon T. It is one
         ledger, continued in place when the next is taken: score each before
-        that. Nothing is played before the first is taken."""
+        that. Nothing is played before the first is taken. check_finite, as
+        run_game takes it, also raises GameDivergence at the first horizon
+        whose ledger's loss or norm sum has left float range: a regret or
+        bound read from that ledger would be inf or nan."""
         adversary, learner = self.build()
         ledger = None
         for T in sorted(set(horizons)):
             ledger = run_game(learner, adversary, T, check_finite=check_finite, ledger=ledger)
+            if check_finite and not (math.isfinite(ledger.cum_loss)
+                                     and math.isfinite(ledger.sum_norm)):
+                raise GameDivergence(f"the ledger's sums left float range by round {T}")
             yield (self if T == self.T else dataclasses.replace(self, T=T)), ledger
 
     def rows(self, ledger: RegretLedger,

@@ -259,7 +259,8 @@ def test_runner_records_what_a_plan_task_or_fold_raises(scratch_registry):
 
 def test_runner_records_a_raising_game():
     spec = stacks.RunSpec(adversary="growing", rate=2000.0, T=5)
-    _, failures, value, error = acceptance.run_task((acceptance._bound_game, "growing", spec))
+    _, failures, value, error = acceptance.run_task((acceptance._bound_games, "growing", spec,
+                                                     (5,)))
     assert (failures, value) == ([], None)
     assert error == "growing: GameDivergence: adversary produced a non-finite gradient at round 2"
 
@@ -276,6 +277,35 @@ def test_every_game_task_is_labelled_and_picklable(name):
         pickle.dumps(task)
 
 
+@pytest.mark.parametrize("name", ["bettor_regret_within_bound", "inner_ons_within_log_bound",
+                                  "leashed_regret_within_bound", "leashed_regret_sublinear",
+                                  "truncation_overhead_bounded"])
+def test_each_stream_is_one_game(name, monkeypatch):
+    # a task (fn, label, spec, horizons) checks its stream at every horizon
+    # from one game continued from its ledger, and plays each round once
+    calls = []  # (fresh game, first round, last round) of each run_game call
+
+    def counted(real):
+        def run(learner, adversary, T, *args, ledger=None, **kwargs):
+            calls.append((ledger is None, 1 if ledger is None else len(ledger) + 1, T))
+            return real(learner, adversary, T, *args, ledger=ledger, **kwargs)
+        return run
+
+    monkeypatch.setattr(stacks, "run_game", counted(stacks.run_game))
+    monkeypatch.setattr(acceptance, "run_game", counted(acceptance.run_game))
+    tasks, _ = CRITERIA[name].plan()
+    for task in tasks:
+        _, label, spec, horizons, *_ = task
+        # the truncation check's horizons carry whether the game stays finite
+        Ts = [h[0] if isinstance(h, tuple) else h for h in horizons]
+        assert Ts == sorted(set(Ts)) and spec.T == Ts[-1], label
+        calls.clear()
+        _, failures, _, error = acceptance.run_task(task)
+        assert (failures, error) == ([], None), label
+        assert [fresh for fresh, *_ in calls].count(True) == 1, label
+        assert sum(T - first + 1 for _, first, T in calls) == Ts[-1], label
+
+
 @pytest.mark.parametrize("name", BOUND_CRITERIA)
 def test_bound_criteria_have_teeth(name, monkeypatch):
     # every regret exceeds a bound of -inf, so the shared check must fail each cell
@@ -285,12 +315,12 @@ def test_bound_criteria_have_teeth(name, monkeypatch):
     assert "> bound -inf" in result.measured
     if name == "ball_regret_within_bound":
         # a scalar comparator is named by its value, a vector one as sweep.csv names it
-        assert result.measured.startswith("seeded_uniform d=1 comparator 0: regret ")
+        assert result.measured.startswith("seeded_uniform d=1 T=10000 comparator 0: regret ")
         failures = []
-        acceptance._bound_game(failures, "seeded_uniform d=2", stacks.RunSpec(
-            algo="adagrad_ball", adversary="seeded_uniform", dim=2, seed=2, T=100))
-        assert failures[0].startswith("seeded_uniform d=2 comparator |w|=0#0: regret ")
-        assert failures[1].startswith("seeded_uniform d=2 comparator |w|=0.1#1: regret ")
+        acceptance._bound_games(failures, "seeded_uniform d=2", stacks.RunSpec(
+            algo="adagrad_ball", adversary="seeded_uniform", dim=2, seed=2, T=100), (100,))
+        assert failures[0].startswith("seeded_uniform d=2 T=100 comparator |w|=0#0: regret ")
+        assert failures[1].startswith("seeded_uniform d=2 T=100 comparator |w|=0.1#1: regret ")
 
 
 def full_width_sup(a, b, c, theta):

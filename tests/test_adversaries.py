@@ -428,12 +428,16 @@ def test_windowed_fraction_breaks_near_ties_as_the_exhaustive_grid(label, gs):
 
 
 def test_windowed_fraction_equals_the_exhaustive_grid_on_the_bettor_games():
-    for label, spec in acceptance._bettor_games():
+    # each stream is played once and compared at every horizon it is checked at
+    tasks, _ = acceptance.CRITERIA["inner_ons_within_log_bound"].plan()
+    for _, label, spec, horizons in tasks:
         adversary, bettor = spec.build()
-        gs = []
-        run_game(bettor, adversary, spec.T, check_finite=False,
-                 on_round=lambda t, w, g: gs.append(float(g)))
-        assert best_betting_fraction(gs, bettor.h) == exhaustive_fraction(gs, bettor.h, 1e-4), label
+        gs, ledger = [], None
+        for T in horizons:
+            ledger = run_game(bettor, adversary, T, check_finite=False, ledger=ledger,
+                              on_round=lambda t, w, g: gs.append(float(g)))
+            assert (best_betting_fraction(gs, bettor.h)
+                    == exhaustive_fraction(gs, bettor.h, 1e-4)), (label, T)
 
 
 def test_windowed_fraction_equals_the_exhaustive_grid_at_a_small_hint():

@@ -763,21 +763,21 @@ def test_verify_gates_a_plan_on_its_build_time(cores, scratch_suites, monkeypatc
     assert float(line.rsplit("[", 1)[1].rstrip("s]")) >= 0.05
 
 
-_BOUND_GAME = acceptance._bound_game
+_BOUND_GAMES = acceptance._bound_games
 
 
-def _logged_bound_game(log, failures, label, spec, *args):
+def _logged_bound_games(log, failures, label, spec, *args):
     if spec.algo == "adagrad_ball":
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-    return _BOUND_GAME(failures, label, spec, *args)
+    return _BOUND_GAMES(failures, label, spec, *args)
 
 
 @pytest.mark.parametrize("cores", [2, 1])
 def test_every_suite_prints_the_pinned_measurements(cores, tmp_path, monkeypatch, capsys):
     _cores(monkeypatch, cores)
     log = tmp_path / "ball_game_pids"
-    monkeypatch.setattr(acceptance, "_bound_game", functools.partial(_logged_bound_game, log))
+    monkeypatch.setattr(acceptance, "_bound_games", functools.partial(_logged_bound_games, log))
     folds = []
     real_plan = acceptance.CRITERIA["ball_regret_within_bound"].plan
 
@@ -969,6 +969,20 @@ def test_overflowing_stream_aborts_the_game(command, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (f"{command} aborted: adversary produced a non-finite "
                                        "gradient at round 2\n")
+
+
+def test_sweep_aborts_where_the_ledger_sums_leave_float_range(tmp_path, capsys):
+    # at scale 1e307 the sum of |g| overflows at round 18: the leash's barrier
+    # and the gradient sum go inf, so regret at comparator 0 would be inf * 0.
+    # sweep aborts at the horizon past it and writes nothing; run aborts at
+    # the first non-finite value of its trace
+    flags = ["--scale", "1e307", "--adversary", "constant", "--k", "10", "--out", str(tmp_path)]
+    assert main(["sweep", "--T", "10,100"] + flags) == 1
+    assert capsys.readouterr().err == ("sweep aborted: the ledger's sums left float range "
+                                       "by round 100\n")
+    assert list(tmp_path.iterdir()) == []
+    assert main(["run", "--T", "100"] + flags) == 1
+    assert capsys.readouterr().err == "run aborted: non-finite trace value at round 19\n"
 
 
 def test_summary_is_strict_json(tmp_path):

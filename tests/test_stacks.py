@@ -15,6 +15,7 @@ from leashed import (
     BoundParams,
     CoinBettor,
     DimFreeLift,
+    GameDivergence,
     Leashed,
     StreamStats,
     Truncation,
@@ -223,7 +224,8 @@ def test_a_continued_game_equals_a_fresh_game_of_each_horizon(game, kind, seed, 
         return played
 
     for T in horizons:
-        _, fresh = outcome(lambda: dataclasses.replace(spec, T=T).play(check_finite=False))
+        _, fresh = outcome(lambda: next(dataclasses.replace(spec, T=T).play_through(
+            (T,), check_finite=False))[1])
         ledger, got = outcome(lambda: run_game(learner, adversary, T, check_finite=False,
                                                on_round=lambda t, w, g: seen.append(t),
                                                ledger=ledger))
@@ -237,3 +239,16 @@ def test_a_continued_game_equals_a_fresh_game_of_each_horizon(game, kind, seed, 
             with pytest.raises(ValueError, match="already accounts for"):
                 run_game(learner, adversary, reached, ledger=ledger)
         assert ledger_fields(ledger) == fresh
+
+
+def test_play_through_stops_where_the_ledger_sums_leave_float_range():
+    # at scale 1e307 the sum of |g| overflows at round 18, and so does the
+    # gradient sum: a later regret at comparator 0 reads inf * 0 = nan
+    spec = RunSpec(adversary="constant", scale=1e307, k=10.0, T=100)
+    steps = spec.play_through((10, 100))
+    at, ledger = next(steps)
+    assert at.T == 10 and math.isfinite(ledger.regret(0.0))
+    with pytest.raises(GameDivergence, match="^the ledger's sums left float range by round 100$"):
+        next(steps)
+    _, ledger = list(spec.play_through((10, 100), check_finite=False))[-1]
+    assert len(ledger) == 100 and math.isnan(ledger.regret(0.0))
