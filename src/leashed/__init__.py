@@ -40,6 +40,7 @@ from .core import (
     RegretLedger,
     RoundRecord,
     dual_norm,
+    holder,
     run_game,
 )
 from .reductions import (
@@ -91,6 +92,7 @@ __all__ = [
     "format_result",
     "full_stack_bound",
     "hintless_bound",
+    "holder",
     "leash_project",
     "ons_inner_regret",
     "ons_regret_bound",

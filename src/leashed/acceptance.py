@@ -182,14 +182,14 @@ def _within_bound(failures: list, label: str, spec: RunSpec, ledger: RegretLedge
 
 
 class _SentRecorder:
-    """Inner learner that passes everything through to the one it wraps and
-    keeps every gradient a wrapper sends it."""
+    """Inner learner that passes play and update through to the one it wraps
+    and keeps every gradient a wrapper sends it."""
 
     def __init__(self, inner: HintedLearner):
         self.inner, self.sent = inner, []
 
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
+    def play(self) -> float:
+        return self.inner.play()
 
     def update(self, g, h_next=None) -> None:
         self.sent.append(g)

@@ -38,7 +38,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import StreamStats, bettor_bound
-from .core import GameDivergence, Learner, RegretLedger, run_game
+from .core import GameDivergence, Learner, RegretLedger, holder, run_game
 from .stacks import RunSpec, comparator_label, growth_exponent
 from . import acceptance
 
@@ -51,27 +51,30 @@ TRACE_COLUMNS = ("t", "w_norm", "g_norm", "hint", "barrier", "wealth", "cum_loss
 
 
 class TraceRecorder(Learner):
-    """Pass-through learner that snapshots introspection fields each round."""
+    """Pass-through learner that records, each round, the hint h and the
+    barrier B the point is played under and the wealth after the update,
+    each read from the layer of the stack that holds it, found once by
+    `holder`; a stack with no such layer records None."""
 
     def __init__(self, inner: Learner):
         self.inner = inner
         self.hints: list = []
         self.barriers: list = []
         self.wealths: list = []
-
-    @property
-    def wealth(self):
-        return self.inner.wealth
+        self._hint, self._barrier, self._bettor = (holder(inner, name)
+                                                   for name in ("h", "B", "wealth"))
 
     def play(self):
         w = self.inner.play()
-        self.hints.append(self.inner.current_hint)
-        self.barriers.append(self.inner.barrier)
+        hint, barrier = self._hint, self._barrier
+        self.hints.append(None if hint is None else hint.h)
+        self.barriers.append(None if barrier is None else barrier.B)
         return w
 
     def update(self, g) -> None:
         self.inner.update(g)
-        self.wealths.append(self.inner.wealth)
+        bettor = self._bettor
+        self.wealths.append(None if bettor is None else bettor.wealth)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -169,14 +172,13 @@ def _json_chunks(x, pad: str = "\n"):
 
 def _write_trace(path: Path, ledger: RegretLedger, recorder: TraceRecorder) -> Optional[int]:
     """Write trace.csv in the bytes csv.writer writes: floats in %.17g, a
-    column the learner reports as None left empty, CRLF line ends. The norms
-    and cum_loss are the ledger's, t is a row's position, the other columns
-    the recorder's. A column that holds one nonzero finite value in every
-    round goes into the row template as text (not 0.0, which == does not
-    tell from -0.0), and the rows are formatted and written with no Python
-    loop. Stops before the
-    first round holding a non-finite value and returns that round; returns
-    None once every row is written."""
+    column no layer of the stack holds (None) left empty, CRLF line ends.
+    The norms and cum_loss are the ledger's, t is a row's position, the
+    other columns the recorder's. A column that holds one nonzero finite
+    value in every round goes into the row template as text (not 0.0, which
+    == does not tell from -0.0), and the rows are formatted and written with
+    no Python loop. Stops before the first round holding a non-finite value
+    and returns that round; returns None once every row is written."""
     rows = ledger.rounds
     w_norm, g_norm, cum_loss = (list(map(attrgetter(name), rows))
                                 for name in ("w_norm", "g_norm", "cum_loss"))
@@ -215,7 +217,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_writable([trace_path, summary_path])
     adversary, learner = spec.build()
     recorder = TraceRecorder(learner)
-    ledger = run_game(recorder, adversary, spec.T, keep_rows=True)
+    ledger = run_game(recorder, adversary, spec.T, ledger=RegretLedger(keep_rows=True))
     bad_round = _write_trace(trace_path, ledger, recorder)
     if bad_round is not None:
         raise GameDivergence(f"non-finite trace value at round {bad_round}")

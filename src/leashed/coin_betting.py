@@ -47,10 +47,6 @@ class CoinBettor(HintedLearner):
         self.A = 4.0 * float(alpha)
         self.h = float(h1)
 
-    @property
-    def current_hint(self) -> float:
-        return self.h
-
     def play(self) -> float:
         return self.v * self.wealth
 

@@ -56,19 +56,24 @@ def as_gradient(g, dim: int) -> np.ndarray:
 class Learner:
     """Plays a point each round, then receives the round's gradient.
 
-    The optional introspection attributes are read by the trace writer;
-    learners for which a field has no meaning leave it as None in every round.
+    A learner built around another one holds it as `inner`, the only link
+    between the layers of a stack. Each layer keeps its own state, and
+    `holder` finds the layer that keeps a field.
     """
-
-    current_hint: Union[float, None] = None
-    barrier: Union[float, None] = None
-    wealth: Union[float, None] = None
 
     def play(self) -> Vector:
         raise NotImplementedError
 
     def update(self, g: Vector) -> None:
         raise NotImplementedError
+
+
+def holder(learner, name: str):
+    """The outermost layer of the stack under learner, following `inner`,
+    that has the attribute name; None when no layer has it."""
+    while learner is not None and not hasattr(learner, name):
+        learner = getattr(learner, "inner", None)
+    return learner
 
 
 class HintedLearner(Learner):
@@ -188,7 +193,6 @@ class RegretLedger:
 
 def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
              on_round: Optional[Callable[[int, Vector, Vector], None]] = None,
-             keep_rows: bool = False,
              ledger: Optional[RegretLedger] = None) -> RegretLedger:
     """Run rounds 1 ... T of the online linear optimization protocol, or,
     given the ledger of a game's first rounds, rounds len(ledger) + 1 ... T
@@ -206,9 +210,10 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     before the update, right after the ledger has accounted round t (so
     len(ledger) == t): w and g are the point and gradient as played, and the
     learner's attributes still hold the state w was played from. It is how a
-    caller sees more of a game than the ledger's sums. keep_rows asks
-    a new ledger for its per-round rows (RegretLedger.rounds), which only a
-    trace writer needs; without it the game's memory does not grow with T.
+    caller sees more of a game than the ledger's sums. A caller that wants
+    the per-round rows (RegretLedger.rounds), as a trace writer does, hands
+    in an empty RegretLedger(keep_rows=True); in the ledger run_game makes
+    itself the game's memory does not grow with T.
 
     A continued game is the same learner and adversary, handed back with
     the ledger their earlier rounds returned: the round number, next_grad(t,
@@ -230,7 +235,7 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
     if ledger is None:
         if T < 1:
             raise ValueError(f"number of rounds must be >= 1, got {T}")
-        ledger = RegretLedger(keep_rows)
+        ledger = RegretLedger()
     elif T <= len(ledger):
         raise ValueError(f"the ledger already accounts for {len(ledger)} rounds, "
                          f"so a game to round {T} plays none")
@@ -248,8 +253,9 @@ def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
         # (an entry is inf or nan, or the squares overflow) are the entries read
         pn = norm(w)
         if check_finite and not (isfinite(pn) or finite(w)):
-            wealth = getattr(learner, "wealth", None)
-            why = "" if wealth is None or math.isfinite(wealth) else ": its wealth left float range"
+            bettor = holder(learner, "wealth")
+            why = ("" if bettor is None or math.isfinite(bettor.wealth)
+                   else ": its wealth left float range")
             raise GameDivergence(f"learner produced a non-finite point at round {t}{why}")
         g = next_grad(t, w)
         if type(g) is not plain:

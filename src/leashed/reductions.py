@@ -84,18 +84,10 @@ class Truncation(Learner):
     def __init__(self, inner: HintedLearner, g0: float = 1.0):
         if not 0.0 < g0 < math.inf:
             raise ValueError(f"initial magnitude guess must be positive and finite, got {g0}")
-        if inner.current_hint != g0:
+        if inner.h != g0:
             raise ValueError("inner learner must start with its hint equal to g0")
         self.inner = inner
         self.h = float(g0)
-
-    @property
-    def current_hint(self) -> float:
-        return self.h
-
-    @property
-    def wealth(self) -> Union[float, None]:
-        return getattr(self.inner, "wealth", None)
 
     def play(self) -> float:
         return self.inner.play()
@@ -119,8 +111,8 @@ class Leashed(Truncation):
     learner is charged the subgradient of a hinged surrogate evaluated at
     its unprojected proposal, which vanishes once the proposal strays
     outside the barrier, so runaway wealth is impossible. Raw gradients are
-    truncated to the fabricated hint exactly as in Truncation, whose checks,
-    hint state and introspection it reuses; play and update are its own.
+    truncated to the fabricated hint exactly as in Truncation, whose checks
+    and hint state it reuses; play and update are its own.
 
     A fixed_barrier pins B_t to a constant diameter instead and disables
     barrier growth. Like the bettor, it takes a Python float gradient and
@@ -151,10 +143,6 @@ class Leashed(Truncation):
         self.G = 0.0
         self.sum_abs = 0.0
         self._pending: Union[float, None] = None
-
-    @property
-    def barrier(self) -> float:
-        return self.B
 
     def play(self) -> float:
         self._pending = w = self.inner.play()
@@ -208,34 +196,21 @@ class DimFreeLift(Learner):
     learner sees the projected loss <g_t, y_t>. Between a play and its
     update, x and y hold the round's x_t and y_t, which is what an audit of
     the regret decomposition reads; y is None outside a round. It converts
-    nothing: x and y are the objects its parts' plays return.
+    nothing: x and y are the objects its parts' plays return. The scalar
+    stack is its `inner`; the game's dimension is the ball learner's `dim`.
     """
 
-    __slots__ = ("one_d", "ball", "dim", "x", "y")
+    __slots__ = ("inner", "ball", "dim", "x", "y")
 
-    def __init__(self, scalar_learner: Learner, ball_learner: Learner, dim: int):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.one_d = scalar_learner
+    def __init__(self, scalar_learner: Learner, ball_learner: Learner):
+        self.inner = scalar_learner
         self.ball = ball_learner
-        self.dim = int(dim)
+        self.dim = ball_learner.dim
         self.x = 0.0
         self.y: Union[np.ndarray, None] = None
 
-    @property
-    def current_hint(self) -> Union[float, None]:
-        return self.one_d.current_hint
-
-    @property
-    def barrier(self) -> Union[float, None]:
-        return getattr(self.one_d, "barrier", None)
-
-    @property
-    def wealth(self) -> Union[float, None]:
-        return getattr(self.one_d, "wealth", None)
-
     def play(self) -> np.ndarray:
-        self.x = x = self.one_d.play()
+        self.x = x = self.inner.play()
         self.y = y = self.ball.play()
         return x * y
 
@@ -247,4 +222,4 @@ class DimFreeLift(Learner):
         s = float(g.dot(self.y))
         self.y = None
         self.ball.update(g)
-        self.one_d.update(s)
+        self.inner.update(s)

@@ -66,7 +66,7 @@ def build_learner(
         return Leashed(bettor(params.g0), k=params.k, p=params.p, g0=params.g0)
     if algo == "leashed_dimfree":
         scalar = Leashed(bettor(params.g0), k=params.k, p=params.p, g0=params.g0)
-        return DimFreeLift(scalar, AdaGradBall(dim), dim)
+        return DimFreeLift(scalar, AdaGradBall(dim))
     if algo == "fixed_diameter":
         if diameter is None:
             raise ValueError("fixed_diameter needs a diameter")

@@ -28,7 +28,7 @@ def test_initial_state():
     assert b.wealth == 2.0
     assert b.v == 0.0
     assert b.A == 12.0
-    assert b.current_hint == 5.0
+    assert b.h == 5.0
     assert b.play() == 0.0
 
 
@@ -44,7 +44,7 @@ def test_update_clips_to_next_hint():
     b = CoinBettor(1.0, 1.0, 1.0)
     b.update(1.0, h_next=10.0)
     assert b.v == -0.05
-    assert b.current_hint == 10.0
+    assert b.h == 10.0
 
 
 def test_sustained_stream_pins_fraction_at_cap():
@@ -71,7 +71,7 @@ def test_decreasing_hint_rejected():
 def test_hint_carries_forward():
     b = CoinBettor(1.0, 1.0, 3.0)
     b.update(2.0)
-    assert b.current_hint == 3.0
+    assert b.h == 3.0
 
 
 def test_play_is_fraction_times_wealth():

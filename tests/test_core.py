@@ -198,7 +198,8 @@ def test_run_game_records_protocol():
     player = FixedPlayer([1.0, -2.0, 0.5])
     seen = []
     ledger = run_game(player, ListAdversary([1.0, 0.0, -1.0]), 3,
-                      on_round=lambda t, w, g: seen.append((t, w, g)), keep_rows=True)
+                      on_round=lambda t, w, g: seen.append((t, w, g)),
+                      ledger=RegretLedger(keep_rows=True))
     assert seen == [(1, 1.0, 1.0), (2, -2.0, 0.0), (3, 0.5, -1.0)]
     assert len(ledger) == 3
     assert [r.w_norm for r in ledger.rounds] == [1.0, 2.0, 0.5]
@@ -391,7 +392,7 @@ def test_run_game_hands_vector_learners_the_array_on_round_sees(algo, dim, monke
 
     spy(AdaGradBall, "update")
     if lift:
-        scalar = type(learner.one_d)
+        scalar = type(learner.inner)
         assert issubclass(scalar, Truncation)
         for cls in (DimFreeLift, scalar):
             spy(cls, "update")
@@ -444,7 +445,8 @@ def test_a_vector_game_plays_a_float32_stream_as_its_float64_cast():
 
     def play(g):
         seen = []
-        ledger = run_game(AdaGradBall(2), ListAdversary([g] * 3), 3, keep_rows=True,
+        ledger = run_game(AdaGradBall(2), ListAdversary([g] * 3), 3,
+                          ledger=RegretLedger(keep_rows=True),
                           on_round=lambda t, w, g: seen.append(g))
         return ledger, seen
 
@@ -475,7 +477,8 @@ def test_run_game_snapshots_points():
 
     seen = []
     ledger = run_game(Mutator(), ListAdversary([np.array([1.0, 0.0]), np.array([0.0, 2.0])]), 2,
-                      on_round=lambda t, w, g: seen.append(float(w[0])), keep_rows=True)
+                      on_round=lambda t, w, g: seen.append(float(w[0])),
+                      ledger=RegretLedger(keep_rows=True))
     assert seen == [3.0, 103.0]
     assert [r.w_norm for r in ledger.rounds] == [5.0, dual_norm(np.array([103.0, 4.0]))]
     # round 1 loses 1 * 3, round 2 loses 2 * 4 at the mutated point [103, 4]
@@ -494,7 +497,7 @@ def kept_bytes(algo: str, dim: int, T: int, keep_rows: bool = False) -> int:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ledger = run_game(learner, adversary, T, keep_rows=keep_rows)
+        ledger = run_game(learner, adversary, T, ledger=RegretLedger(keep_rows))
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -15,6 +15,7 @@ from leashed import (
     Leashed,
     Truncation,
     fixed_diameter,
+    holder,
     leash_project,
     surrogate_grad,
     surrogate_loss,
@@ -45,7 +46,7 @@ class InwardBettor(CoinBettor):
 class ScalarLog(Learner):
     """Scalar learner that always plays 2 and keeps the losses it is charged."""
 
-    current_hint = 1.0
+    h = 1.0
 
     def __init__(self):
         self.charged = []
@@ -139,7 +140,7 @@ def test_truncation_fabricates_monotone_hints():
         w.update(g)
     assert w.inner.received == [(0.5, 1.0), (1.0, 1.0), (2.0, 3.0), (-3.0, 3.0)]
     assert w.h == 7.0
-    assert w.wealth == w.inner.wealth
+    assert holder(w, "wealth").wealth == w.inner.wealth
 
 
 @given(st.lists(grad_floats, min_size=1, max_size=120))
@@ -173,9 +174,9 @@ def test_leashed_validation():
 def test_leashed_is_a_truncation_with_its_own_round():
     # falling through to Truncation's round would drop the barrier and the surrogate
     assert issubclass(Leashed, Truncation)
-    assert {"play", "update", "barrier"} <= vars(Leashed).keys()
+    assert {"play", "update", "B"} <= vars(Leashed).keys()
     stack = fresh_stack()
-    assert (stack.current_hint, stack.wealth) == (1.0, stack.inner.wealth)
+    assert (stack.h, holder(stack, "wealth").wealth) == (1.0, stack.inner.wealth)
 
 
 def test_leashed_update_requires_play():
@@ -256,10 +257,22 @@ def test_barrier_invariant_under_power_of_two_scaling(gs):
     assert barrier_trace(gs) == barrier_trace(scaled)
 
 
+def test_dimfree_lift_takes_its_dimension_from_the_ball():
+    # a third argument once set a dimension the ball did not have, and the
+    # lift built and played, then failed on its first update
+    with pytest.raises(TypeError):
+        DimFreeLift(fresh_stack(), AdaGradBall(2), 3)
+    lift = DimFreeLift(fresh_stack(), AdaGradBall(2))
+    assert lift.dim == 2
+    for g in (np.array([1.0, -0.5]), np.array([0.25, 2.0])):
+        assert lift.play().shape == (2,)
+        lift.update(g)
+
+
 def test_dimfree_lift_validation():
     with pytest.raises(ValueError):
-        DimFreeLift(fresh_stack(), AdaGradBall(1), 0)
-    lift = DimFreeLift(fresh_stack(), AdaGradBall(2), 2)
+        DimFreeLift(fresh_stack(), AdaGradBall(0))
+    lift = DimFreeLift(fresh_stack(), AdaGradBall(2))
     with pytest.raises(RuntimeError):
         lift.update(np.zeros(2))
     lift.play()
@@ -274,7 +287,7 @@ def test_dimfree_lift_validation():
 def test_vector_learners_refuse_all_but_float64_arrays_of_their_dimension(learner, raw):
     # run_game is the one cast: a vector learner takes a float64 array of its
     # dimension as it is, and refuses anything else by name, before any state moves
-    target = AdaGradBall(3) if learner == "ball" else DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
+    target = AdaGradBall(3) if learner == "ball" else DimFreeLift(fresh_stack(), AdaGradBall(3))
     before = target.play().tobytes()
     with pytest.raises(ValueError, match="does not match dimension 3"):
         target.update(raw)
@@ -282,27 +295,27 @@ def test_vector_learners_refuse_all_but_float64_arrays_of_their_dimension(learne
 
 
 def test_dimfree_lift_plays_product_and_passes_through():
-    lift = DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
-    assert lift.current_hint == 1.0
-    assert lift.barrier == 0.0
-    assert lift.wealth == 1.0
+    lift = DimFreeLift(fresh_stack(), AdaGradBall(3))
+    assert holder(lift, "h").h == 1.0
+    assert holder(lift, "B").B == 0.0
+    assert holder(lift, "wealth").wealth == 1.0
     w = lift.play()
     assert np.array_equal(w, lift.x * lift.y)
     # the scalar learner is charged <g_t, y_t> for the y_t the round played
-    lift = DimFreeLift(ScalarLog(), AdaGradBall(3), 3)
+    lift = DimFreeLift(ScalarLog(), AdaGradBall(3))
     ys, gs = [], [np.array([1.0, 0.0, 0.0]), np.array([0.5, -2.0, 1.0])]
     for g in gs:
         assert np.array_equal(lift.play(), 2.0 * lift.y)
         ys.append(lift.y.copy())
         lift.update(g)
         assert lift.y is None
-    assert lift.one_d.charged == [float(g @ y) for g, y in zip(gs, ys)]
-    assert lift.one_d.charged[1] != 0.0
+    assert lift.inner.charged == [float(g @ y) for g, y in zip(gs, ys)]
+    assert lift.inner.charged[1] != 0.0
 
 
 def test_dimfree_lift_regret_decomposition():
     gen = np.random.Generator(np.random.PCG64(21))
-    lift = DimFreeLift(fresh_stack(), AdaGradBall(3), 3)
+    lift = DimFreeLift(fresh_stack(), AdaGradBall(3))
     plays, grads, xs, ys = [], [], [], []
     for _ in range(60):
         plays.append(lift.play().copy())

@@ -27,7 +27,7 @@ from leashed import (
     hintless_bound,
     stack_bound,
 )
-from leashed.core import dual_norm, run_game
+from leashed.core import dual_norm, holder, run_game
 from leashed.stacks import RunSpec, growth_exponent
 
 PARAMS = BoundParams(epsilon=2.0, alpha=3.0, k=0.5, p=1.0, g0=4.0)
@@ -63,13 +63,35 @@ def test_build_learner_types_and_wiring():
 
     lift = build_learner("leashed_dimfree", PARAMS, dim=3)
     assert isinstance(lift, DimFreeLift) and lift.dim == 3
-    assert isinstance(lift.one_d, Leashed) and isinstance(lift.ball, AdaGradBall)
+    assert isinstance(lift.inner, Leashed) and isinstance(lift.ball, AdaGradBall)
 
     fd = build_learner("fixed_diameter", PARAMS, diameter=2.5)
     assert isinstance(fd, Leashed) and fd.fixed_barrier == 2.5
 
     ball = build_learner("adagrad_ball", PARAMS, dim=7)
     assert isinstance(ball, AdaGradBall) and ball.dim == 7
+
+
+# the layer of each stack that holds the hint h, the barrier B and the wealth
+HOLDERS = {
+    "ons_hints": (CoinBettor, None, CoinBettor),
+    "hintless": (Truncation, None, CoinBettor),
+    "leashed": (Leashed, Leashed, CoinBettor),
+    "leashed_dimfree": (Leashed, Leashed, CoinBettor),
+    "fixed_diameter": (Leashed, Leashed, CoinBettor),
+    "adagrad_ball": (None, None, None),
+}
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_holder_finds_the_outermost_layer_with_the_field(algo):
+    learner = build_learner(algo, PARAMS, dim=3 if algo in ("leashed_dimfree", "adagrad_ball")
+                            else 1, diameter=2.5)
+    found = [holder(learner, name) for name in ("h", "B", "wealth")]
+    assert [None if layer is None else type(layer) for layer in found] == list(HOLDERS[algo])
+    # outermost: the stack's own h, not its bettor's, where both hold one
+    if isinstance(learner, Truncation):
+        assert found[0] is learner
 
 
 def test_build_learner_validation():
@@ -92,7 +114,8 @@ def test_build_learner_ignores_the_hint_outside_ons_hints(algo):
         kw["diameter"] = 2.5
     plain = build_learner(algo, PARAMS, **kw)
     hinted = build_learner(algo, PARAMS, hint=9.0, **kw)
-    assert hinted.current_hint == plain.current_hint
+    # a stack that holds no hint (adagrad_ball) reads None on both sides
+    assert getattr(holder(hinted, "h"), "h", None) == getattr(holder(plain, "h"), "h", None)
 
 
 def test_stack_bound_dispatch():

@@ -92,7 +92,7 @@ class Scripted:
     played as x times the barrier of `stack` in force."""
 
     def __init__(self, g0: float, points):
-        self.current_hint = g0
+        self.h = g0
         self.points = iter(points)
         self.stack = None
 
