@@ -9,8 +9,8 @@ summary that PASS reports. A check that plays no game of its own, such as
 the conjugate oracle, is a plan of one task. A game lets what it raises
 propagate. Each game is the pair `stacks.RunSpec.build` makes (epsilon =
 alpha = k = g0 = 1 and p = 1/2 unless the spec sets them), played by
-`RunSpec.play_through` (or `play`, its one-horizon case), or by `run_game`
-where a check watches its rounds.
+`RunSpec.play_through`, which yields (T, ledger) at each horizon asked of
+it, or by `run_game` where a check watches its rounds.
 
 A task that checks a stream at its horizons is (fn, label, spec, horizons):
 spec is the stream at its longest horizon and horizons increase (the
@@ -206,8 +206,8 @@ def _bound_games(failures: list, label: str, spec: RunSpec, horizons: tuple,
     """The bound check at every comparator `run` reports, labelled "<label>
     T=<T>", at each of horizons of the one game spec.play_through plays:
     each horizon's largest regret/bound and number of comparators scored."""
-    return [_within_bound(failures, f"{label} T={at.T}", at, ledger)
-            for at, ledger in spec.play_through(horizons, check_finite)]
+    return [_within_bound(failures, f"{label} T={T}", spec, ledger)
+            for T, ledger in spec.play_through(horizons, check_finite)]
 
 
 def _cells(failures: list, streams: list) -> str:
@@ -286,7 +286,7 @@ def _log_wealth_game(failures: list, label: str, spec: RunSpec, horizons: tuple)
     bets, ledger, gaps = [], None, []  # bets: (gradient, fraction wagered) of each round
     for T in horizons:
         ledger = run_game(bettor, adversary, T, check_finite=False, ledger=ledger,
-                          on_round=lambda t, w, g: bets.append((float(g), bettor.v)))
+                          on_round=lambda t, w, g: bets.append((g, bettor.v)))
         gs, vs = zip(*bets)
         v_star = best_betting_fraction(gs, bettor.h)
         reg = ons_inner_regret(gs, vs, v_star)
@@ -539,7 +539,7 @@ def _conjugate_sup(a: float, b: float, c: float, theta: float) -> float:
 
 def _diameter_game(failures: list, label: str, spec: RunSpec) -> str:
     """The game's domain and bound checks, and the criterion's summary."""
-    ledger = spec.play()
+    (_, ledger), = spec.play_through((spec.T,))
     reach = ledger.max_played_norm
     if not reach <= 1.0:
         failures.append(f"played point reached {reach!r} outside the unit diameter")

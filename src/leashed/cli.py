@@ -281,24 +281,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-def _sweep_cell(game) -> list:
-    """The rows of a cell's next horizon: game is the cell's
-    RunSpec.play_through, which this call plays on to that horizon."""
-    spec, ledger = next(game)
+def _sweep_cell(cell) -> list:
+    """The rows of a cell's next horizon: cell is (spec, the spec's
+    RunSpec.play_through), whose game this call plays on to that horizon."""
+    spec, game = cell
+    T, ledger = next(game)
     return [
-        (spec.k, spec.p, spec.adversary, spec.T, comparator_label(wc, i), regret, bound, ratio)
+        (spec.k, spec.p, spec.adversary, T, comparator_label(wc, i), regret, bound, ratio)
         for i, (wc, _, regret, bound, ratio) in enumerate(spec.rows(ledger))
     ]
 
 
-def _sweep_task(specs: list) -> list:
-    """The rows of one (k, p, adversary) cell, whose specs differ only in T
-    and come in grid order: one game, scored at each distinct horizon as it
-    is reached, each horizon's rows in the place of each of its specs."""
-    horizons = sorted({spec.T for spec in specs})
-    game = specs[0].play_through(horizons)
-    rows = {T: _sweep_cell(game) for T in horizons}
-    return [row for spec in specs for row in rows[spec.T]]
+def _sweep_task(task: tuple) -> list:
+    """The rows of one (k, p, adversary) cell, task = (spec, horizons): the
+    spec's one game, scored at each distinct horizon as it is reached, each
+    horizon's rows in its places in the grid order of horizons."""
+    spec, horizons = task
+    game = spec.play_through(horizons)
+    rows = {T: _sweep_cell((spec, game)) for T in sorted(set(horizons))}
+    return [row for T in horizons for row in rows[T]]
 
 
 def _check_writable(paths) -> None:
@@ -318,13 +319,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         empty = [key for key, values in grids.items() if not values]
         if empty:
             raise ValueError(f"empty sweep grid for {', '.join(empty)}")
-        base = RunSpec(**settings)
-        cells = [
-            dataclasses.replace(base, k=k, p=p, adversary=kind, T=T)
+        # a horizon's one check is T >= 1, so the smallest checks them all;
+        # each cell's spec is at the largest, where its one game ends
+        base = RunSpec(**settings, T=min(grids["T"]))
+        tasks = [
+            (dataclasses.replace(base, k=k, p=p, adversary=kind, T=max(grids["T"])),
+             tuple(grids["T"]))
             for k in grids["k"]
             for p in grids["p"]
             for kind in grids["adversary"]
-            for T in grids["T"]
         ]
     except (OSError, OverflowError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
@@ -336,9 +339,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_path, exp_path = out_dir / "sweep.csv", out_dir / "exponents.csv"
     fit = len(set(grids["T"])) >= 2
     _check_writable([sweep_path, exp_path] if fit else [sweep_path])
-    # T varies fastest in the grid, so each cell's specs are one run of them
-    n = len(grids["T"])
-    tasks = [cells[i:i + n] for i in range(0, len(cells), n)]
     rows = [row for chunk in _map(_sweep_task, tasks, base.jobs) for row in chunk]
 
     with open(sweep_path, "w", newline="", encoding="utf-8") as fh:

@@ -198,21 +198,17 @@ class RunSpec:
         hint = cap or None
         return adversary, build_learner(self.algo, self.params, self.dim, self.D, hint)
 
-    def play(self) -> RegretLedger:
-        """The ledger of spec.T rounds of the game build() makes."""
-        (_, ledger), = self.play_through((self.T,))
-        return ledger
-
     def play_through(self, horizons, check_finite: bool = True) -> Iterator[tuple]:
-        """(the spec at T, the ledger after T rounds) for each distinct T in
-        horizons, in increasing order, from the one game build() makes,
-        continued from horizon to horizon. The learners never see T, so each
-        ledger is bit for bit that of a separate game of horizon T. It is one
+        """(T, the ledger after T rounds) for each distinct T in horizons, in
+        increasing order, from the one game build() makes, continued from
+        horizon to horizon; the spec's own T plays no part. The learners
+        never see T, so each ledger is bit for bit that of a separate game of
+        horizon T, which `rows` scores as it scores this spec's. It is one
         ledger, continued in place when the next is taken: score each before
-        that. Nothing is played before the first is taken. check_finite, as
-        run_game takes it, also raises GameDivergence at the first horizon
-        whose ledger's loss or norm sum has left float range: a regret or
-        bound read from that ledger would be inf or nan."""
+        that. Nothing is built or played before the first is taken.
+        check_finite, as run_game takes it, also raises GameDivergence at the
+        first horizon whose ledger's loss or norm sum has left float range: a
+        regret or bound read from that ledger would be inf or nan."""
         adversary, learner = self.build()
         ledger = None
         for T in sorted(set(horizons)):
@@ -220,7 +216,7 @@ class RunSpec:
             if check_finite and not (math.isfinite(ledger.cum_loss)
                                      and math.isfinite(ledger.sum_norm)):
                 raise GameDivergence(f"the ledger's sums left float range by round {T}")
-            yield (self if T == self.T else dataclasses.replace(self, T=T)), ledger
+            yield T, ledger
 
     def rows(self, ledger: RegretLedger,
              stats: Optional[StreamStats] = None) -> Iterator[tuple]:

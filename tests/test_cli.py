@@ -863,7 +863,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
-def test_sweep_scores_repeated_and_unsorted_horizons_in_grid_order(tmp_path, monkeypatch):
+def test_sweep_scores_repeated_and_unsorted_horizons_in_grid_order(tmp_path, monkeypatch,
+                                                                   capsys):
     # each cell is one game scored at 100 and 1000; its rows come in the
     # grid's order of horizons, repeats included, as separate games give them
     grid = ["sweep", "--k", "1,2", "--p", "0.5", "--adversary", "alternating,spike"]
@@ -885,9 +886,36 @@ def test_sweep_scores_repeated_and_unsorted_horizons_in_grid_order(tmp_path, mon
     alone = {T: by_cell(read_trace(sweep(f"T{T}", T) / "sweep.csv")) for T in ("100", "1000")}
     want = [row for i in range(4) for T in ("1000", "100", "1000") for row in alone[T][i]]
     assert read_trace(serial / "sweep.csv") == want
-    # every horizon is checked before any game
+    # every horizon is checked, by the smallest, before any game or file
     _forbid_games(monkeypatch)
-    assert main(grid + ["--T", "10,0", "--out", str(serial)]) == 2
+    capsys.readouterr()
+    rejected = tmp_path / "rejected"
+    rejected.mkdir()
+    assert main(grid + ["--T", "10,0,100", "--out", str(rejected)]) == 2
+    assert capsys.readouterr().err == ("bad configuration: number of rounds must be >= 1, "
+                                       "got 0\n")
+    assert list(rejected.iterdir()) == []
+
+
+def test_sweep_task_is_a_cell_spec_and_its_horizons(tmp_path, monkeypatch):
+    # one spec per (k, p, adversary) cell, at the largest horizon, with the
+    # grid's horizons as given: the game of each is played once
+    real_map, seen = cli._map, []
+
+    def recording_map(fn, items, jobs):
+        seen.extend(items)
+        return real_map(fn, items, jobs)
+
+    monkeypatch.setattr(cli, "_map", recording_map)
+    assert main(["sweep", "--k", "1,2", "--p", "0.5", "--adversary", "alternating,spike",
+                 "--T", "1000,100,1000", "--out", str(tmp_path)]) == 0
+    assert [(spec.k, spec.p, spec.adversary) for spec, _ in seen] == [
+        (1.0, 0.5, "alternating"), (1.0, 0.5, "spike"),
+        (2.0, 0.5, "alternating"), (2.0, 0.5, "spike")]
+    for spec, horizons in seen:
+        assert spec == stacks.RunSpec(k=spec.k, adversary=spec.adversary, T=1000,
+                                      out=str(tmp_path))
+        assert horizons == (1000, 100, 1000)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

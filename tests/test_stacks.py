@@ -188,7 +188,8 @@ def test_default_ball_comparators_lie_in_the_unit_ball(dim, seed, T):
     # rounding leaves +-sum g / |sum g| at norm 1.0000000000000002 in these
     # games; the ball bound holds only for |u| <= 1
     spec = RunSpec(algo="adagrad_ball", adversary="seeded_uniform", dim=dim, seed=seed, T=T)
-    assert all(dual_norm(wc) <= 1.0 for wc, *_ in spec.rows(spec.play()))
+    (_, ledger), = spec.play_through((spec.T,))
+    assert all(dual_norm(wc) <= 1.0 for wc, *_ in spec.rows(ledger))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 10])
@@ -198,7 +199,7 @@ def test_default_ball_comparators_attain_the_worst_in_the_ball(dim, kind):
     # cum_loss + |sum g|, at -sum g / |sum g|; the ball bound does not depend
     # on u, so scoring the default set checks the whole ball
     spec = RunSpec(algo="adagrad_ball", adversary=kind, dim=dim, seed=2, T=1000)
-    ledger = spec.play()
+    (_, ledger), = spec.play_through((spec.T,))
     worst = max(regret for _, _, regret, *_ in spec.rows(ledger))
     sup = ledger.cum_loss + dual_norm(ledger.grad_sum)
     assert worst == pytest.approx(sup, rel=1e-12, abs=0.0)
@@ -243,7 +244,7 @@ def test_a_continued_game_equals_a_fresh_game_of_each_horizon(game, kind, seed, 
 
     def through(T):
         at, played = next(steps)
-        assert at == dataclasses.replace(spec, T=T)
+        assert at == T
         return played
 
     for T in horizons:
@@ -270,8 +271,23 @@ def test_play_through_stops_where_the_ledger_sums_leave_float_range():
     spec = RunSpec(adversary="constant", scale=1e307, k=10.0, T=100)
     steps = spec.play_through((10, 100))
     at, ledger = next(steps)
-    assert at.T == 10 and math.isfinite(ledger.regret(0.0))
+    assert at == 10 and math.isfinite(ledger.regret(0.0))
     with pytest.raises(GameDivergence, match="^the ledger's sums left float range by round 100$"):
         next(steps)
     _, ledger = list(spec.play_through((10, 100), check_finite=False))[-1]
     assert len(ledger) == 100 and math.isnan(ledger.regret(0.0))
+
+
+def test_play_through_builds_its_game_once(monkeypatch):
+    # a horizon is a point of the one game, not a spec: no spec is made or
+    # checked per horizon, and the spec's own T plays no part
+    spec = RunSpec(adversary="seeded_uniform", seed=4, T=1000)
+    real_build, builds = RunSpec.build, []
+
+    def counted(self):
+        builds.append(self)
+        return real_build(self)
+
+    monkeypatch.setattr(RunSpec, "build", counted)
+    assert [T for T, _ in spec.play_through((1000, 10, 100))] == [10, 100, 1000]
+    assert builds == [spec]
