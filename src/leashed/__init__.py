@@ -35,8 +35,6 @@ from .coin_betting import (
 )
 from .core import (
     GameDivergence,
-    HintedLearner,
-    Learner,
     RegretLedger,
     RoundRecord,
     dual_norm,
@@ -69,9 +67,7 @@ __all__ = [
     "CriterionResult",
     "DimFreeLift",
     "GameDivergence",
-    "HintedLearner",
     "KINDS",
-    "Learner",
     "Leashed",
     "ONS_STEP",
     "RegretLedger",

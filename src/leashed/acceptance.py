@@ -56,7 +56,7 @@ from .adversaries import (KINDS, SCALAR_COMPARATORS, SEEDED_KINDS, best_betting_
                           bisect_sign_change, random_unit_vectors)
 from .bounds import conjugate_bound
 from .coin_betting import ons_inner_regret, ons_regret_bound
-from .core import HintedLearner, RegretLedger, dual_norm, row_dots, run_game
+from .core import RegretLedger, dual_norm, holder, row_dots, run_game
 from .stacks import RunSpec, comparator_label, growth_exponent
 
 
@@ -185,7 +185,9 @@ class _SentRecorder:
     """Inner learner that passes play and update through to the one it wraps
     and keeps every gradient a wrapper sends it."""
 
-    def __init__(self, inner: HintedLearner):
+    __slots__ = ("inner", "sent")
+
+    def __init__(self, inner):
         self.inner, self.sent = inner, []
 
     def play(self) -> float:
@@ -221,7 +223,7 @@ def _wealth_game(failures: list, label: str, spec: RunSpec) -> float:
     """The leashed game's wealth and cap checks on its bettor, and the least
     wealth a bet from round 2 on was placed from."""
     adversary, leashed = spec.build()
-    bettor = leashed.inner
+    bettor = holder(leashed, "wealth")
     # the least wealth a bet from round 2 on is placed from; bets over the cap
     low, bad = None, 0
 
@@ -309,28 +311,25 @@ def inner_ons_within_log_bound() -> tuple:
 def _truncation_game(failures: list, label: str, spec: RunSpec, segments: tuple) -> list:
     """The truncation-overhead check at every comparator after each (T,
     expect_finite) of segments, T increasing, of one game continued from each
-    T to the next, checking finiteness where it is expected; the largest
-    finite overhead/range at each T (-inf when there is none)."""
+    T to the next; a segment expected finite is played with run_game's
+    finiteness checks, so a non-finite point or gradient there raises
+    GameDivergence. The largest finite overhead/range at each T (-inf when
+    there is none)."""
     adversary, wrapper = spec.build()
     wrapper.inner = inner = _SentRecorder(wrapper.inner)
     played, ledger, worsts = [], None, []
     for T, expect_finite in segments:
         ledger = run_game(wrapper, adversary, T, check_finite=expect_finite, ledger=ledger,
                           on_round=lambda t, w, g: played.append((g, w)))
-        worsts.append(_overhead(failures, f"{label} T={T}", ledger, zip(played, inner.sent),
-                                expect_finite))
+        worsts.append(_overhead(failures, f"{label} T={T}", ledger, zip(played, inner.sent)))
     return worsts
 
 
-def _overhead(failures: list, label: str, ledger: RegretLedger, rounds,
-              expect_finite: bool) -> float:
+def _overhead(failures: list, label: str, ledger: RegretLedger, rounds) -> float:
     """The truncation-overhead check at every comparator of the game whose
     ((g, w), sent) rounds the ledger accounts for, and its largest finite
     overhead/range (-inf when there is none)."""
     worst = -math.inf
-    if expect_finite and not math.isfinite(ledger.max_played_norm):
-        failures.append(f"{label}: expected a finite run, played norm overflowed")
-        return worst
     # exactly-zero truncation error charges nothing
     rows = [(g, sent, w) for (g, w), sent in rounds if g - sent != 0.0]
     for i, wc in enumerate(SCALAR_COMPARATORS):

@@ -38,7 +38,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import StreamStats, bettor_bound
-from .core import GameDivergence, Learner, RegretLedger, holder, run_game
+from .core import GameDivergence, RegretLedger, holder, run_game
 from .stacks import RunSpec, comparator_label, growth_exponent
 from . import acceptance
 
@@ -50,13 +50,15 @@ GRID_KEYS = ("k", "p", "adversary", "T")
 TRACE_COLUMNS = ("t", "w_norm", "g_norm", "hint", "barrier", "wealth", "cum_loss")
 
 
-class TraceRecorder(Learner):
+class TraceRecorder:
     """Pass-through learner that records, each round, the hint h and the
     barrier B the point is played under and the wealth after the update,
     each read from the layer of the stack that holds it, found once by
     `holder`; a stack with no such layer records None."""
 
-    def __init__(self, inner: Learner):
+    __slots__ = ("inner", "hints", "barriers", "wealths", "_hint", "_barrier", "_bettor")
+
+    def __init__(self, inner):
         self.inner = inner
         self.hints: list = []
         self.barriers: list = []

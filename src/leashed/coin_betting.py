@@ -14,15 +14,13 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from .core import HintedLearner
-
 # Step coefficient of the projected Newton update, 2 / (2 - ln 3). The losses
 # -ln(1 - g v) are 1-exp-concave on every wealth factor the hint allows, with
 # curvature constant (2 - ln 3) / 2.
 ONS_STEP = 2.0 / (2.0 - math.log(3.0))
 
 
-class CoinBettor(HintedLearner):
+class CoinBettor:
     """Parameter-free scalar learner; regret adapts to the comparator size.
 
     epsilon is the initial wealth, alpha seeds the Newton accumulator, and h1

@@ -7,7 +7,8 @@ keeps those and the statistics the bound evaluators need, never the points
 or gradients themselves, so a game's memory depends on neither T nor d.
 Only a caller that asks for them (the trace writer of `leashed run`) gets
 a row of norms per round as well. The norm is Euclidean (self-dual)
-throughout.
+throughout. A learner is any object with play() and update(g) (see
+run_game); a stack's layers are linked by `inner` (see holder).
 """
 from __future__ import annotations
 
@@ -53,38 +54,17 @@ def as_gradient(g, dim: int) -> np.ndarray:
                      "a vector learner takes a float64 array")
 
 
-class Learner:
-    """Plays a point each round, then receives the round's gradient.
-
-    A learner built around another one holds it as `inner`, the only link
-    between the layers of a stack. Each layer keeps its own state, and
-    `holder` finds the layer that keeps a field.
-    """
-
-    def play(self) -> Vector:
-        raise NotImplementedError
-
-    def update(self, g: Vector) -> None:
-        raise NotImplementedError
-
-
 def holder(learner, name: str):
     """The outermost layer of the stack under learner, following `inner`,
-    that has the attribute name; None when no layer has it."""
+    that has the attribute name; None when no layer has it.
+
+    A learner built around another one (a wrapper) holds the learner it
+    wraps as `inner`, the only link between the layers of a stack. Each
+    layer keeps its own state in the attributes its class declares, so the
+    layer found is the one that keeps the field."""
     while learner is not None and not hasattr(learner, name):
         learner = getattr(learner, "inner", None)
     return learner
-
-
-class HintedLearner(Learner):
-    """Learner that consumes a magnitude hint alongside each gradient.
-
-    The hint h delivered with gradient g promises that the *next* gradient
-    will have magnitude at most h; hints must be nondecreasing.
-    """
-
-    def update(self, g: float, h_next: Union[float, None] = None) -> None:
-        raise NotImplementedError
 
 
 @dataclass(slots=True)
@@ -191,18 +171,20 @@ class RegretLedger:
         return self.cum_loss - self.grad_sum * float(w)
 
 
-def run_game(learner: Learner, adversary, T: int, check_finite: bool = True,
+def run_game(learner, adversary, T: int, check_finite: bool = True,
              on_round: Optional[Callable[[int, Vector, Vector], None]] = None,
              ledger: Optional[RegretLedger] = None) -> RegretLedger:
     """Run rounds 1 ... T of the online linear optimization protocol, or,
     given the ledger of a game's first rounds, rounds len(ledger) + 1 ... T
     of that game, accounted in that ledger, which is returned.
 
-    Each round the learner plays a point, the adversary answers with a
-    gradient (it may inspect the played point), and the learner updates.
-    Non-finite points or gradients abort the game with a diagnostic naming
-    the round; pass check_finite=False to let a run continue through float
-    overflow, in which case IEEE semantics apply to the ledger sums.
+    A learner is any object with two methods: play() returns the round's
+    point and update(g) takes the round's gradient; no base class is
+    required. Each round the learner plays a point, the adversary answers
+    with a gradient (it may inspect the played point), and the learner
+    updates. Non-finite points or gradients abort the game with a diagnostic
+    naming the round; pass check_finite=False to let a run continue through
+    float overflow, in which case IEEE semantics apply to the ledger sums.
 
     The ledger reads each round's point and gradient before the learner's
     update, so a learner may mutate its play buffer in place. on_round, if

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import HintedLearner, Learner, as_gradient
+from .core import as_gradient
 
 
 def truncate(g: float, h: float) -> float:
@@ -70,18 +70,23 @@ def surrogate_grad(g_trunc: float, w: float, barrier: float) -> float:
     return 0.5 * (g_trunc + hinge)
 
 
-class Truncation(Learner):
+class Truncation:
     """Hint fabrication for a scalar game.
 
     Starts from an a-priori magnitude guess g0 and maintains
     h_{t+1} = max(h_t, |g_t|); the inner learner always receives gradients
     respecting the hint it was promised. Scalar, like Leashed: d dimensions
     come from DimFreeLift around a scalar stack.
+
+    The inner learner, such as CoinBettor, takes update(g, h_next): h_next
+    promises that the next gradient has magnitude at most h_next, and hints
+    never decrease. It keeps its hint in force as `h`, which must start
+    equal to g0.
     """
 
     __slots__ = ("inner", "h")
 
-    def __init__(self, inner: HintedLearner, g0: float = 1.0):
+    def __init__(self, inner, g0: float = 1.0):
         if not 0.0 < g0 < math.inf:
             raise ValueError(f"initial magnitude guess must be positive and finite, got {g0}")
         if inner.h != g0:
@@ -123,7 +128,7 @@ class Leashed(Truncation):
 
     def __init__(
         self,
-        inner: HintedLearner,
+        inner,
         k: float = 1.0,
         p: float = 0.5,
         g0: float = 1.0,
@@ -183,12 +188,12 @@ class Leashed(Truncation):
         self.B = next_b
 
 
-def fixed_diameter(inner: HintedLearner, diameter: float, g0: float = 1.0) -> Leashed:
+def fixed_diameter(inner, diameter: float, g0: float = 1.0) -> Leashed:
     """Truncation plus a constant barrier: plays never leave [-D, D]."""
     return Leashed(inner, g0=g0, fixed_barrier=diameter)
 
 
-class DimFreeLift(Learner):
+class DimFreeLift:
     """d-dimensional learner from a scalar stack and a unit-ball learner.
 
     Plays w_t = x_t * y_t where x_t comes from the scalar learner and y_t
@@ -202,7 +207,7 @@ class DimFreeLift(Learner):
 
     __slots__ = ("inner", "ball", "dim", "x", "y")
 
-    def __init__(self, scalar_learner: Learner, ball_learner: Learner):
+    def __init__(self, scalar_learner, ball_learner):
         self.inner = scalar_learner
         self.ball = ball_learner
         self.dim = ball_learner.dim

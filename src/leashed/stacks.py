@@ -20,7 +20,7 @@ from .bounds import (
     hintless_bound,
 )
 from .coin_betting import CoinBettor
-from .core import GameDivergence, Learner, RegretLedger, dual_norm, run_game
+from .core import GameDivergence, RegretLedger, dual_norm, run_game
 from .reductions import DimFreeLift, Leashed, Truncation, fixed_diameter
 from .unit_ball import AdaGradBall, ball_regret_bound, project_unit_ball
 
@@ -42,7 +42,7 @@ def build_learner(
     dim: int = 1,
     diameter: Optional[float] = None,
     hint: Optional[float] = None,
-) -> Learner:
+):
     """Construct the named stack.
 
     hint seeds the bettor's initial magnitude promise for ons_hints; every

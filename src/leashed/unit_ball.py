@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import Learner, as_gradient
+from .core import as_gradient
 
 STEP_SCALE = math.sqrt(2.0)
 
@@ -29,7 +29,7 @@ def project_unit_ball(x: np.ndarray) -> np.ndarray:
     return y
 
 
-class AdaGradBall(Learner):
+class AdaGradBall:
     __slots__ = ("dim", "w", "sum_sq")
 
     def __init__(self, dim: int):

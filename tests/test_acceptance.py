@@ -125,6 +125,47 @@ def test_truncation_criterion_catches_a_wrapper_that_sends_zero(monkeypatch):
         "spike T=5000 comparator -0.1: overhead 950.0 > 1.0"), result.measured
 
 
+# (criterion, owner, attribute, its broken value, the criterion's first failure line)
+BROKEN_PARTS = [
+    ("inner_ons_within_log_bound", acceptance, "ons_regret_bound", lambda *args: -math.inf,
+     "constant T=100: log-loss regret 0.443679 > -inf + 1e-3"),
+    ("leashed_regret_sublinear", acceptance, "growth_exponent", lambda *args: 0.6,
+     MEASURED["leashed_regret_sublinear"] + ".6"),
+    ("lift_identity_exact", reductions.DimFreeLift, "play",
+     lambda self, play=reductions.DimFreeLift.play: play(self) * (1.0 + 1e-6),
+     "seeded_uniform d=2 |comparator|=0.5: identity gap 5.24e-05"),
+    ("conjugate_dominated", acceptance, "conjugate_bound", lambda *args: -20.0,
+     "tuple 0 (a=2.35, b=3.24, c=7.97, theta=35.3): sup 73.9451 > cap -20 + 1e-6"),
+    ("diameter_respected", stacks, "fixed_diameter",
+     lambda inner, diameter, g0, build=reductions.fixed_diameter: build(inner, 2.0 * diameter,
+                                                                         g0=g0),
+     "played point reached 2.0 outside the unit diameter"),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr, broken, first", BROKEN_PARTS,
+                         ids=[name for name, *_ in BROKEN_PARTS])
+def test_criterion_fails_a_broken_part_with_its_first_failure(name, owner, attr, broken, first,
+                                                              monkeypatch):
+    # each criterion's failure line, from one part of the program or its
+    # oracle broken at a time
+    monkeypatch.setattr(owner, attr, broken)
+    result = CRITERIA[name]()
+    assert not result.passed
+    # the sublinear criterion's one failure line is its summary, which holds "; "
+    assert result.measured.startswith(first), result.measured
+
+
+def test_truncation_criterion_fails_a_segment_expected_finite_that_diverges(monkeypatch):
+    # a segment expected finite is played with run_game's finiteness checks,
+    # so a non-finite point aborts its game before any overhead is scored
+    monkeypatch.setattr(reductions.Truncation, "play", lambda self: math.inf)
+    result = CRITERIA["truncation_overhead_bounded"]()
+    assert not result.passed
+    assert result.measured.startswith(
+        "spike: GameDivergence: learner produced a non-finite point at round 1"), result.measured
+
+
 @pytest.fixture
 def scratch_registry(monkeypatch):
     # criteria defined by a test register here, not in the shipped CRITERIA

@@ -475,28 +475,44 @@ def test_run_aborts_on_contract_violation(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, blocked", [("run", "trace.csv"), ("run", "summary.json"),
-                                              ("sweep", "sweep.csv"), ("sweep", "exponents.csv")])
-def test_an_output_that_cannot_be_written_aborts_the_command(command, blocked, tmp_path,
+# (command, output in the way, whether the output is a file refused by the
+# permission check rather than a directory)
+BLOCKED_OUTPUTS = [("run", "trace.csv", False), ("run", "summary.json", False),
+                   ("sweep", "sweep.csv", False), ("sweep", "exponents.csv", False),
+                   ("run", "trace.csv", True)]
+
+
+@pytest.mark.parametrize("command, blocked, denied", BLOCKED_OUTPUTS,
+                         ids=[f"{command}-{blocked}" + ("-denied" if denied else "")
+                              for command, blocked, denied in BLOCKED_OUTPUTS])
+def test_an_output_that_cannot_be_written_aborts_the_command(command, blocked, denied, tmp_path,
                                                              monkeypatch, capsys):
-    # a directory in the way of any file the command would write ends it as a
-    # diverging game does, before its first game, and the check creates and
-    # truncates nothing; a config file that cannot be read is still a bad
-    # configuration
+    # a directory in the way of any file the command would write, or a file
+    # it may not write, ends it as a diverging game does, before its first
+    # game, and the check creates and truncates nothing; a config file that
+    # cannot be read is still a bad configuration
     outputs = {"run": ("trace.csv", "summary.json"), "sweep": ("sweep.csv", "exponents.csv")}
+    path = tmp_path / blocked
     for name in outputs[command]:
-        if name != blocked:
+        if name != blocked or denied:
             (tmp_path / name).write_text("kept")
-    (tmp_path / blocked).mkdir()
+    if denied:
+        # as root, os.access grants every path, so the refusal is patched in
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != path and access(p, mode))
+    else:
+        path.mkdir()
     _forbid_games(monkeypatch)
     horizons = "10" if command == "run" else "10,20"
     assert main([command, "--T", horizons, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{command} aborted: ") and repr(str(tmp_path / blocked)) in err
+    assert err.startswith(f"{command} aborted: ") and repr(str(path)) in err
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(outputs[command])
+    if denied:
+        assert err == f"{command} aborted: [Errno 13] Permission denied: {str(path)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs[command])
     assert all((tmp_path / name).read_text() == "kept"
-               for name in outputs[command] if name != blocked)
+               for name in outputs[command] if name != blocked or denied)
     assert main([command, "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("bad configuration: ")
     if blocked == "exponents.csv":

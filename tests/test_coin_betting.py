@@ -85,7 +85,7 @@ def test_keeps_no_per_round_history():
     for g in (1.0, -1.0, 0.5) * 100:
         b.update(g)
     # the state after any number of rounds is a handful of scalars, in slots
-    assert not vars(b)
+    assert not hasattr(b, "__dict__")
     state = {name: getattr(b, name) for name in CoinBettor.__slots__}
     assert all(type(v) is float for v in state.values()), state
 

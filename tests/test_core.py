@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from leashed import (
     GameDivergence,
-    Learner,
     RegretLedger,
     dual_norm,
     run_game,
@@ -22,7 +21,7 @@ finite_floats = st.floats(
 )
 
 
-class FixedPlayer(Learner):
+class FixedPlayer:
     """Plays a scripted sequence of points and ignores gradients."""
 
     def __init__(self, points):
@@ -468,7 +467,7 @@ def test_run_game_snapshots_points():
     # so every row holds the point as played
     w = np.array([3.0, 4.0])
 
-    class Mutator(Learner):
+    class Mutator:
         def play(self):
             return w
 

@@ -11,7 +11,6 @@ from leashed import (
     AdaGradBall,
     CoinBettor,
     DimFreeLift,
-    Learner,
     Leashed,
     Truncation,
     fixed_diameter,
@@ -43,7 +42,7 @@ class InwardBettor(CoinBettor):
         super().update(g, h_next)
 
 
-class ScalarLog(Learner):
+class ScalarLog:
     """Scalar learner that always plays 2 and keeps the losses it is charged."""
 
     h = 1.0

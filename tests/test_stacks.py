@@ -17,6 +17,7 @@ from leashed import (
     DimFreeLift,
     GameDivergence,
     Leashed,
+    RegretLedger,
     StreamStats,
     Truncation,
     ball_regret_bound,
@@ -70,6 +71,40 @@ def test_build_learner_types_and_wiring():
 
     ball = build_learner("adagrad_ball", PARAMS, dim=7)
     assert isinstance(ball, AdaGradBall) and ball.dim == 7
+
+
+def _layers(learner):
+    """learner and every layer reachable from it through `inner` and a lift's `ball`."""
+    todo = [learner]
+    while todo:
+        layer = todo.pop()
+        yield layer
+        todo += [part for part in (getattr(layer, "inner", None), getattr(layer, "ball", None))
+                 if part is not None]
+
+
+def test_every_object_a_game_calls_each_round_keeps_only_declared_state():
+    # the learner protocol is play/update alone, with no base class; each
+    # class declares its state in __slots__, so no instance has a __dict__
+    # and a typo or stray attribute is refused, not left for holder to find
+    from leashed import acceptance, cli
+
+    assert not {"Learner", "HintedLearner"} & (set(leashed.__all__) | set(vars(leashed)))
+    objects = []
+    for algo in ALGOS:
+        vector = algo in ("leashed_dimfree", "adagrad_ball")
+        adversary, learner = RunSpec(algo=algo, dim=3 if vector else 1,
+                                     D=1.0 if algo == "fixed_diameter" else None).build()
+        objects += [adversary, *_layers(learner), *_layers(cli.TraceRecorder(learner))]
+    objects += [RegretLedger(), RegretLedger(keep_rows=True),
+                *_layers(acceptance._SentRecorder(CoinBettor()))]
+    assert {type(obj).__name__ for obj in objects} == {
+        "StreamAdversary", "CoinBettor", "Truncation", "Leashed", "DimFreeLift", "AdaGradBall",
+        "TraceRecorder", "RegretLedger", "_SentRecorder"}
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(AttributeError):
+            obj.undeclared = 1
 
 
 # the layer of each stack that holds the hint h, the barrier B and the wealth
